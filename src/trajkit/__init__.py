@@ -3,6 +3,7 @@
 Pipeline stages, each a standalone module:
 
 * :mod:`trajkit.trajectory` — sparse waypoint plans, dense 6DOF pose streams;
+* :mod:`trajkit.textio` — the record grammar shared by every text reader;
 * :mod:`trajkit.poseio` — plain-text pose file formats;
 * :mod:`trajkit.conditions` — environment settings and their degradation;
 * :mod:`trajkit.simworld` — synthetic capture backend and fake reconstruction;
@@ -15,7 +16,6 @@ from .align import (
     AlignmentReport,
     RansacParams,
     SimilarityTransform,
-    apply,
     calibrate_unit_scale,
     evaluate,
     ransac_align,
@@ -59,7 +59,6 @@ from .trajectory import (
     DenseTrajectory,
     DensifyParams,
     EulerRotation,
-    PoseSample,
     SparseTrajectory,
     densify,
     expand_visitation,
@@ -68,54 +67,3 @@ from .trajectory import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AlignmentReport",
-    "Box",
-    "CaptureManifest",
-    "CaptureRecord",
-    "ConditionSet",
-    "DEFAULT_DEGRADATION",
-    "DEFAULT_METERS_PER_UNIT",
-    "DegradationProfile",
-    "DegradationTable",
-    "DenseTrajectory",
-    "DensifyParams",
-    "EulerRotation",
-    "InputError",
-    "Intrinsics",
-    "InvariantViolation",
-    "ObservationSet",
-    "PoseSample",
-    "RansacParams",
-    "ReconstructedSet",
-    "SimilarityTransform",
-    "SparseTrajectory",
-    "TimeOfDay",
-    "TrajkitError",
-    "Weather",
-    "World",
-    "apply",
-    "calibrate_unit_scale",
-    "default_intrinsics",
-    "degradation",
-    "densify",
-    "evaluate",
-    "expand_visitation",
-    "generate_world",
-    "path_polyline",
-    "perturb",
-    "ransac_align",
-    "read_dense",
-    "read_manifest",
-    "read_reconstruction",
-    "read_sparse",
-    "retrace",
-    "simulate_reconstruction",
-    "umeyama",
-    "validate",
-    "write_dense",
-    "write_manifest",
-    "write_reconstruction",
-    "write_report",
-]

@@ -99,11 +99,6 @@ class SimilarityTransform:
         )
 
 
-def apply(transform: SimilarityTransform, points: np.ndarray) -> np.ndarray:
-    """Functional alias for SimilarityTransform.apply."""
-    return transform.apply(points)
-
-
 @dataclass(frozen=True)
 class RansacParams:
     threshold: float = 0.5        # inlier residual bound, game units

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import align, conditions, plotting, poseio, simworld, trajectory
+from . import align, conditions, plotting, poseio, simworld, textio, trajectory
 from .errors import InputError, InvariantViolation
 
 
@@ -72,17 +72,8 @@ def cmd_densify(args) -> int:
     sparse = _load_sparse(args)
     orientations = None
     if args.orientations:
-        rows = []
-        for line_no, line in enumerate(_read_text(args.orientations).splitlines(), start=1):
-            if not line.strip():
-                continue
-            values = [float(v) for v in line.split()]
-            if len(values) != 3:
-                raise InputError(
-                    f"orientation line {line_no}: expected 'rx ry rz', got {len(values)} values"
-                )
-            rows.append(values)
-        orientations = np.array(rows, dtype=float).reshape(-1, 3)
+        recs, _ = textio.records(_read_text(args.orientations))
+        orientations = np.column_stack(textio.table(recs, (float,) * 3))
     params = trajectory.DensifyParams(
         speed=args.speed,
         fps=args.fps,
@@ -186,14 +177,9 @@ def cmd_align(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    samples = []
-    for line_no, raw in enumerate(_read_text(args.samples).splitlines(), start=1):
-        if not raw.strip():
-            continue
-        tokens = raw.split()
-        if len(tokens) != 4:
-            raise InputError(f"samples line {line_no}: expected 'x y z steps', got {raw!r}")
-        samples.append(((float(tokens[0]), float(tokens[1]), float(tokens[2])), int(tokens[3])))
+    recs, _ = textio.records(_read_text(args.samples))
+    x, y, z, steps = textio.table(recs, (float, float, float, int))
+    samples = list(zip(np.column_stack([x, y, z]).tolist(), steps.tolist()))
     value = align.calibrate_unit_scale(samples, stride_m=args.stride_m)
     print(f"{value:.6f}")
     return 0

@@ -13,7 +13,8 @@ import enum
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .errors import DensityOutOfRange, MissingTableEntry, ParseError
+from . import textio
+from .errors import DensityOutOfRange, MissingTableEntry
 
 
 class Weather(enum.Enum):
@@ -108,22 +109,14 @@ def read_degradation_table(text: str) -> DegradationTable:
     time_dropout: dict[TimeOfDay, float] = {}
     weather_names = {w.value: w for w in Weather}
     time_names = {t.value: t for t in TimeOfDay}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split()
-        if len(tokens) != 2:
-            raise ParseError(f"expected 'name value', got {line!r}", line=line_no)
-        name = tokens[0].lower()
-        try:
-            value = float(tokens[1])
-        except ValueError:
-            raise ParseError(f"invalid number {tokens[1]!r}", line=line_no) from None
+    recs, _ = textio.records(text)
+    names, values = textio.table(recs, (str, float))
+    for i, (token, value) in enumerate(zip(names, values.tolist())):
+        name = token.lower()
         if name in weather_names:
             weather_noise[weather_names[name]] = value
         elif name in time_names:
             time_dropout[time_names[name]] = value
         else:
-            raise ParseError(f"unknown table key {tokens[0]!r}", line=line_no)
+            raise textio.error(recs, i, 0, f"unknown table key {token!r}")
     return DegradationTable(weather_noise=weather_noise, time_dropout=time_dropout)

@@ -14,63 +14,28 @@ fractional digits, one trailing newline per record):
 * alignment report: ``key value`` lines followed by per-point
   ``residual <name> <meters> <inlier 0|1>`` lines.
 
-Readers accept runs of spaces/tabs, blank lines, and both LF and CRLF;
-writers emit single spaces and LF.
+Readers follow the grammar shared through :mod:`trajkit.textio`; writers
+emit single spaces and LF.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 
+from . import textio
 from .align import AlignmentReport, SimilarityTransform
 from .conditions import ConditionSet, TimeOfDay, Weather
-from .errors import (
-    DanglingVertexRef,
-    DuplicateImageName,
-    ParseError,
-    WrongFieldCount,
-)
+from .errors import DuplicateImageName, ParseError
+from .textio import fixed
 from .trajectory import (
     DenseTrajectory,
     EulerRotation,
     SparseTrajectory,
     expand_visitation,
 )
-
-_TOKEN = re.compile(r"\S+")
-
-
-def _tokens(line: str) -> list[tuple[str, int]]:
-    """Tokens of a line with their 1-based start columns."""
-    return [(m.group(), m.start() + 1) for m in _TOKEN.finditer(line)]
-
-
-def _data_lines(text: str):
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        if raw.strip():
-            yield line_no, raw
-
-
-def _float(token: str, line_no: int, column: int) -> float:
-    try:
-        return float(token)
-    except ValueError:
-        raise ParseError(f"invalid float {token!r}", line=line_no, column=column) from None
-
-
-def _int(token: str, line_no: int, column: int) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise ParseError(f"invalid integer {token!r}", line=line_no, column=column) from None
-
-
-def _f(value: float) -> str:
-    return f"{value:.6f}"
-
 
 # --------------------------------------------------------------------------
 # Sparse trajectory (vertex + visitation order files)
@@ -83,31 +48,18 @@ def read_sparse(vertex_text: str, order_text: str) -> SparseTrajectory:
     existing vertices, otherwise the matching InvariantViolation is
     raised.
     """
-    vertices = []
-    for line_no, raw in _data_lines(vertex_text):
-        tokens = _tokens(raw)
-        if len(tokens) != 2:
-            raise WrongFieldCount(line_no, expected=2, got=len(tokens))
-        vertices.append(tuple(_float(t, line_no, c) for t, c in tokens))
-    if not vertices:
+    recs, _ = textio.records(vertex_text)
+    if not recs.texts:
         raise ParseError("vertex file contains no vertices", line=1)
+    vertices = np.column_stack(textio.table(recs, (float, float)))
 
-    # The order file is positional: line i holds the steps of vertex i,
-    # a blank line leaves that vertex unvisited. Trailing blanks are noise.
-    order_lines = order_text.splitlines()
-    while order_lines and not order_lines[-1].strip():
-        order_lines.pop()
-    orders: list[tuple[int, ...]] = []
-    for line_no, raw in enumerate(order_lines, start=1):
-        orders.append(tuple(_int(t, line_no, c) for t, c in _tokens(raw)))
-    if len(orders) > len(vertices):
-        raise DanglingVertexRef(
-            f"order file lists {len(orders)} vertices, vertex file only {len(vertices)}"
-        )
-    orders.extend(() for _ in range(len(vertices) - len(orders)))
-
-    sparse = SparseTrajectory(np.array(vertices), tuple(orders))
-    expand_visitation(sparse)  # validates the step cover
+    # The order file is positional: line i holds the steps of vertex i; a
+    # blank or '#' line leaves that vertex unvisited.
+    recs, _ = textio.records(order_text)
+    steps = {n: tuple(textio.row(recs, i, int).tolist()) for i, n in enumerate(recs.line_nos)}
+    count = max([len(vertices), *steps])
+    sparse = SparseTrajectory(vertices, [steps.get(n, ()) for n in range(1, count + 1)])
+    expand_visitation(sparse)  # validates the vertex references and the step cover
     return sparse
 
 
@@ -117,26 +69,30 @@ def read_sparse(vertex_text: str, order_text: str) -> SparseTrajectory:
 
 def write_dense(dense: DenseTrajectory) -> str:
     rows = np.hstack([dense.protagonist, dense.camera, dense.rotation])
-    return "".join(" ".join(_f(v) for v in row) + "\n" for row in rows)
+    return "".join(" ".join(fixed(v) for v in row) + "\n" for row in rows)
 
 
 def read_dense(text: str, fps: float = 60.0) -> DenseTrajectory:
     """Parse a dense trajectory; the frame rate is not stored in the file."""
-    rows = []
-    for line_no, raw in _data_lines(text):
-        tokens = _tokens(raw)
-        if len(tokens) != 9:
-            raise WrongFieldCount(line_no, expected=9, got=len(tokens))
-        rows.append([_float(t, line_no, c) for t, c in tokens])
-    if not rows:
+    recs, _ = textio.records(text)
+    if not recs.texts:
         raise ParseError("trajectory file contains no pose lines", line=1)
-    data = np.array(rows)
+    data = np.column_stack(textio.table(recs, (float,) * 9))
     return DenseTrajectory(data[:, 0:3], data[:, 3:6], data[:, 6:9], fps=fps)
 
 
 # --------------------------------------------------------------------------
 # Capture manifest
 # --------------------------------------------------------------------------
+
+def _check_unique(names: Iterable[str], line_nos: list[int] | None = None) -> None:
+    """Raise DuplicateImageName at the first repeated name."""
+    seen: set[str] = set()
+    for k, name in enumerate(names):
+        if name in seen:
+            raise DuplicateImageName(name, line=line_nos[k] if line_nos else None)
+        seen.add(name)
+
 
 @dataclass(frozen=True)
 class CaptureRecord:
@@ -161,11 +117,7 @@ class CaptureManifest:
 
     def __post_init__(self):
         object.__setattr__(self, "records", tuple(self.records))
-        seen = set()
-        for record in self.records:
-            if record.image_name in seen:
-                raise DuplicateImageName(record.image_name)
-            seen.add(record.image_name)
+        _check_unique(r.image_name for r in self.records)
 
 
 def write_manifest(manifest: CaptureManifest) -> str:
@@ -173,54 +125,40 @@ def write_manifest(manifest: CaptureManifest) -> str:
     lines = [
         f"# weather {cond.weather.value}",
         f"# time_of_day {cond.time_of_day.value}",
-        f"# vehicle_density {_f(cond.vehicle_density)}",
-        f"# pedestrian_density {_f(cond.pedestrian_density)}",
+        f"# vehicle_density {fixed(cond.vehicle_density)}",
+        f"# pedestrian_density {fixed(cond.pedestrian_density)}",
     ]
     for r in manifest.records:
         px, py, pz = r.camera_pos
         lines.append(
-            f"{r.image_name} {_f(px)} {_f(py)} {_f(pz)} "
-            f"{_f(r.camera_rot.rx)} {_f(r.camera_rot.ry)} {_f(r.camera_rot.rz)}"
+            f"{r.image_name} {fixed(px)} {fixed(py)} {fixed(pz)} "
+            f"{fixed(r.camera_rot.rx)} {fixed(r.camera_rot.ry)} {fixed(r.camera_rot.rz)}"
         )
     return "\n".join(lines) + "\n"
 
 
 def read_manifest(text: str) -> CaptureManifest:
-    weather_names = {w.value: w for w in Weather}
-    time_names = {t.value: t for t in TimeOfDay}
-    cond_kwargs: dict = {}
-    records = []
-    seen: set[str] = set()
-    for line_no, raw in _data_lines(text):
-        stripped = raw.strip()
-        if stripped.startswith("#"):
-            tokens = stripped[1:].split()
-            if len(tokens) != 2:
-                continue  # plain comment
-            key, value = tokens
-            if key == "weather":
-                if value not in weather_names:
-                    raise ParseError(f"unknown weather {value!r}", line=line_no)
-                cond_kwargs["weather"] = weather_names[value]
-            elif key == "time_of_day":
-                if value not in time_names:
-                    raise ParseError(f"unknown time_of_day {value!r}", line=line_no)
-                cond_kwargs["time_of_day"] = time_names[value]
-            elif key in ("vehicle_density", "pedestrian_density"):
-                cond_kwargs[key] = _float(value, line_no, stripped.index(value) + 1)
-            continue
-        tokens = _tokens(raw)
-        if len(tokens) != 7:
-            raise WrongFieldCount(line_no, expected=7, got=len(tokens))
-        name = tokens[0][0]
-        if name in seen:
-            raise DuplicateImageName(name, line=line_no)
-        seen.add(name)
-        values = [_float(t, line_no, c) for t, c in tokens[1:]]
-        records.append(
-            CaptureRecord(name, tuple(values[0:3]), EulerRotation(*values[3:6]))
-        )
-    return CaptureManifest(tuple(records), ConditionSet(**cond_kwargs))
+    recs, headers = textio.records(text)
+    enums = {"weather": Weather, "time_of_day": TimeOfDay}
+    cond = {}
+    for h, tokens in enumerate(map(str.split, headers.texts)):
+        if len(tokens) != 2:
+            continue  # plain comment
+        key, value = tokens
+        if key in enums:
+            try:
+                cond[key] = enums[key](value)
+            except ValueError:
+                raise textio.error(headers, h, 1, f"unknown {key} {value!r}") from None
+        elif key in ("vehicle_density", "pedestrian_density"):
+            cond[key] = float(textio.row(headers, h, float, start=1)[0])
+    names, *columns = textio.table(recs, (str,) + (float,) * 6)
+    _check_unique(names, recs.line_nos)
+    x, y, z, rx, ry, rz = (c.tolist() for c in columns)
+    return CaptureManifest(
+        tuple(map(CaptureRecord, names, zip(x, y, z), map(EulerRotation, rx, ry, rz))),
+        ConditionSet(**cond),
+    )
 
 
 # --------------------------------------------------------------------------
@@ -235,15 +173,8 @@ class ReconstructedSet:
 
     def __post_init__(self):
         entries = tuple((name, tuple(float(v) for v in pos)) for name, pos in self.entries)
-        seen = set()
-        for name, _ in entries:
-            if name in seen:
-                raise DuplicateImageName(name)
-            seen.add(name)
+        _check_unique(name for name, _ in entries)
         object.__setattr__(self, "entries", entries)
-
-    def names(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.entries)
 
     def positions(self) -> np.ndarray:
         return np.array([pos for _, pos in self.entries], dtype=float).reshape(-1, 3)
@@ -251,25 +182,15 @@ class ReconstructedSet:
 
 def read_reconstruction(text: str) -> ReconstructedSet:
     """Parse ``name x y z`` lines; an empty file is a valid empty set."""
-    entries = []
-    seen: set[str] = set()
-    for line_no, raw in _data_lines(text):
-        if raw.strip().startswith("#"):
-            continue
-        tokens = _tokens(raw)
-        if len(tokens) != 4:
-            raise WrongFieldCount(line_no, expected=4, got=len(tokens))
-        name = tokens[0][0]
-        if name in seen:
-            raise DuplicateImageName(name, line=line_no)
-        seen.add(name)
-        entries.append((name, tuple(_float(t, line_no, c) for t, c in tokens[1:])))
-    return ReconstructedSet(tuple(entries))
+    recs, _ = textio.records(text)
+    names, *columns = textio.table(recs, (str, float, float, float))
+    _check_unique(names, recs.line_nos)
+    return ReconstructedSet(tuple(zip(names, zip(*(c.tolist() for c in columns)))))
 
 
 def write_reconstruction(recon: ReconstructedSet) -> str:
     return "".join(
-        f"{name} {_f(x)} {_f(y)} {_f(z)}\n" for name, (x, y, z) in recon.entries
+        f"{name} {fixed(x)} {fixed(y)} {fixed(z)}\n" for name, (x, y, z) in recon.entries
     )
 
 
@@ -299,35 +220,29 @@ def write_report(report: AlignmentReport) -> str:
 
 
 def read_report(text: str) -> AlignmentReport:
-    values: dict[str, list[str]] = {}
-    names: list[str] = []
-    residuals: list[float] = []
-    inliers: list[bool] = []
-    for line_no, raw in _data_lines(text):
-        tokens = raw.split()
-        key = tokens[0]
-        if key == "residual":
-            if len(tokens) != 4:
-                raise WrongFieldCount(line_no, expected=4, got=len(tokens))
-            names.append(tokens[1])
-            residuals.append(_float(tokens[2], line_no, 1))
-            inliers.append(tokens[3] == "1")
-        else:
-            values[key] = tokens[1:]
-    try:
-        transform = SimilarityTransform(
-            float(values["scale"][0]),
-            np.array([float(v) for v in values["rotation"]]).reshape(3, 3),
-            np.array([float(v) for v in values["translation"]]),
-        )
-        return AlignmentReport(
-            transform=transform,
-            inlier_mask=np.array(inliers, dtype=bool),
-            residuals_m=np.array(residuals, dtype=float),
-            average_error_m=float(values["average_error_m"][0]),
-            median_error_m=float(values["median_error_m"][0]),
-            meters_per_unit=float(values["meters_per_unit"][0]),
-            names=tuple(names),
-        )
-    except (KeyError, IndexError, ValueError) as exc:
-        raise ParseError(f"incomplete or malformed report: {exc}") from None
+    recs, _ = textio.records(text)
+    keys = [line.split(None, 1)[0] for line in recs.texts]
+    key_lines = {key: i for i, key in enumerate(keys)}
+    residual = textio.take(recs, [i for i, key in enumerate(keys) if key == "residual"])
+    _, names, meters, flags = textio.table(residual, (str, str, float, str))
+    for i, flag in enumerate(flags):
+        if flag not in ("0", "1"):
+            raise textio.error(residual, i, 3, f"inlier flag must be 0 or 1, got {flag!r}")
+
+    def value(key: str, count: int = 1) -> np.ndarray:
+        if key not in key_lines:
+            raise ParseError(f"report has no {key!r} line")
+        _, *values = textio.table(textio.take(recs, [key_lines[key]]), (str,) + (float,) * count)
+        return np.concatenate(values)
+
+    return AlignmentReport(
+        transform=SimilarityTransform(
+            value("scale")[0], value("rotation", 9).reshape(3, 3), value("translation", 3)
+        ),
+        inlier_mask=np.array(flags, dtype=str) == "1",
+        residuals_m=meters,
+        average_error_m=float(value("average_error_m")[0]),
+        median_error_m=float(value("median_error_m")[0]),
+        meters_per_unit=float(value("meters_per_unit")[0]),
+        names=names,
+    )

@@ -23,10 +23,12 @@ from .conditions import (
     degradation,
     validate,
 )
-from .errors import DegenerateBounds, InvariantViolation, ParseError, WrongFieldCount
-from .poseio import CaptureManifest, CaptureRecord, ReconstructedSet, _data_lines, _f, _float, _int, _tokens
+from . import textio
+from .errors import DegenerateBounds, InvariantViolation, ParseError
+from .poseio import CaptureManifest, CaptureRecord, ReconstructedSet
 from .rng import substream
-from .trajectory import DenseTrajectory, EulerRotation
+from .textio import fixed
+from .trajectory import MAX_FRAMES, DenseTrajectory, EulerRotation
 
 
 @dataclass(frozen=True)
@@ -293,79 +295,66 @@ def write_world(world: World) -> str:
     mins, maxs = world.bounds.mins, world.bounds.maxs
     lines = [
         f"# seed {world.seed}",
-        "# bounds " + " ".join(_f(v) for v in (*mins, *maxs)),
+        "# bounds " + " ".join(fixed(v) for v in (*mins, *maxs)),
     ]
     for i, (x, y, z) in enumerate(world.landmarks):
-        lines.append(f"{i} {_f(x)} {_f(y)} {_f(z)}")
+        lines.append(f"{i} {fixed(x)} {fixed(y)} {fixed(z)}")
     return "\n".join(lines) + "\n"
 
 
 def read_world(text: str) -> World:
-    seed = None
-    bounds = None
-    rows = []
-    for line_no, raw in _data_lines(text):
-        stripped = raw.strip()
-        if stripped.startswith("#"):
-            tokens = stripped[1:].split()
-            if tokens and tokens[0] == "seed" and len(tokens) == 2:
-                seed = _int(tokens[1], line_no, 1)
-            elif tokens and tokens[0] == "bounds" and len(tokens) == 7:
-                vals = [_float(t, line_no, 1) for t in tokens[1:]]
-                bounds = Box(vals[:3], vals[3:])
-            continue
-        tokens = _tokens(raw)
-        if len(tokens) != 4:
-            raise WrongFieldCount(line_no, expected=4, got=len(tokens))
-        idx = _int(tokens[0][0], line_no, tokens[0][1])
-        if idx != len(rows):
-            raise InvariantViolation(
-                f"landmark ids must be dense 0..M-1 in order; got {idx} at row {len(rows)}"
-            )
-        rows.append([_float(t, line_no, c) for t, c in tokens[1:]])
+    recs, headers = textio.records(text)
+    seed = bounds = None
+    for h, tokens in enumerate(map(str.split, headers.texts)):
+        if len(tokens) == 2 and tokens[0] == "seed":
+            # Any integer is a seed (substream() folds it into 64 bits).
+            try:
+                seed = int(tokens[1])
+            except ValueError:
+                raise textio.error(headers, h, 1, f"invalid seed {tokens[1]!r}") from None
+        elif len(tokens) == 7 and tokens[0] == "bounds":
+            values = textio.row(headers, h, float, start=1)
+            bounds = Box(values[:3], values[3:])
+    ids, *columns = textio.table(recs, (int, float, float, float))
+    wrong = np.flatnonzero(ids != np.arange(len(ids)))
+    if len(wrong):
+        raise InvariantViolation(
+            f"landmark ids must be dense 0..M-1 in order; got {ids[wrong[0]]} at row {wrong[0]}"
+        )
     if seed is None or bounds is None:
         raise ParseError("world file must carry '# seed' and '# bounds' headers", line=1)
-    return World(np.array(rows).reshape(-1, 3), seed=seed, bounds=bounds)
+    return World(np.column_stack(columns).reshape(-1, 3), seed=seed, bounds=bounds)
 
 
 def write_observations(obs: ObservationSet) -> str:
     lines = [f"# frames {len(obs.frames)}"]
     for fr in obs.frames:
         for i, (u, v) in zip(fr.ids, fr.uv):
-            lines.append(f"{fr.frame} {i} {_f(u)} {_f(v)}")
+            lines.append(f"{fr.frame} {i} {fixed(u)} {fixed(v)}")
     return "\n".join(lines) + "\n"
 
 
 def read_observations(text: str) -> ObservationSet:
+    recs, headers = textio.records(text)
     n_frames = 0
-    per_frame: dict[int, list[tuple[int, float, float]]] = {}
-    for line_no, raw in _data_lines(text):
-        stripped = raw.strip()
-        if stripped.startswith("#"):
-            tokens = stripped[1:].split()
-            if tokens and tokens[0] == "frames" and len(tokens) == 2:
-                n_frames = _int(tokens[1], line_no, 1)
-            continue
-        tokens = _tokens(raw)
-        if len(tokens) != 4:
-            raise WrongFieldCount(line_no, expected=4, got=len(tokens))
-        frame = _int(tokens[0][0], line_no, tokens[0][1])
-        lid = _int(tokens[1][0], line_no, tokens[1][1])
-        u = _float(tokens[2][0], line_no, tokens[2][1])
-        v = _float(tokens[3][0], line_no, tokens[3][1])
-        per_frame.setdefault(frame, []).append((lid, u, v))
-    n_frames = max([n_frames, *(k + 1 for k in per_frame)]) if per_frame else n_frames
-    frames = []
-    for k in range(n_frames):
-        entries = per_frame.get(k, [])
-        frames.append(
-            FrameObservations(
-                frame=k,
-                ids=np.array([e[0] for e in entries], dtype=int),
-                uv=np.array([(e[1], e[2]) for e in entries], dtype=float).reshape(-1, 2),
-            )
-        )
-    return ObservationSet(tuple(frames))
+    for h, tokens in enumerate(map(str.split, headers.texts)):
+        if len(tokens) == 2 and tokens[0] == "frames":
+            n_frames = int(textio.row(headers, h, int, start=1)[0])
+    frame, ids, u, v = textio.table(recs, (int, int, float, float))
+    for j, (column, what) in enumerate(((frame, "frame index"), (ids, "landmark id"))):
+        if len(column) and column.min() < 0:
+            i = int(np.argmax(column < 0))
+            raise textio.error(recs, i, j, f"negative {what} {column[i]}")
+    n_frames = max(n_frames, int(frame.max(initial=-1)) + 1)
+    if n_frames > MAX_FRAMES:
+        raise InvariantViolation(f"{n_frames} frames exceed the limit of {MAX_FRAMES}")
+    # Group the lines by frame, keeping file order within a frame.
+    order = np.argsort(frame, kind="stable")
+    ids, uv = ids[order], np.column_stack([u, v])[order]
+    cuts = np.searchsorted(frame[order], np.arange(n_frames + 1)).tolist()
+    return ObservationSet(tuple(
+        FrameObservations(k, ids[a:b], uv[a:b]) for k, (a, b) in enumerate(zip(cuts, cuts[1:]))
+    ))
 
 
 def points_to_ply(points: np.ndarray) -> str:
@@ -380,7 +369,7 @@ def points_to_ply(points: np.ndarray) -> str:
         "property float z\n"
         "end_header\n"
     )
-    return header + "".join(f"{_f(x)} {_f(y)} {_f(z)}\n" for x, y, z in pts)
+    return header + "".join(f"{fixed(x)} {fixed(y)} {fixed(z)}\n" for x, y, z in pts)
 
 
 def world_to_ply(world: World) -> str:

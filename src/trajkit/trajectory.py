@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -28,10 +28,15 @@ from .errors import (
     DanglingVertexRef,
     DegeneratePath,
     DuplicateStep,
+    InvariantViolation,
     MissingStep,
     SuppliedLengthMismatch,
 )
 from .rng import substream
+
+# Frame budget of one dense trajectory, checked before anything is
+# allocated; 34 times the 291,767 frames of the full-size large plan.
+MAX_FRAMES = 10_000_000
 
 
 def _frozen_array(values, shape_tail: tuple[int, ...] | None = None) -> np.ndarray:
@@ -98,20 +103,6 @@ class SparseTrajectory:
             self, "orders", tuple(tuple(int(s) for s in steps) for steps in self.orders)
         )
 
-    @property
-    def total_steps(self) -> int:
-        return sum(len(steps) for steps in self.orders)
-
-
-@dataclass(frozen=True)
-class PoseSample:
-    """One frame of a dense trajectory."""
-
-    frame: int
-    protagonist_pos: tuple[float, float, float]
-    camera_pos: tuple[float, float, float]
-    camera_rot: EulerRotation
-
 
 @dataclass(frozen=True)
 class DenseTrajectory:
@@ -143,17 +134,6 @@ class DenseTrajectory:
     def __len__(self) -> int:
         return len(self.protagonist)
 
-    def sample(self, k: int) -> PoseSample:
-        return PoseSample(
-            frame=k,
-            protagonist_pos=tuple(map(float, self.protagonist[k])),
-            camera_pos=tuple(map(float, self.camera[k])),
-            camera_rot=EulerRotation(*map(float, self.rotation[k])),
-        )
-
-    def __iter__(self) -> Iterator[PoseSample]:
-        return (self.sample(k) for k in range(len(self)))
-
 
 @dataclass(frozen=True)
 class DensifyParams:
@@ -171,10 +151,10 @@ class DensifyParams:
     orientations: Sequence[EulerRotation] | np.ndarray | None = None
 
     def __post_init__(self):
-        if self.speed <= 0:
-            raise ValueError(f"speed must be positive, got {self.speed}")
-        if self.fps <= 0:
-            raise ValueError(f"fps must be positive, got {self.fps}")
+        for name in ("speed", "fps"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 def expand_visitation(sparse: SparseTrajectory) -> list[int]:
@@ -225,11 +205,6 @@ def path_polyline(sparse: SparseTrajectory) -> tuple[np.ndarray, np.ndarray]:
     return points, cumlen
 
 
-def frame_count(total_length: float, speed: float, fps: float) -> int:
-    """Number of samples when walking ``total_length`` at speed/fps."""
-    return int(math.floor(total_length / (speed / fps))) + 1
-
-
 def densify(sparse: SparseTrajectory, params: DensifyParams = DensifyParams()) -> DenseTrajectory:
     """Walk the expanded path at constant speed, sampling one pose per frame.
 
@@ -244,7 +219,10 @@ def densify(sparse: SparseTrajectory, params: DensifyParams = DensifyParams()) -
     points, cumlen = path_polyline(sparse)
     total = float(cumlen[-1])
     step = params.speed / params.fps
-    n = frame_count(total, params.speed, params.fps)
+    steps = total / step if step > 0.0 else math.inf  # step underflows for absurd rates
+    if steps >= MAX_FRAMES:
+        raise InvariantViolation(f"this speed and fps take more than {MAX_FRAMES} frames")
+    n = math.floor(steps) + 1
     arcs = np.minimum(np.arange(n) * step, total)
 
     # Positive-length segments only; zero-length joints contribute nothing.

@@ -37,7 +37,7 @@ class TestSimilarityTransform:
 
     def test_pure_scale(self):
         t = tk.SimilarityTransform(2.0, np.eye(3), np.zeros(3))
-        np.testing.assert_array_equal(tk.apply(t, np.array([1.0, 1.0, 1.0])), [2.0, 2.0, 2.0])
+        np.testing.assert_array_equal(t.apply(np.array([1.0, 1.0, 1.0])), [2.0, 2.0, 2.0])
 
     def test_z_rotation(self):
         t = tk.SimilarityTransform.from_z_rotation(1.0, 90.0, (0, 0, 0))

@@ -79,6 +79,23 @@ class TestDensify:
         dense = poseio.read_dense(out.read_text())
         assert dense.rotation[5, 2] == 5.0
 
+    @pytest.mark.parametrize(
+        "flags, rc, message",
+        [
+            (["--speed", "1e-12"], 2, "more than 10000000 frames"),
+            (["--speed", "nan"], 1, "speed must be positive and finite"),
+            (["--fps", "inf"], 1, "fps must be positive and finite"),
+        ],
+    )
+    def test_absurd_rate_fails_cleanly(self, worked_files, tmp_path, capsys, flags, rc, message):
+        vertex, order = worked_files
+        out = tmp_path / "t.txt"
+        assert run(["densify", "--vertices", vertex, "--orders", order, "--out", out, *flags]) == rc
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_orientation_length_mismatch_exit_2(self, worked_files, tmp_path, capsys):
         vertex, order = worked_files
         rots = tmp_path / "rots.txt"
@@ -184,6 +201,47 @@ class TestPipeline:
         # loose because src-side noise on a small footprint biases the
         # variance-based scale estimate by a few percent.
         assert report.transform.scale == pytest.approx(2.0, rel=0.05)
+
+
+class TestNonFiniteInput:
+    """A nan token is an input error (exit 1) that names its line and column."""
+
+    def test_align_nan_reconstruction(self, worked_files, tmp_path, capsys):
+        _, cap = make_pipeline(tmp_path, worked_files)
+        recon = tmp_path / "recon.txt"
+        run(["simrecon", "--manifest", cap / "6dpose_list.txt", "--out", recon, "--seed", 1])
+        lines = recon.read_text().splitlines(keepends=True)
+        lines[2] = lines[2].split()[0] + " nan 0 0\n"
+        recon.write_text("".join(lines))
+        capsys.readouterr()
+        rc = run([
+            "align", "--recon", recon, "--manifest", cap / "6dpose_list.txt",
+            "--out", tmp_path / "report.txt",
+        ])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert "average_error" not in captured.out
+        assert "'nan' (line 3, column 18)" in captured.err
+        assert not (tmp_path / "report.txt").exists()
+
+    def test_export_ply_nan_landmark(self, worked_files, tmp_path, capsys):
+        _, cap = make_pipeline(tmp_path, worked_files)
+        world = cap / "world.txt"
+        lines = world.read_text().splitlines()
+        lines[2] = "0 nan " + " ".join(lines[2].split()[2:])
+        world.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "world.ply"
+        assert run(["export-ply", "--world", world, "--out", out]) == 1
+        assert "'nan' (line 3, column 3)" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_calibrate_nan_sample(self, tmp_path, capsys):
+        samples = tmp_path / "samples.txt"
+        samples.write_text("0 0 0 0\n9 nan 0 10\n")
+        assert run(["calibrate", "--samples", samples]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "'nan' (line 2, column 3)" in captured.err
 
 
 class TestPerturbCommand:

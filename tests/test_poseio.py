@@ -75,6 +75,12 @@ class TestReadSparse:
         assert sparse.orders == ((1,), (), (2,))
         assert tk.expand_visitation(sparse) == [0, 2]
 
+    def test_comment_lines(self):
+        # A '#' line is skipped in the vertex file and, like a blank line,
+        # leaves its vertex unvisited in the positional order file.
+        sparse = tk.read_sparse("# plan\n0 0\n1 0\n2 0\n", "1\n# skipped\n2\n")
+        assert sparse.orders == ((1,), (), (2,))
+
     def test_empty_vertex_file(self):
         with pytest.raises(ParseError):
             tk.read_sparse("", "1\n")
@@ -225,7 +231,7 @@ class TestReconstruction:
     def test_names_need_not_match_any_manifest(self):
         # Matching happens downstream; unmatched names parse fine here.
         recon = tk.read_reconstruction("unrelated_view.jpg 1 2 3\n")
-        assert recon.names() == ("unrelated_view.jpg",)
+        assert [name for name, _ in recon.entries] == ["unrelated_view.jpg"]
 
     def test_empty_file_is_valid_empty_set(self):
         recon = tk.read_reconstruction("")
@@ -282,6 +288,22 @@ class TestReport:
         # 1e-9 orthonormality gate of the transform type.
         back = poseio.read_report(tk.write_report(self._report()))
         assert isinstance(back.transform, tk.SimilarityTransform)
+
+    @pytest.mark.parametrize(
+        "line_no, line, column",
+        [
+            (1, "scale x", 7),
+            (10, "residual f1.png x 1", 17),
+            (10, "residual f1.png 0.5 2", 21),
+            (10, "residual f1.png 0.5 yes", 21),
+        ],
+    )
+    def test_malformed_token_names_line_and_column(self, line_no, line, column):
+        lines = tk.write_report(self._report()).splitlines()
+        lines[line_no - 1] = line
+        with pytest.raises(ParseError) as exc:
+            poseio.read_report("\n".join(lines))
+        assert (exc.value.line, exc.value.column) == (line_no, column)
 
     def test_counts_in_text(self):
         text = tk.write_report(self._report())

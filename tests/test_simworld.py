@@ -7,7 +7,7 @@ import pytest
 
 import trajkit as tk
 from trajkit import simworld
-from trajkit.errors import DegenerateBounds, InvariantViolation
+from trajkit.errors import DegenerateBounds, InvariantViolation, ParseError
 
 from conftest import random_rotation
 
@@ -238,7 +238,7 @@ class TestSimulateReconstruction:
         manifest = make_manifest(positions)
         recon = tk.simulate_reconstruction(manifest, tk.SimilarityTransform.identity())
         np.testing.assert_array_equal(recon.positions(), positions)
-        assert recon.names() == tuple(r.image_name for r in manifest.records)
+        assert [name for name, _ in recon.entries] == [r.image_name for r in manifest.records]
 
     def test_known_gauge_hand_computed(self):
         # Compare against an explicit s * R @ p + t computed in the test.
@@ -336,6 +336,17 @@ class TestSerialization:
         np.testing.assert_array_equal(back.frames[0].ids, obs.frames[0].ids)
         np.testing.assert_array_equal(back.frames[0].uv, obs.frames[0].uv)
         assert len(back.frames[1].ids) == 0
+
+    @pytest.mark.parametrize("line, column", [("-1 3 1.0 2.0", 1), ("0 -3 1.0 2.0", 3)])
+    def test_observations_reject_negative_indices(self, line, column):
+        with pytest.raises(ParseError) as exc:
+            simworld.read_observations(f"# frames 2\n0 1 1.0 2.0\n{line}\n")
+        assert (exc.value.line, exc.value.column) == (3, column)
+
+    def test_observations_group_interleaved_frames_in_file_order(self):
+        back = simworld.read_observations("1 5 1 1\n0 2 2 2\n1 4 3 3\n")
+        assert [f.ids.tolist() for f in back.frames] == [[2], [5, 4]]
+        assert back.frames[1].uv.tolist() == [[1.0, 1.0], [3.0, 3.0]]
 
     def test_ply_structure(self):
         world = tk.generate_world(1, 50, tk.Box((0, 0, 0), (1, 1, 1)))

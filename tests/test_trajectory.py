@@ -278,13 +278,6 @@ class TestEulerRotation:
 
 
 class TestDenseTrajectory:
-    def test_sample_materialization(self, worked_sparse):
-        dense = tk.densify(worked_sparse)
-        sample = dense.sample(0)
-        assert sample.frame == 0
-        assert sample.camera_pos[2] == pytest.approx(0.75)
-        assert isinstance(sample.camera_rot, tk.EulerRotation)
-
     def test_immutability(self, worked_sparse):
         dense = tk.densify(worked_sparse)
         with pytest.raises(ValueError):

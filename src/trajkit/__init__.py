@@ -34,7 +34,6 @@ from .conditions import (
 from .errors import InputError, InvariantViolation, TrajkitError
 from .poseio import (
     CaptureManifest,
-    CaptureRecord,
     ReconstructedSet,
     read_dense,
     read_manifest,

@@ -53,6 +53,8 @@ class SimilarityTransform:
         tra = np.array(self.translation, dtype=float)
         if rot.shape != (3, 3) or tra.shape != (3,):
             raise InvariantViolation("rotation must be (3, 3) and translation (3,)")
+        if not (math.isfinite(self.scale) and np.isfinite(rot).all() and np.isfinite(tra).all()):
+            raise ValueError("scale, rotation and translation must be finite")
         if not self.scale > 0:
             raise InvariantViolation(f"scale must be positive, got {self.scale}")
         if np.abs(rot.T @ rot - np.eye(3)).max() > _ORTHO_TOL:
@@ -108,8 +110,8 @@ class RansacParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.threshold <= 0:
-            raise ValueError(f"threshold must be positive, got {self.threshold}")
+        if not 0 < self.threshold < math.inf:
+            raise ValueError(f"threshold must be positive and finite, got {self.threshold}")
         if self.min_sample < 3:
             raise ValueError(f"min_sample must be at least 3, got {self.min_sample}")
         if not 0.0 < self.confidence < 1.0:
@@ -273,29 +275,23 @@ def evaluate(
 ) -> AlignmentReport:
     """Align reconstructed positions to manifest groundtruth and score them.
 
-    Entries are matched by image name (manifest order). The reconstructed
+    Rows are matched by image name (manifest order). The reconstructed
     positions are the source, the groundtruth camera positions the target.
     Average and median errors are computed in meters over ALL matched
     points, inliers and outliers alike; the inlier mask is reported
     alongside.
     """
-    recon_by_name = {name: pos for name, pos in recon.entries}
-    names = []
-    src = []
-    dst = []
-    for record in manifest.records:
-        pos = recon_by_name.get(record.image_name)
-        if pos is None:
-            continue
-        names.append(record.image_name)
-        src.append(pos)
-        dst.append(record.camera_pos)
-    if len(names) < params.min_sample:
+    if not 0 < meters_per_unit < math.inf:
+        raise ValueError(f"meters_per_unit must be positive and finite, got {meters_per_unit}")
+    recon_row = {name: i for i, name in enumerate(recon.names)}
+    rows = [k for k, name in enumerate(manifest.names) if name in recon_row]
+    if len(rows) < params.min_sample:
         raise InsufficientOverlap(
-            f"{len(names)} shared image name(s); need at least {params.min_sample}"
+            f"{len(rows)} shared image name(s); need at least {params.min_sample}"
         )
-    src = np.array(src, dtype=float)
-    dst = np.array(dst, dtype=float)
+    names = tuple(manifest.names[k] for k in rows)
+    src = recon.positions[[recon_row[name] for name in names]]
+    dst = manifest.camera[rows]
     transform, mask = ransac_align(src, dst, params)
     res_m = residuals(transform, src, dst) * meters_per_unit
     average, median = error_statistics(res_m)
@@ -306,7 +302,7 @@ def evaluate(
         average_error_m=average,
         median_error_m=median,
         meters_per_unit=meters_per_unit,
-        names=tuple(names),
+        names=names,
     )
 
 
@@ -320,6 +316,8 @@ def calibrate_unit_scale(
     game units is total distance / total steps, and the returned factor
     is stride_m / stride_units.
     """
+    if not 0 < stride_m < math.inf:
+        raise ValueError(f"stride_m must be positive and finite, got {stride_m}")
     if len(samples) < 2:
         raise TooFewSamples(f"{len(samples)} sample(s); need at least 2")
     positions = np.array([p for p, _ in samples], dtype=float)

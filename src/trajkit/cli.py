@@ -134,7 +134,7 @@ def cmd_capture(args) -> int:
     _write_text(out_dir / "observations.txt", simworld.write_observations(observations))
     _write_text(out_dir / "world.txt", simworld.write_world(world))
     print(
-        f"captured {len(manifest.records)} frames, "
+        f"captured {len(manifest.names)} frames, "
         f"{observations.total_observations()} observations -> {out_dir}"
     )
     return 0
@@ -154,7 +154,7 @@ def cmd_simrecon(args) -> int:
         seed=args.seed,
     )
     _write_text(args.out, poseio.write_reconstruction(recon))
-    print(f"wrote {len(recon.entries)} reconstructed positions to {args.out}")
+    print(f"wrote {len(recon.names)} reconstructed positions to {args.out}")
     return 0
 
 
@@ -189,9 +189,12 @@ def cmd_subsample(args) -> int:
     if args.stride < 1:
         raise InputError(f"stride must be >= 1, got {args.stride}")
     manifest = poseio.read_manifest(_read_text(args.manifest))
-    reduced = poseio.CaptureManifest(manifest.records[:: args.stride], manifest.conditions)
+    s = slice(None, None, args.stride)
+    reduced = poseio.CaptureManifest(
+        manifest.names[s], manifest.camera[s], manifest.rotation[s], manifest.conditions
+    )
     _write_text(args.out, poseio.write_manifest(reduced))
-    print(f"kept {len(reduced.records)} of {len(manifest.records)} records")
+    print(f"kept {len(reduced.names)} of {len(manifest.names)} records")
     return 0
 
 
@@ -214,7 +217,7 @@ def cmd_export_ply(args) -> int:
         cloud = simworld.world_to_ply(simworld.read_world(_read_text(args.world)))
     else:
         recon = poseio.read_reconstruction(_read_text(args.recon))
-        cloud = simworld.points_to_ply(recon.positions())
+        cloud = simworld.points_to_ply(recon.positions)
     _write_text(args.out, cloud)
     print(f"wrote {args.out}")
     return 0

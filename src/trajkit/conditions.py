@@ -10,6 +10,7 @@ fixed density coupling.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -65,9 +66,11 @@ DENSITY_DROPOUT_GAIN = 0.2
 
 
 def validate(cond: ConditionSet) -> ConditionSet:
-    """Return ``cond`` unchanged, or raise DensityOutOfRange."""
+    """Return ``cond`` unchanged, or raise ValueError (non-finite) or DensityOutOfRange."""
     for name in ("vehicle_density", "pedestrian_density"):
         value = getattr(cond, name)
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
         if not 0.0 <= value <= 1.0:
             raise DensityOutOfRange(name, value)
     return cond

@@ -21,7 +21,7 @@ emit single spaces and LF.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Sequence
 
 import numpy as np
 
@@ -30,12 +30,7 @@ from .align import AlignmentReport, SimilarityTransform
 from .conditions import ConditionSet, TimeOfDay, Weather
 from .errors import DuplicateImageName, ParseError
 from .textio import fixed
-from .trajectory import (
-    DenseTrajectory,
-    EulerRotation,
-    SparseTrajectory,
-    expand_visitation,
-)
+from .trajectory import DenseTrajectory, SparseTrajectory, expand_visitation, frozen_array
 
 # --------------------------------------------------------------------------
 # Sparse trajectory (vertex + visitation order files)
@@ -85,39 +80,52 @@ def read_dense(text: str, fps: float = 60.0) -> DenseTrajectory:
 # Capture manifest
 # --------------------------------------------------------------------------
 
-def _check_unique(names: Iterable[str], line_nos: list[int] | None = None) -> None:
-    """Raise DuplicateImageName at the first repeated name."""
+def _check_names(names: Sequence[str], line_nos: Sequence[int] = ()) -> tuple[str, ...]:
+    """``names`` as a tuple; each must be one token not starting with ``#``.
+
+    Else ValueError, as no file could hold it; a repeat raises
+    DuplicateImageName, at its line when ``line_nos`` is given.
+    """
+    names = tuple(names)
     seen: set[str] = set()
     for k, name in enumerate(names):
+        if name.split() != [name] or name.startswith("#"):
+            raise ValueError(f"image name must be one token, not a comment: {name!r}")
         if name in seen:
             raise DuplicateImageName(name, line=line_nos[k] if line_nos else None)
         seen.add(name)
+    return names
 
 
-@dataclass(frozen=True)
-class CaptureRecord:
-    """One captured frame: synthetic image name plus camera pose."""
-
-    image_name: str
-    camera_pos: tuple[float, float, float]
-    camera_rot: EulerRotation
-
-    def __post_init__(self):
-        if not self.image_name or any(ch.isspace() for ch in self.image_name):
-            raise ValueError(f"image name must be non-empty without whitespace: {self.image_name!r}")
-        object.__setattr__(self, "camera_pos", tuple(float(v) for v in self.camera_pos))
+def _equal(a, b) -> bool:
+    """Field-wise equality of two pose tables; arrays compare by value."""
+    return type(a) is type(b) and all(
+        np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y
+        for x, y in zip(vars(a).values(), vars(b).values())
+    )
 
 
 @dataclass(frozen=True)
 class CaptureManifest:
-    """Frame-ordered capture records tagged with their condition set."""
+    """Frame-ordered camera poses tagged with their condition set.
 
-    records: tuple[CaptureRecord, ...]
+    Row k of the (N, 3) ``camera`` and ``rotation`` arrays is the pose of
+    image ``names[k]``; ``rotation`` columns are rx, ry, rz in degrees.
+    """
+
+    names: tuple[str, ...]
+    camera: np.ndarray
+    rotation: np.ndarray
     conditions: ConditionSet = field(default_factory=ConditionSet)
 
+    __eq__ = _equal
+
     def __post_init__(self):
-        object.__setattr__(self, "records", tuple(self.records))
-        _check_unique(r.image_name for r in self.records)
+        object.__setattr__(self, "names", _check_names(self.names))
+        object.__setattr__(self, "camera", frozen_array(self.camera, (3,)))
+        object.__setattr__(self, "rotation", frozen_array(self.rotation, (3,)))
+        if not len(self.names) == len(self.camera) == len(self.rotation):
+            raise ValueError("names, camera and rotation must have equal length")
 
 
 def write_manifest(manifest: CaptureManifest) -> str:
@@ -128,12 +136,8 @@ def write_manifest(manifest: CaptureManifest) -> str:
         f"# vehicle_density {fixed(cond.vehicle_density)}",
         f"# pedestrian_density {fixed(cond.pedestrian_density)}",
     ]
-    for r in manifest.records:
-        px, py, pz = r.camera_pos
-        lines.append(
-            f"{r.image_name} {fixed(px)} {fixed(py)} {fixed(pz)} "
-            f"{fixed(r.camera_rot.rx)} {fixed(r.camera_rot.ry)} {fixed(r.camera_rot.rz)}"
-        )
+    rows = np.hstack([manifest.camera, manifest.rotation]).tolist()
+    lines += (" ".join([name, *map(fixed, row)]) for name, row in zip(manifest.names, rows))
     return "\n".join(lines) + "\n"
 
 
@@ -153,11 +157,9 @@ def read_manifest(text: str) -> CaptureManifest:
         elif key in ("vehicle_density", "pedestrian_density"):
             cond[key] = float(textio.row(headers, h, float, start=1)[0])
     names, *columns = textio.table(recs, (str,) + (float,) * 6)
-    _check_unique(names, recs.line_nos)
-    x, y, z, rx, ry, rz = (c.tolist() for c in columns)
+    data = np.column_stack(columns)
     return CaptureManifest(
-        tuple(map(CaptureRecord, names, zip(x, y, z), map(EulerRotation, rx, ry, rz))),
-        ConditionSet(**cond),
+        _check_names(names, recs.line_nos), data[:, :3], data[:, 3:], ConditionSet(**cond)
     )
 
 
@@ -167,30 +169,34 @@ def read_manifest(text: str) -> CaptureManifest:
 
 @dataclass(frozen=True)
 class ReconstructedSet:
-    """Externally reconstructed camera positions, in reconstruction-frame units."""
+    """Externally reconstructed camera positions, in reconstruction-frame units.
 
-    entries: tuple[tuple[str, tuple[float, float, float]], ...]
+    Row k of the (N, 3) ``positions`` array belongs to image ``names[k]``.
+    """
+
+    names: tuple[str, ...]
+    positions: np.ndarray
+
+    __eq__ = _equal
 
     def __post_init__(self):
-        entries = tuple((name, tuple(float(v) for v in pos)) for name, pos in self.entries)
-        _check_unique(name for name, _ in entries)
-        object.__setattr__(self, "entries", entries)
-
-    def positions(self) -> np.ndarray:
-        return np.array([pos for _, pos in self.entries], dtype=float).reshape(-1, 3)
+        object.__setattr__(self, "names", _check_names(self.names))
+        object.__setattr__(self, "positions", frozen_array(self.positions, (3,)))
+        if len(self.names) != len(self.positions):
+            raise ValueError("names and positions must have equal length")
 
 
 def read_reconstruction(text: str) -> ReconstructedSet:
     """Parse ``name x y z`` lines; an empty file is a valid empty set."""
     recs, _ = textio.records(text)
     names, *columns = textio.table(recs, (str, float, float, float))
-    _check_unique(names, recs.line_nos)
-    return ReconstructedSet(tuple(zip(names, zip(*(c.tolist() for c in columns)))))
+    return ReconstructedSet(_check_names(names, recs.line_nos), np.column_stack(columns))
 
 
 def write_reconstruction(recon: ReconstructedSet) -> str:
     return "".join(
-        f"{name} {fixed(x)} {fixed(y)} {fixed(z)}\n" for name, (x, y, z) in recon.entries
+        f"{name} {fixed(x)} {fixed(y)} {fixed(z)}\n"
+        for name, (x, y, z) in zip(recon.names, recon.positions.tolist())
     )
 
 

@@ -1,6 +1,6 @@
 """Deterministic synthetic world: landmarks, pinhole capture, fake reconstruction.
 
-No pixels are ever rendered. A "screenshot" is a manifest record with a
+No pixels are ever rendered. A "screenshot" is a manifest row with a
 synthetic file name plus the set of landmark projections visible from
 that pose; the evaluation pipeline consumes only poses and observations.
 The simulated reconstruction pushes groundtruth camera positions through
@@ -25,7 +25,7 @@ from .conditions import (
 )
 from . import textio
 from .errors import DegenerateBounds, InvariantViolation, ParseError
-from .poseio import CaptureManifest, CaptureRecord, ReconstructedSet
+from .poseio import CaptureManifest, ReconstructedSet
 from .rng import substream
 from .textio import fixed
 from .trajectory import MAX_FRAMES, DenseTrajectory, EulerRotation
@@ -42,7 +42,7 @@ class Box:
         mins = np.array(self.mins, dtype=float).reshape(3)
         maxs = np.array(self.maxs, dtype=float).reshape(3)
         if not (np.all(np.isfinite(mins)) and np.all(np.isfinite(maxs))):
-            raise DegenerateBounds("bounds must be finite")
+            raise ValueError("bounds must be finite")
         if np.any(maxs <= mins):
             raise DegenerateBounds(f"bounds have non-positive extent: {mins} .. {maxs}")
         mins.setflags(write=False)
@@ -81,14 +81,14 @@ class Intrinsics:
     max_range: float
 
     def __post_init__(self):
-        if self.focal <= 0:
-            raise ValueError(f"focal must be positive, got {self.focal}")
+        if not 0 < self.focal < math.inf:
+            raise ValueError(f"focal must be positive and finite, got {self.focal}")
         if self.width <= 0 or self.height <= 0:
             raise ValueError("image dimensions must be positive")
         if not (0 <= self.cx <= self.width and 0 <= self.cy <= self.height):
             raise ValueError("principal point must lie within the image")
-        if self.max_range <= 0:
-            raise ValueError("max_range must be positive")
+        if not self.max_range > 0:  # inf: unlimited range
+            raise ValueError(f"max_range must be positive, got {self.max_range}")
 
 
 def default_intrinsics(max_range: float = 100.0) -> Intrinsics:
@@ -189,7 +189,7 @@ def retrace(
 ) -> tuple[CaptureManifest, ObservationSet]:
     """Replay a dense trajectory, capturing one synthetic frame per pose.
 
-    Each frame k produces a record named ``frame_<k:06d>.png`` carrying
+    Each frame k produces a manifest row named ``frame_<k:06d>.png`` carrying
     the groundtruth camera pose, plus the landmark observations visible
     from it. Observations get Gaussian pixel noise with sigma
     ``base_pixel_sigma`` times the weather noise multiplier, are dropped
@@ -198,18 +198,16 @@ def retrace(
     keyed on (seed, frame), so captures are reproducible and frames
     could be evaluated concurrently without changing the result.
     """
-    if base_pixel_sigma < 0:
-        raise ValueError("base_pixel_sigma must be non-negative")
+    if not 0 <= base_pixel_sigma < math.inf:
+        raise ValueError(f"base_pixel_sigma must be finite and >= 0, got {base_pixel_sigma}")
     profile = degradation(validate(cond), table)
     sigma = base_pixel_sigma * profile.pixel_noise_multiplier
     drop = profile.dropout_rate
 
-    records = []
     frames = []
     for k in range(len(dense)):
-        camera_pos = dense.camera[k]
         rotation = EulerRotation(*dense.rotation[k])
-        ids, uv = project_frame(camera_pos, rotation, world.landmarks, intr)
+        ids, uv = project_frame(dense.camera[k], rotation, world.landmarks, intr)
 
         rng = substream(seed, k)
         kept = rng.random(len(ids)) >= drop
@@ -221,14 +219,8 @@ def retrace(
         )
         keep = kept & inside
         frames.append(FrameObservations(frame=k, ids=ids[keep], uv=uv[keep]))
-        records.append(
-            CaptureRecord(
-                image_name=f"frame_{k:06d}.png",
-                camera_pos=tuple(map(float, camera_pos)),
-                camera_rot=rotation,
-            )
-        )
-    return CaptureManifest(tuple(records), cond), ObservationSet(tuple(frames))
+    names = [f"frame_{k:06d}.png" for k in range(len(dense))]
+    return CaptureManifest(names, dense.camera, dense.rotation, cond), ObservationSet(tuple(frames))
 
 
 def outlier_indices(n: int, outlier_fraction: float, seed: int) -> np.ndarray:
@@ -259,19 +251,17 @@ def simulate_reconstruction(
     norm drawn uniformly from [radius, 2 * radius]. Substreams: (seed, 0)
     noise, (seed, 1) outlier selection, (seed, 2) displacement.
     """
-    if noise_sigma < 0:
-        raise ValueError("noise_sigma must be non-negative")
+    if not 0 <= noise_sigma < math.inf:
+        raise ValueError(f"noise_sigma must be non-negative and finite, got {noise_sigma}")
     if not 0.0 <= outlier_fraction <= 1.0:
         raise ValueError("outlier_fraction must lie in [0, 1]")
-    if outlier_radius < 0:
-        raise ValueError("outlier_radius must be non-negative")
+    if not 0 <= 2.0 * outlier_radius < math.inf:
+        raise ValueError(f"outlier_radius must be >= 0, 2 * radius finite; got {outlier_radius}")
 
-    names = [r.image_name for r in manifest.records]
-    truth = np.array([r.camera_pos for r in manifest.records], dtype=float).reshape(-1, 3)
-    positions = gauge.apply(truth)
+    positions = gauge.apply(manifest.camera)
     positions = positions + substream(seed, 0).normal(0.0, noise_sigma, positions.shape)
 
-    idx = outlier_indices(len(names), outlier_fraction, seed)
+    idx = outlier_indices(len(positions), outlier_fraction, seed)
     if len(idx):
         rng = substream(seed, 2)
         directions = rng.standard_normal((len(idx), 3))
@@ -282,9 +272,7 @@ def simulate_reconstruction(
         radii = rng.uniform(outlier_radius, 2.0 * outlier_radius, len(idx))
         positions[idx] += directions / norms * radii[:, None]
 
-    return ReconstructedSet(
-        tuple((name, tuple(map(float, pos))) for name, pos in zip(names, positions))
-    )
+    return ReconstructedSet(manifest.names, positions)
 
 
 # --------------------------------------------------------------------------

@@ -39,7 +39,8 @@ from .rng import substream
 MAX_FRAMES = 10_000_000
 
 
-def _frozen_array(values, shape_tail: tuple[int, ...] | None = None) -> np.ndarray:
+def frozen_array(values, shape_tail: tuple[int, ...] | None = None) -> np.ndarray:
+    """A read-only float64 copy of ``values``; every entry must be finite."""
     arr = np.array(values, dtype=float)
     if shape_tail is not None and arr.shape[1:] != shape_tail:
         raise ValueError(f"expected trailing shape {shape_tail}, got {arr.shape}")
@@ -98,7 +99,7 @@ class SparseTrajectory:
     orders: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "vertices", _frozen_array(self.vertices, (2,)))
+        object.__setattr__(self, "vertices", frozen_array(self.vertices, (2,)))
         object.__setattr__(
             self, "orders", tuple(tuple(int(s) for s in steps) for steps in self.orders)
         )
@@ -118,15 +119,15 @@ class DenseTrajectory:
     fps: float = 60.0
 
     def __post_init__(self):
-        prot = _frozen_array(self.protagonist, (3,))
-        cam = _frozen_array(self.camera, (3,))
-        rot = _frozen_array(self.rotation, (3,))
+        prot = frozen_array(self.protagonist, (3,))
+        cam = frozen_array(self.camera, (3,))
+        rot = frozen_array(self.rotation, (3,))
         if not (len(prot) == len(cam) == len(rot)):
             raise ValueError("protagonist, camera and rotation must have equal length")
         if len(prot) == 0:
             raise ValueError("a dense trajectory must contain at least one sample")
-        if self.fps <= 0:
-            raise ValueError(f"fps must be positive, got {self.fps}")
+        if not 0 < self.fps < math.inf:
+            raise ValueError(f"fps must be positive and finite, got {self.fps}")
         object.__setattr__(self, "protagonist", prot)
         object.__setattr__(self, "camera", cam)
         object.__setattr__(self, "rotation", rot)
@@ -273,8 +274,8 @@ def perturb(
     The protagonist track and frame indexing are untouched; zero sigmas
     return an identical copy, and a fixed seed is fully reproducible.
     """
-    if pos_sigma < 0 or yaw_sigma < 0:
-        raise ValueError("noise sigmas must be non-negative")
+    if not (0 <= pos_sigma < math.inf and 0 <= yaw_sigma < math.inf):
+        raise ValueError("noise sigmas must be non-negative and finite")
     rng = substream(seed)
     n = len(dense)
     camera = dense.camera + pos_sigma * rng.standard_normal((n, 3))

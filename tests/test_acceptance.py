@@ -119,10 +119,9 @@ def test_criterion_4_ransac_robustness():
         for trial in range(100):
             rng = np.random.default_rng(4000 + trial)
             gt = rng.uniform(-80.0, 80.0, (100, 3))
-            manifest = tk.CaptureManifest(tuple(
-                tk.CaptureRecord(f"frame_{i:06d}.png", tuple(p), tk.EulerRotation())
-                for i, p in enumerate(gt)
-            ))
+            manifest = tk.CaptureManifest(
+                tuple(f"frame_{i:06d}.png" for i in range(len(gt))), gt, np.zeros_like(gt)
+            )
             gauge_scale = float(rng.uniform(0.5, 2.0))
             direction = rng.standard_normal(3)
             direction /= np.linalg.norm(direction)
@@ -140,7 +139,7 @@ def test_criterion_4_ransac_robustness():
                 seed=trial,
             )
             transform, mask = tk.ransac_align(
-                recon.positions(), gt, tk.RansacParams(seed=trial, **params_base)
+                recon.positions, gt, tk.RansacParams(seed=trial, **params_base)
             )
             out_idx = outlier_indices(100, 0.3, trial)
             admitted_outliers += int(mask[out_idx].sum())
@@ -175,10 +174,9 @@ def test_criterion_5_error_statistic_calibration():
         meters_per_unit = tk.DEFAULT_METERS_PER_UNIT
         sigma_units = sigma_m / meters_per_unit
         gt = rng.uniform(-50.0, 50.0, (305, 3))
-        manifest = tk.CaptureManifest(tuple(
-            tk.CaptureRecord(f"frame_{i:06d}.png", tuple(p), tk.EulerRotation())
-            for i, p in enumerate(gt)
-        ))
+        manifest = tk.CaptureManifest(
+            tuple(f"frame_{i:06d}.png" for i in range(len(gt))), gt, np.zeros_like(gt)
+        )
         recon = tk.simulate_reconstruction(
             manifest, tk.SimilarityTransform.identity(), noise_sigma=sigma_units, seed=56
         )
@@ -204,21 +202,16 @@ def test_criterion_6_format_round_trips():
         text = tk.write_dense(dense)
         assert tk.write_dense(tk.read_dense(text)) == text
 
-        records = tuple(
-            tk.CaptureRecord(
-                f"frame_{i:06d}.png",
-                tuple(rng.uniform(-2000, 2000, 3)),
-                tk.EulerRotation(*rng.uniform(-360, 360, 3)),
-            )
-            for i in range(n)
+        poses = [(rng.uniform(-2000, 2000, 3), rng.uniform(-360, 360, 3)) for _ in range(n)]
+        manifest = tk.CaptureManifest(
+            tuple(f"frame_{i:06d}.png" for i in range(n)),
+            [camera for camera, _ in poses], [rotation for _, rotation in poses],
+            tk.ConditionSet(tk.Weather.RAIN),
         )
-        manifest = tk.CaptureManifest(records, tk.ConditionSet(tk.Weather.RAIN))
         mtext = tk.write_manifest(manifest)
         assert tk.write_manifest(tk.read_manifest(mtext)) == mtext
 
-        single = tk.CaptureManifest(
-            (tk.CaptureRecord("frame_000000.png", (1, 2, 3), tk.EulerRotation(0, 0, 90)),)
-        )
+        single = tk.CaptureManifest(("frame_000000.png",), [(1, 2, 3)], [(0, 0, 90)])
         data_lines = [l for l in tk.write_manifest(single).splitlines() if not l.startswith("#")]
         assert data_lines == [
             "frame_000000.png 1.000000 2.000000 3.000000 0.000000 0.000000 90.000000"

@@ -175,15 +175,14 @@ class TestRansacAlign:
         # Gaussian inlier noise well inside it.
         rng = np.random.default_rng(5)
         gt = rng.uniform(-50, 50, (100, 3))
-        manifest = tk.CaptureManifest(tuple(
-            tk.CaptureRecord(f"f{i}.png", tuple(p), tk.EulerRotation())
-            for i, p in enumerate(gt)
-        ))
+        manifest = tk.CaptureManifest(
+            tuple(f"f{i}.png" for i in range(len(gt))), gt, np.zeros_like(gt)
+        )
         recon = tk.simulate_reconstruction(
             manifest, tk.SimilarityTransform.identity(),
             noise_sigma=0.05, outlier_fraction=0.3, outlier_radius=5.0, seed=6,
         )
-        src = recon.positions()
+        src = recon.positions
         params = tk.RansacParams(threshold=0.3, seed=7)
         transform, mask = tk.ransac_align(src, gt, params)
 
@@ -255,10 +254,8 @@ class TestRansacAlign:
 
 
 def build_pair(gt, gauge, **sim_kwargs):
-    manifest = tk.CaptureManifest(tuple(
-        tk.CaptureRecord(f"frame_{i:06d}.png", tuple(map(float, p)), tk.EulerRotation())
-        for i, p in enumerate(gt)
-    ))
+    names = tuple(f"frame_{i:06d}.png" for i in range(len(gt)))
+    manifest = tk.CaptureManifest(names, gt, np.zeros_like(gt))
     recon = tk.simulate_reconstruction(manifest, gauge, **sim_kwargs)
     return recon, manifest
 
@@ -313,16 +310,34 @@ class TestEvaluate:
         rng = np.random.default_rng(28)
         gt = rng.uniform(-30, 30, (30, 3))
         recon, manifest = build_pair(gt, tk.SimilarityTransform.identity())
-        partial = tk.ReconstructedSet(recon.entries[::2])
+        partial = tk.ReconstructedSet(recon.names[::2], recon.positions[::2])
         report = tk.evaluate(partial, manifest, tk.RansacParams(seed=29))
         assert len(report.residuals_m) == 15
-        assert report.names == tuple(r.image_name for r in manifest.records[::2])
+        assert report.names == manifest.names[::2]
+
+    def test_matching_ignores_reconstruction_order_and_foreign_names(self):
+        rng = np.random.default_rng(31)
+        gt = rng.uniform(-30, 30, (30, 3))
+        recon, manifest = build_pair(
+            gt, tk.SimilarityTransform.identity(), noise_sigma=0.05, seed=32
+        )
+        order = rng.permutation(30)
+        shuffled = tk.ReconstructedSet(
+            ("foreign_a.png", *(recon.names[i] for i in order), "foreign_b.png"),
+            np.vstack([[(1e3, 0, 0)], recon.positions[order], [(0, 1e3, 0)]]),
+        )
+        params = tk.RansacParams(seed=33)
+        ordered = tk.evaluate(recon, manifest, params)
+        report = tk.evaluate(shuffled, manifest, params)
+        assert report.names == manifest.names
+        np.testing.assert_array_equal(report.residuals_m, ordered.residuals_m)
+        np.testing.assert_array_equal(report.inlier_mask, ordered.inlier_mask)
 
     def test_insufficient_overlap(self):
         rng = np.random.default_rng(30)
         gt = rng.uniform(-30, 30, (10, 3))
         _, manifest = build_pair(gt, tk.SimilarityTransform.identity())
-        foreign = tk.ReconstructedSet((("other.png", (0.0, 0.0, 0.0)),))
+        foreign = tk.ReconstructedSet(("other.png",), [(0.0, 0.0, 0.0)])
         with pytest.raises(InsufficientOverlap):
             tk.evaluate(foreign, manifest)
 

@@ -244,6 +244,78 @@ class TestNonFiniteInput:
         assert "'nan' (line 2, column 3)" in captured.err
 
 
+@pytest.fixture(scope="module")
+def walkthrough(tmp_path_factory):
+    """The files of the README walkthrough, plus a calibration sample file."""
+    d = tmp_path_factory.mktemp("walkthrough")
+    (d / "vertex.txt").write_text(WORKED_VERTEX_TEXT)
+    (d / "vertex_order.txt").write_text(WORKED_ORDER_TEXT)
+    (d / "samples.txt").write_text("0 0 0 0\n9 0 0 10\n")
+    for args in (
+        ["densify", "--vertices", d / "vertex.txt", "--orders", d / "vertex_order.txt",
+         "--out", d / "trajectory_dense.txt"],
+        ["capture", "--trajectory", d / "trajectory_dense.txt", "--out-dir", d / "capture",
+         "--seed", 7],
+        ["simrecon", "--manifest", d / "capture" / "6dpose_list.txt", "--out", d / "recon.txt",
+         "--gauge-scale", 0.5, "--gauge-yaw", 45, "--gauge-translate", 10, -3, 2,
+         "--noise-sigma", 0.05, "--outlier-fraction", 0.2, "--outlier-radius", 5, "--seed", 7],
+    ):
+        assert run(args) == 0
+    return d
+
+
+NON_FINITE_FLAGS = [
+    ("simrecon", ["--gauge-scale", "inf"]),
+    ("simrecon", ["--gauge-yaw", "nan"]),
+    ("simrecon", ["--gauge-translate", "nan", "0", "0"]),
+    ("simrecon", ["--noise-sigma", "nan"]),
+    ("simrecon", ["--noise-sigma", "inf"]),
+    ("simrecon", ["--outlier-radius", "nan"]),
+    ("simrecon", ["--outlier-radius", "1e308", "--outlier-fraction", "0.2"]),
+    ("capture", ["--pixel-sigma", "nan"]),
+    ("capture", ["--focal", "nan"]),
+    ("capture", ["--focal", "inf"]),
+    ("capture", ["--max-range", "nan"]),
+    ("capture", ["--fps", "nan"]),
+    ("capture", ["--bounds", "nan", "0", "0", "10", "10", "10"]),
+    ("capture", ["--vehicle-density", "nan"]),
+    ("align", ["--meters-per-unit", "nan"]),
+    ("align", ["--meters-per-unit", "-1"]),
+    ("align", ["--threshold", "nan"]),
+    ("calibrate", ["--stride-m", "nan"]),
+    ("calibrate", ["--stride-m", "-1"]),
+]
+
+
+class TestNumericFlags:
+    """A numeric flag outside its domain is an input error: exit 1, nothing written."""
+
+    @pytest.mark.parametrize(
+        "command, flags", NON_FINITE_FLAGS, ids=[" ".join([c, *f]) for c, f in NON_FINITE_FLAGS]
+    )
+    def test_rejected_without_output(self, walkthrough, tmp_path, capsys, command, flags):
+        d, out = walkthrough, tmp_path / "out"
+        args = {
+            "simrecon": ["--manifest", d / "capture" / "6dpose_list.txt", "--out", out],
+            "capture": ["--trajectory", d / "trajectory_dense.txt", "--seed", 7, "--out-dir", out],
+            "align": ["--recon", d / "recon.txt", "--manifest", d / "capture" / "6dpose_list.txt",
+                      "--out", out],
+            "calibrate": ["--samples", d / "samples.txt"],
+        }[command]
+        assert run([command, *args, *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_infinite_max_range_means_unlimited(self, walkthrough, tmp_path):
+        assert run([
+            "capture", "--trajectory", walkthrough / "trajectory_dense.txt",
+            "--out-dir", tmp_path, "--seed", 7, "--max-range", "inf",
+        ]) == 0
+
+
 class TestPerturbCommand:
     def test_deterministic_and_seed_sensitive(self, worked_files, tmp_path):
         vertex, order = worked_files
@@ -266,8 +338,10 @@ class TestSubsample:
         ]) == 0
         full = poseio.read_manifest((cap / "6dpose_list.txt").read_text())
         sub = poseio.read_manifest(out.read_text())
-        assert len(sub.records) == (len(full.records) + 19) // 20
-        assert sub.records[1] == full.records[20]
+        assert len(sub.names) == (len(full.names) + 19) // 20
+        assert sub.names[1] == full.names[20]
+        assert sub.camera[1].tolist() == full.camera[20].tolist()
+        assert sub.rotation[1].tolist() == full.rotation[20].tolist()
         assert sub.conditions == full.conditions
 
     def test_bad_stride(self, worked_files, tmp_path, capsys):

@@ -149,9 +149,7 @@ class TestDenseRoundTrip:
 
 class TestManifest:
     def test_single_record_line_format(self):
-        manifest = tk.CaptureManifest(
-            (tk.CaptureRecord("frame_000000.png", (1, 2, 3), tk.EulerRotation(0, 0, 90)),)
-        )
+        manifest = tk.CaptureManifest(("frame_000000.png",), [(1, 2, 3)], [(0, 0, 90)])
         text = tk.write_manifest(manifest)
         data_lines = [l for l in text.splitlines() if not l.startswith("#")]
         assert data_lines == [
@@ -159,23 +157,20 @@ class TestManifest:
         ]
 
     def test_383_records_order_preserved(self):
-        records = tuple(
-            tk.CaptureRecord(f"frame_{i:06d}.png", (float(i), 0.0, 0.0), tk.EulerRotation())
-            for i in range(383)
+        names = tuple(f"frame_{i:06d}.png" for i in range(383))
+        manifest = tk.CaptureManifest(
+            names, [(float(i), 0.0, 0.0) for i in range(383)], np.zeros((383, 3))
         )
-        manifest = tk.CaptureManifest(records)
         text = tk.write_manifest(manifest)
         data_lines = [l for l in text.splitlines() if not l.startswith("#")]
         assert len(data_lines) == 383
         back = tk.read_manifest(text)
-        assert [r.image_name for r in back.records] == [r.image_name for r in records]
-        assert back.records == records
+        assert back.names == names
+        assert back == manifest
 
     def test_conditions_round_trip_through_header(self):
         cond = tk.ConditionSet(tk.Weather.SNOW, tk.TimeOfDay.NIGHT, 0.25, 1.0)
-        manifest = tk.CaptureManifest(
-            (tk.CaptureRecord("a.png", (0, 0, 0), tk.EulerRotation()),), cond
-        )
+        manifest = tk.CaptureManifest(("a.png",), [(0, 0, 0)], [(0, 0, 0)], cond)
         back = tk.read_manifest(tk.write_manifest(manifest))
         assert back.conditions == cond
 
@@ -186,9 +181,8 @@ class TestManifest:
         assert exc.value.name == "a.png"
 
     def test_duplicate_name_on_construct(self):
-        record = tk.CaptureRecord("a.png", (0, 0, 0), tk.EulerRotation())
         with pytest.raises(DuplicateImageName):
-            tk.CaptureManifest((record, record))
+            tk.CaptureManifest(("a.png", "a.png"), np.zeros((2, 3)), np.zeros((2, 3)))
 
     def test_unknown_comment_lines_ignored(self):
         text = "# some free-form note\n# weather rain\na.png 0 0 0 0 0 0\n"
@@ -205,19 +199,37 @@ class TestManifest:
 
     def test_name_with_whitespace_rejected(self):
         with pytest.raises(ValueError):
-            tk.CaptureRecord("bad name.png", (0, 0, 0), tk.EulerRotation())
+            tk.CaptureManifest(("bad name.png",), [(0, 0, 0)], [(0, 0, 0)])
+
+    def test_columns_are_read_only_float_arrays(self):
+        manifest = tk.CaptureManifest(["a.png", "b.png"], [(0, 0, 0), (1, 2, 3)], np.zeros((2, 3)))
+        assert manifest.names == ("a.png", "b.png")
+        for column in (manifest.camera, manifest.rotation):
+            assert column.shape == (2, 3) and column.dtype == np.float64
+            assert not column.flags.writeable
+
+    @pytest.mark.parametrize(
+        "names, camera, rotation",
+        [
+            (("a.png",), [(0, 0)], [(0, 0, 0)]),
+            (("a.png",), [(0, 0, 0)], [(0, float("nan"), 0)]),
+            (("a.png", "b.png"), [(0, 0, 0)], [(0, 0, 0)]),
+            (("#a.png",), [(0, 0, 0)], [(0, 0, 0)]),
+            (("",), [(0, 0, 0)], [(0, 0, 0)]),
+        ],
+    )
+    def test_malformed_columns_rejected(self, names, camera, rotation):
+        with pytest.raises(ValueError):
+            tk.CaptureManifest(names, camera, rotation)
 
     def test_round_trip_byte_identity(self):
         rng = np.random.default_rng(8)
-        records = tuple(
-            tk.CaptureRecord(
-                f"frame_{i:06d}.png",
-                tuple(quantized(rng, 3)),
-                tk.EulerRotation(*quantized(rng, 3, span=180)),
-            )
-            for i in range(500)
+        poses = [(quantized(rng, 3), quantized(rng, 3, span=180)) for _ in range(500)]
+        manifest = tk.CaptureManifest(
+            tuple(f"frame_{i:06d}.png" for i in range(500)),
+            [camera for camera, _ in poses], [rotation for _, rotation in poses],
+            tk.ConditionSet(tk.Weather.RAIN),
         )
-        manifest = tk.CaptureManifest(records, tk.ConditionSet(tk.Weather.RAIN))
         text = tk.write_manifest(manifest)
         assert tk.write_manifest(tk.read_manifest(text)) == text
         assert tk.read_manifest(text) == manifest
@@ -226,17 +238,18 @@ class TestManifest:
 class TestReconstruction:
     def test_single_entry(self):
         recon = tk.read_reconstruction("a.png 0 0 0\n")
-        assert recon.entries == (("a.png", (0.0, 0.0, 0.0)),)
+        assert recon.names == ("a.png",)
+        assert recon.positions.tolist() == [[0.0, 0.0, 0.0]]
 
     def test_names_need_not_match_any_manifest(self):
         # Matching happens downstream; unmatched names parse fine here.
         recon = tk.read_reconstruction("unrelated_view.jpg 1 2 3\n")
-        assert [name for name, _ in recon.entries] == ["unrelated_view.jpg"]
+        assert list(recon.names) == ["unrelated_view.jpg"]
 
     def test_empty_file_is_valid_empty_set(self):
         recon = tk.read_reconstruction("")
-        assert recon.entries == ()
-        assert recon.positions().shape == (0, 3)
+        assert recon.names == ()
+        assert recon.positions.shape == (0, 3)
 
     def test_duplicate_rejected(self):
         with pytest.raises(DuplicateImageName):
@@ -246,12 +259,29 @@ class TestReconstruction:
         with pytest.raises(WrongFieldCount):
             tk.read_reconstruction("a.png 0 0\n")
 
+    def test_duplicate_on_construct(self):
+        with pytest.raises(DuplicateImageName):
+            tk.ReconstructedSet(("a.png", "a.png"), np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("name", ["bad name.png", "tab\tname.png", "#a.png", ""])
+    def test_name_that_cannot_be_read_back_rejected(self, name):
+        with pytest.raises(ValueError):
+            tk.ReconstructedSet((name,), [(0, 0, 0)])
+
+    def test_positions_are_a_read_only_float_array(self):
+        recon = tk.ReconstructedSet(["a.png"], [(1, 2, 3)])
+        assert recon.names == ("a.png",)
+        assert recon.positions.dtype == np.float64 and not recon.positions.flags.writeable
+        with pytest.raises(ValueError):
+            tk.ReconstructedSet(("a.png", "b.png"), [(0, 0, 0)])
+        with pytest.raises(ValueError):
+            tk.ReconstructedSet(("a.png",), [(0, 0, float("inf"))])
+
     def test_round_trip(self):
         rng = np.random.default_rng(11)
-        entries = tuple(
-            (f"img_{i}.png", tuple(quantized(rng, 3))) for i in range(100)
+        recon = tk.ReconstructedSet(
+            tuple(f"img_{i}.png" for i in range(100)), [quantized(rng, 3) for _ in range(100)]
         )
-        recon = tk.ReconstructedSet(entries)
         text = tk.write_reconstruction(recon)
         assert tk.read_reconstruction(text) == recon
         assert tk.write_reconstruction(tk.read_reconstruction(text)) == text

@@ -78,8 +78,8 @@ class TestRetrace:
             static_pose(), world_with([[10.0, 0.0, 0.75]]), intr, CLEAR_DAY,
             base_pixel_sigma=0.0, seed=0,
         )
-        assert len(manifest.records) == 1
-        assert manifest.records[0].image_name == "frame_000000.png"
+        assert len(manifest.names) == 1
+        assert manifest.names[0] == "frame_000000.png"
         assert obs.frames[0].ids.tolist() == [0]
         np.testing.assert_array_equal(obs.frames[0].uv, [[intr.cx, intr.cy]])
 
@@ -216,19 +216,15 @@ class TestRetrace:
             dense, world_with([[10.0, 0.0, 0.75]]), tk.default_intrinsics(),
             CLEAR_DAY, base_pixel_sigma=0.0, seed=0,
         )
-        assert len(manifest.records) == len(dense)
+        assert len(manifest.names) == len(dense)
         k = len(dense) // 2
-        assert manifest.records[k].camera_pos == pytest.approx(dense.camera[k])
-        assert manifest.records[k].image_name == f"frame_{k:06d}.png"
+        assert manifest.camera[k] == pytest.approx(dense.camera[k])
+        assert manifest.names[k] == f"frame_{k:06d}.png"
 
 
 def make_manifest(positions) -> tk.CaptureManifest:
-    return tk.CaptureManifest(
-        tuple(
-            tk.CaptureRecord(f"frame_{i:06d}.png", tuple(map(float, p)), tk.EulerRotation())
-            for i, p in enumerate(positions)
-        )
-    )
+    names = tuple(f"frame_{i:06d}.png" for i in range(len(positions)))
+    return tk.CaptureManifest(names, positions, np.zeros((len(positions), 3)))
 
 
 class TestSimulateReconstruction:
@@ -237,8 +233,8 @@ class TestSimulateReconstruction:
         positions = rng.uniform(-50, 50, (40, 3))
         manifest = make_manifest(positions)
         recon = tk.simulate_reconstruction(manifest, tk.SimilarityTransform.identity())
-        np.testing.assert_array_equal(recon.positions(), positions)
-        assert [name for name, _ in recon.entries] == [r.image_name for r in manifest.records]
+        np.testing.assert_array_equal(recon.positions, positions)
+        assert recon.names == manifest.names
 
     def test_known_gauge_hand_computed(self):
         # Compare against an explicit s * R @ p + t computed in the test.
@@ -249,7 +245,7 @@ class TestSimulateReconstruction:
         recon = tk.simulate_reconstruction(manifest, gauge)
         rot = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
         expected = 2.0 * positions @ rot.T + np.array([1.0, 2.0, 3.0])
-        np.testing.assert_allclose(recon.positions(), expected, atol=1e-9)
+        np.testing.assert_allclose(recon.positions, expected, atol=1e-9)
 
     def test_outlier_count_exact(self):
         rng = np.random.default_rng(3)
@@ -260,7 +256,7 @@ class TestSimulateReconstruction:
             manifest, tk.SimilarityTransform.identity(),
             noise_sigma=0.0, outlier_fraction=0.3, outlier_radius=radius, seed=17,
         )
-        displacement = np.linalg.norm(recon.positions() - positions, axis=1)
+        displacement = np.linalg.norm(recon.positions - positions, axis=1)
         assert int((displacement >= radius).sum()) == 30
         assert int((displacement == 0.0).sum()) == 70
         assert np.all(displacement[displacement > 0] <= 2 * radius + 1e-9)
@@ -273,7 +269,7 @@ class TestSimulateReconstruction:
             manifest, tk.SimilarityTransform.identity(),
             outlier_fraction=0.25, outlier_radius=3.0, seed=9,
         )
-        displaced = np.flatnonzero(np.linalg.norm(recon.positions() - positions, axis=1) > 0)
+        displaced = np.flatnonzero(np.linalg.norm(recon.positions - positions, axis=1) > 0)
         np.testing.assert_array_equal(displaced, simworld.outlier_indices(60, 0.25, 9))
 
     def test_deterministic(self):
@@ -294,7 +290,7 @@ class TestSimulateReconstruction:
                                        np.array([5.0, -3.0, 1.0]))
         sigma = 0.2
         recon = tk.simulate_reconstruction(manifest, gauge, noise_sigma=sigma, seed=10)
-        recovered = gauge.inverse().apply(recon.positions())
+        recovered = gauge.inverse().apply(recon.positions)
         assert np.all(np.abs(recovered - positions) <= 3 * sigma)
 
     def test_parameter_validation(self):

@@ -148,6 +148,16 @@ def _as_points(arr, name: str) -> np.ndarray:
     return pts
 
 
+def _unit_extent(points: np.ndarray) -> tuple[np.ndarray, int]:
+    """``points`` divided by 2**e, the power of two just above their largest coordinate, and e.
+
+    Dividing by a power of two is exact, so a fit on ordinary coordinates
+    keeps every bit it had without the division.
+    """
+    exponent = math.frexp(float(np.abs(points).max()))[1]
+    return np.ldexp(points, -exponent), exponent
+
+
 def umeyama(src, dst, with_scale: bool = True) -> SimilarityTransform:
     """Least-squares similarity mapping ``src`` onto ``dst``.
 
@@ -168,8 +178,11 @@ def umeyama(src, dst, with_scale: bool = True) -> SimilarityTransform:
 
     mu_src = src.mean(axis=0)
     mu_dst = dst.mean(axis=0)
-    src_c = src - mu_src
-    dst_c = dst - mu_dst
+    # Each centred set is brought to unit extent, so that the squares and
+    # products below neither overflow nor underflow at any finite scale;
+    # the extents come back in the scale.
+    src_c, src_exponent = _unit_extent(src - mu_src)
+    dst_c, dst_exponent = _unit_extent(dst - mu_dst)
 
     sv = np.linalg.svd(src_c, compute_uv=False)
     if sv[0] <= 0.0:
@@ -186,7 +199,10 @@ def umeyama(src, dst, with_scale: bool = True) -> SimilarityTransform:
 
     if with_scale:
         var_src = (src_c ** 2).sum() / n
-        scale = float((d * sign).sum() / var_src)
+        try:
+            scale = math.ldexp(float((d * sign).sum() / var_src), dst_exponent - src_exponent)
+        except OverflowError:
+            raise DegenerateConfiguration("estimated scale exceeds the float range") from None
         if scale <= 0:
             raise DegenerateConfiguration("estimated scale is not positive")
     else:

@@ -29,7 +29,7 @@ from . import textio
 from .align import AlignmentReport, SimilarityTransform
 from .conditions import ConditionSet, TimeOfDay, Weather
 from .errors import DuplicateImageName, ParseError
-from .textio import fixed
+from .textio import FIXED, fixed
 from .trajectory import DenseTrajectory, SparseTrajectory, expand_visitation, frozen_array
 
 # --------------------------------------------------------------------------
@@ -63,8 +63,8 @@ def read_sparse(vertex_text: str, order_text: str) -> SparseTrajectory:
 # --------------------------------------------------------------------------
 
 def write_dense(dense: DenseTrajectory) -> str:
-    rows = np.hstack([dense.protagonist, dense.camera, dense.rotation])
-    return "".join(" ".join(fixed(v) for v in row) + "\n" for row in rows)
+    columns = (*dense.protagonist.T, *dense.camera.T, *dense.rotation.T)
+    return textio.lines(" ".join([FIXED] * 9) + "\n", columns)
 
 
 def read_dense(text: str, fps: float = 60.0) -> DenseTrajectory:

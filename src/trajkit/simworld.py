@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,9 +27,9 @@ from .conditions import (
 from . import textio
 from .errors import DegenerateBounds, InvariantViolation, ParseError
 from .poseio import CaptureManifest, ReconstructedSet
-from .rng import substream
-from .textio import fixed
-from .trajectory import MAX_FRAMES, DenseTrajectory, EulerRotation
+from .rng import keyed_uniform, substream
+from .textio import FIXED, fixed
+from .trajectory import MAX_FRAMES, DenseTrajectory
 
 
 @dataclass(frozen=True)
@@ -101,34 +102,56 @@ def default_intrinsics(max_range: float = 100.0) -> Intrinsics:
     )
 
 
-@dataclass(frozen=True)
-class FrameObservations:
-    """Landmark projections seen in one frame."""
+class FrameObservations(NamedTuple):
+    """The landmark projections seen in one frame: views into an ObservationSet."""
 
     frame: int
     ids: np.ndarray   # (K,) landmark ids
     uv: np.ndarray    # (K, 2) pixel coordinates
 
-    def __post_init__(self):
-        ids = np.array(self.ids, dtype=int).reshape(-1)
-        uv = np.array(self.uv, dtype=float).reshape(-1, 2)
-        if len(ids) != len(uv):
-            raise ValueError("ids and uv must have equal length")
-        ids.setflags(write=False)
-        uv.setflags(write=False)
-        object.__setattr__(self, "ids", ids)
-        object.__setattr__(self, "uv", uv)
-
 
 @dataclass(frozen=True)
 class ObservationSet:
-    frames: tuple[FrameObservations, ...]
+    """Every landmark projection of a capture, as flat columns sorted by frame.
+
+    Row r records that landmark ``ids[r]`` was seen at pixel ``uv[r]`` in
+    frame ``frame[r]``. Frames 0..n_frames-1 exist; a frame may hold no
+    row. The columns are read-only int64, int64 and (K, 2) float64 arrays.
+    """
+
+    frame: np.ndarray
+    ids: np.ndarray
+    uv: np.ndarray
+    n_frames: int
 
     def __post_init__(self):
-        object.__setattr__(self, "frames", tuple(self.frames))
+        frame = np.array(self.frame, dtype=np.int64).reshape(-1)
+        ids = np.array(self.ids, dtype=np.int64).reshape(-1)
+        uv = np.array(self.uv, dtype=float).reshape(-1, 2)
+        if not len(frame) == len(ids) == len(uv):
+            raise ValueError("frame, ids and uv must have equal length")
+        if np.any(frame[1:] < frame[:-1]):
+            raise ValueError("observations must be sorted by frame")
+        if self.n_frames < 0 or len(frame) and not 0 <= frame[0] <= frame[-1] < self.n_frames:
+            raise ValueError(f"frame indices must lie in 0..{self.n_frames - 1}")
+        for column in (frame, ids, uv):
+            column.setflags(write=False)
+        object.__setattr__(self, "frame", frame)
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "uv", uv)
+        object.__setattr__(self, "n_frames", int(self.n_frames))
+
+    @property
+    def frames(self) -> tuple[FrameObservations, ...]:
+        """One FrameObservations per frame, built on each access."""
+        cuts = np.searchsorted(self.frame, np.arange(self.n_frames + 1)).tolist()
+        return tuple(
+            FrameObservations(k, self.ids[a:b], self.uv[a:b])
+            for k, (a, b) in enumerate(zip(cuts, cuts[1:]))
+        )
 
     def total_observations(self) -> int:
-        return sum(len(f.ids) for f in self.frames)
+        return len(self.ids)
 
 
 def generate_world(seed: int, count: int, bounds: Box) -> World:
@@ -140,42 +163,32 @@ def generate_world(seed: int, count: int, bounds: Box) -> World:
     return World(landmarks=landmarks, seed=seed, bounds=bounds)
 
 
-def _camera_axes(rotation: EulerRotation) -> np.ndarray:
-    """Rows: image-right, image-down, view-forward in world coordinates.
+def _camera_axes(degrees: np.ndarray) -> np.ndarray:
+    """(F, 3) Euler angles in degrees -> (F, 3, 3) camera axes in world coordinates.
 
-    At zero rotation the view axis is world +x (z up, right-handed), so
+    Rows of each 3x3 block: image-right, image-down, view-forward. The
+    rotation is ``Rz @ Rx @ Ry`` as in ``EulerRotation.matrix()``; at zero
+    rotation the view axis is world +x (z up, right-handed), so
     image-right is -y and image-down is -z.
     """
-    r = rotation.matrix()
-    return np.stack([r @ [0.0, -1.0, 0.0], r @ [0.0, 0.0, -1.0], r @ [1.0, 0.0, 0.0]])
+    angles = np.radians(degrees).T
+    (cx, cy, cz), (sx, sy, sz) = np.cos(angles), np.sin(angles)
+    one, zero = np.ones_like(cx), np.zeros_like(cx)
 
+    def stack(*rows):
+        return np.stack(rows, axis=-1).reshape(-1, 3, 3)
 
-def project_frame(
-    camera_pos: np.ndarray, rotation: EulerRotation, landmarks: np.ndarray, intr: Intrinsics
-) -> tuple[np.ndarray, np.ndarray]:
-    """Noise-free pinhole projection of all landmarks visible from one pose.
-
-    A landmark is visible when it lies strictly in front of the camera,
-    within ``max_range``, and projects inside the image (bounds
-    inclusive). Returns (ids, uv) sorted by landmark id.
-    """
-    axes = _camera_axes(rotation)
-    delta = landmarks - camera_pos
-    cam = delta @ axes.T  # columns: right, down, forward
-    depth = cam[:, 2]
-    in_front = depth > 0.0
-    in_range = np.einsum("ij,ij->i", delta, delta) <= intr.max_range ** 2
-    candidate = in_front & in_range
-    ids = np.flatnonzero(candidate)
-    if len(ids) == 0:
-        return ids, np.empty((0, 2))
-    uv = intr.focal * cam[ids, :2] / depth[ids, None]
-    uv += (intr.cx, intr.cy)
-    inside = (
-        (uv[:, 0] >= 0.0) & (uv[:, 0] <= intr.width)
-        & (uv[:, 1] >= 0.0) & (uv[:, 1] <= intr.height)
+    r = (
+        stack(cz, -sz, zero, sz, cz, zero, zero, zero, one)
+        @ stack(one, zero, zero, zero, cx, -sx, zero, sx, cx)
+        @ stack(cy, zero, sy, zero, one, zero, -sy, zero, cy)
     )
-    return ids[inside], uv[inside]
+    return np.stack([-r[:, :, 1], -r[:, :, 2], r[:, :, 0]], axis=1)
+
+
+# Frames projected per step of retrace: the product of a chunk takes
+# 4 * _CHUNK * M doubles, 1 MB for 500 landmarks.
+_CHUNK = 64
 
 
 def retrace(
@@ -191,12 +204,14 @@ def retrace(
 
     Each frame k produces a manifest row named ``frame_<k:06d>.png`` carrying
     the groundtruth camera pose, plus the landmark observations visible
-    from it. Observations get Gaussian pixel noise with sigma
-    ``base_pixel_sigma`` times the weather noise multiplier, are dropped
-    independently with the condition's dropout rate, and are discarded if
-    noise pushes them out of the image. Per-frame RNG substreams are
-    keyed on (seed, frame), so captures are reproducible and frames
-    could be evaluated concurrently without changing the result.
+    from it. A landmark is visible when it lies strictly in front of the
+    camera, within ``max_range``, and its pinhole projection falls inside
+    the image (bounds inclusive). Observations get Gaussian pixel noise
+    with sigma ``base_pixel_sigma`` times the weather noise multiplier,
+    are dropped independently with the condition's dropout rate, and are
+    discarded if noise pushes them out of the image. The dropout and noise
+    draws of an observation are keyed on (seed, frame, landmark), so they
+    depend neither on what else is visible nor on how frames are batched.
     """
     if not 0 <= base_pixel_sigma < math.inf:
         raise ValueError(f"base_pixel_sigma must be finite and >= 0, got {base_pixel_sigma}")
@@ -204,23 +219,51 @@ def retrace(
     sigma = base_pixel_sigma * profile.pixel_noise_multiplier
     drop = profile.dropout_rate
 
-    frames = []
-    for k in range(len(dense)):
-        rotation = EulerRotation(*dense.rotation[k])
-        ids, uv = project_frame(dense.camera[k], rotation, world.landmarks, intr)
+    # Block f of a chunk maps a landmark [p, 1] to frame f's right, down and forward
+    # coordinates, A (p - c) for camera axes A and position c, and to
+    # |p - c|^2 - |p|^2 = -2 p.c + |c|^2. A product, not ** 2, squares the
+    # range, so that 1e200 gives inf, not OverflowError.
+    landmarks = world.landmarks
+    points = np.column_stack([landmarks, np.ones(len(landmarks))])
+    reach = intr.max_range * intr.max_range - np.einsum("ij,ij->i", landmarks, landmarks)
+    product = np.empty((4 * _CHUNK, len(points)))  # reused by every chunk
+    columns = []
+    for start in range(0, len(dense), _CHUNK):
+        camera = dense.camera[start:start + _CHUNK]
+        blocks = np.empty((len(camera), 4, 4))
+        blocks[:, :3, :3] = _camera_axes(dense.rotation[start:start + _CHUNK])
+        blocks[:, :3, 3] = -np.einsum("fij,fj->fi", blocks[:, :3, :3], camera)
+        blocks[:, 3, :3] = -2.0 * camera
+        blocks[:, 3, 3] = np.einsum("ij,ij->i", camera, camera)
+        out = np.matmul(blocks.reshape(-1, 4), points.T, out=product[:4 * len(camera)])
+        right, down, depth, sq_dist = out.reshape(len(camera), 4, -1).transpose(1, 0, 2)
+        # Flat indices run frame-major, so rows come out sorted by (frame, id).
+        visible = np.flatnonzero((depth > 0.0) & (sq_dist <= reach))
+        pixels_per_unit = intr.focal / depth.flat[visible]
+        u = right.flat[visible] * pixels_per_unit + intr.cx
+        v = down.flat[visible] * pixels_per_unit + intr.cy
+        inside = (u >= 0.0) & (u <= intr.width) & (v >= 0.0) & (v <= intr.height)
+        frame, ids = np.divmod(visible[inside], len(points))
+        frame += start
+        uv = np.column_stack([u[inside], v[inside]])
 
-        rng = substream(seed, k)
-        kept = rng.random(len(ids)) >= drop
-        noise = sigma * rng.standard_normal((len(ids), 2))
-        uv = uv + noise
-        inside = (
-            (uv[:, 0] >= 0.0) & (uv[:, 0] <= intr.width)
+        # Draw 0 decides dropout; draws 1 and 2 give Box-Muller noise.
+        draws = keyed_uniform(seed, frame[:, None], ids[:, None], np.arange(3))
+        radius = sigma * np.sqrt(-2.0 * np.log1p(-draws[:, 1]))
+        angle = 2.0 * math.pi * draws[:, 2]
+        uv += radius[:, None] * np.column_stack([np.cos(angle), np.sin(angle)])
+        keep = (
+            (draws[:, 0] >= drop)
+            & (uv[:, 0] >= 0.0) & (uv[:, 0] <= intr.width)
             & (uv[:, 1] >= 0.0) & (uv[:, 1] <= intr.height)
         )
-        keep = kept & inside
-        frames.append(FrameObservations(frame=k, ids=ids[keep], uv=uv[keep]))
+        columns.append((frame[keep], ids[keep], uv[keep]))
+    frame, ids, uv = (np.concatenate(column) for column in zip(*columns))
     names = [f"frame_{k:06d}.png" for k in range(len(dense))]
-    return CaptureManifest(names, dense.camera, dense.rotation, cond), ObservationSet(tuple(frames))
+    return (
+        CaptureManifest(names, dense.camera, dense.rotation, cond),
+        ObservationSet(frame, ids, uv, len(dense)),
+    )
 
 
 def outlier_indices(n: int, outlier_fraction: float, seed: int) -> np.ndarray:
@@ -315,11 +358,8 @@ def read_world(text: str) -> World:
 
 
 def write_observations(obs: ObservationSet) -> str:
-    lines = [f"# frames {len(obs.frames)}"]
-    for fr in obs.frames:
-        for i, (u, v) in zip(fr.ids, fr.uv):
-            lines.append(f"{fr.frame} {i} {fixed(u)} {fixed(v)}")
-    return "\n".join(lines) + "\n"
+    columns = (obs.frame, obs.ids, obs.uv[:, 0], obs.uv[:, 1])
+    return f"# frames {obs.n_frames}\n" + textio.lines(f"%d %d {FIXED} {FIXED}\n", columns)
 
 
 def read_observations(text: str) -> ObservationSet:
@@ -336,13 +376,10 @@ def read_observations(text: str) -> ObservationSet:
     n_frames = max(n_frames, int(frame.max(initial=-1)) + 1)
     if n_frames > MAX_FRAMES:
         raise InvariantViolation(f"{n_frames} frames exceed the limit of {MAX_FRAMES}")
+    del recs  # the line texts outweigh the columns; free them before sorting
     # Group the lines by frame, keeping file order within a frame.
     order = np.argsort(frame, kind="stable")
-    ids, uv = ids[order], np.column_stack([u, v])[order]
-    cuts = np.searchsorted(frame[order], np.arange(n_frames + 1)).tolist()
-    return ObservationSet(tuple(
-        FrameObservations(k, ids[a:b], uv[a:b]) for k, (a, b) in enumerate(zip(cuts, cuts[1:]))
-    ))
+    return ObservationSet(frame[order], ids[order], np.column_stack([u, v])[order], n_frames)
 
 
 def points_to_ply(points: np.ndarray) -> str:

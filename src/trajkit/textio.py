@@ -7,7 +7,8 @@ record of whitespace-separated fields. Numbers must be finite floats or
 64-bit integers. Each numeric column of a block of records is converted
 by one ``np.array`` call; only when that fails is the block scanned
 again, to raise a ParseError naming the line and column of its first
-bad token.
+bad token. Writers format their rows with ``lines``, each float with six
+fractional digits.
 """
 
 from __future__ import annotations
@@ -25,6 +26,10 @@ _TOKEN = re.compile(r"\S+")  # the fields of str.split()
 _KINDS = {float: (np.float64, "a finite float"), int: (np.int64, "a 64-bit integer")}
 # Records split at a time: only one block's tokens exist as Python strings.
 _BLOCK = 1024
+# Rows formatted at a time by lines(): only one block's values exist as Python objects.
+_WRITE_BLOCK = 4096
+# Six fractional digits, as every text format writes a float.
+FIXED = "%.6f"
 
 
 class Records(NamedTuple):
@@ -104,7 +109,16 @@ def error(recs: Records, i: int, j: int, message: str) -> ParseError:
 
 def fixed(value: float) -> str:
     """A float with six fractional digits, as every text format writes it."""
-    return f"{value:.6f}"
+    return FIXED % value
+
+
+def lines(template: str, columns: Sequence[np.ndarray]) -> str:
+    """``template % row`` for each row of the equal-length ``columns``, concatenated."""
+    blocks = []
+    for first in range(0, len(columns[0]), _WRITE_BLOCK):
+        rows = zip(*(column[first:first + _WRITE_BLOCK].tolist() for column in columns))
+        blocks.append("".join([template % row for row in rows]))
+    return "".join(blocks)
 
 
 def _numbers(cells: Sequence[str], kind: type) -> np.ndarray:

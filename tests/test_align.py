@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -90,6 +91,30 @@ class TestUmeyama:
         fit = tk.umeyama(src, dst, with_scale=False)
         assert fit.scale == 1.0
         np.testing.assert_allclose(fit.rotation, rot, atol=1e-9)
+
+    @pytest.mark.parametrize("scale", [1e170, 1e-170])
+    def test_extreme_gauge_scale_recovered(self, scale):
+        # Squares of these coordinates overflow (1e170) or underflow (1e-170).
+        rng = np.random.default_rng(12)
+        src = rng.uniform(-5, 5, (30, 3))
+        rot = random_rotation(rng)
+        translation = scale * np.array([4.0, -1.0, 2.0])
+        dst = scale * src @ rot.T + translation
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            forward = tk.umeyama(src, dst)
+            backward = tk.umeyama(dst, src)
+        assert forward.scale == pytest.approx(scale, rel=1e-9)
+        np.testing.assert_allclose(forward.rotation, rot, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(forward.translation, translation, rtol=1e-9, atol=0)
+        assert backward.scale == pytest.approx(1.0 / scale, rel=1e-9)
+        np.testing.assert_allclose(backward.rotation, rot.T, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(backward.apply(dst), src, rtol=0, atol=1e-9)
+
+    def test_scale_beyond_float_range_rejected(self):
+        src = np.random.default_rng(13).uniform(-5, 5, (10, 3))
+        with pytest.raises(DegenerateConfiguration):
+            tk.umeyama(1e-200 * src, 1e200 * src)
 
     def test_collinear_rejected(self):
         src = np.array([[0, 0, 0], [1, 1, 1], [2, 2, 2]], dtype=float)

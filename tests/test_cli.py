@@ -315,6 +315,25 @@ class TestNumericFlags:
             "--out-dir", tmp_path, "--seed", 7, "--max-range", "inf",
         ]) == 0
 
+    def test_huge_max_range_means_unlimited(self, walkthrough, tmp_path):
+        huge, unlimited = tmp_path / "huge", tmp_path / "unlimited"
+        for out, max_range in ((huge, "1e200"), (unlimited, "inf")):
+            assert run([
+                "capture", "--trajectory", walkthrough / "trajectory_dense.txt",
+                "--out-dir", out, "--seed", 7, "--max-range", max_range,
+            ]) == 0
+        for name in ("6dpose_list.txt", "observations.txt"):
+            assert (huge / name).read_bytes() == (unlimited / name).read_bytes()
+
+    def test_align_handles_huge_gauge_scale(self, walkthrough, tmp_path, capsys):
+        # Squaring these reconstruction coordinates would overflow.
+        manifest, recon = walkthrough / "capture" / "6dpose_list.txt", tmp_path / "recon.txt"
+        assert run(["simrecon", "--manifest", manifest, "--out", recon, "--gauge-scale", "1e170",
+                    "--outlier-fraction", "0.2", "--outlier-radius", "5", "--seed", 7]) == 0
+        assert run(["align", "--recon", recon, "--manifest", manifest,
+                    "--out", tmp_path / "report.txt"]) == 0
+        assert "inliers 338/338" in capsys.readouterr().out
+
 
 class TestPerturbCommand:
     def test_deterministic_and_seed_sensitive(self, worked_files, tmp_path):

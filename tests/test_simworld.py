@@ -25,7 +25,47 @@ def world_with(points, span=500.0) -> tk.World:
     return tk.World(np.asarray(points, dtype=float), seed=0, bounds=bounds)
 
 
+def project_frame(camera_pos, rotation, landmarks, intr):
+    """Reference pinhole projection of one pose, one frame at a time.
+
+    Landmarks strictly in front, within max_range and projecting inside
+    the image (bounds inclusive); (ids, uv) sorted by landmark id.
+    """
+    r = tk.EulerRotation(*rotation).matrix()
+    axes = np.stack([r @ [0.0, -1.0, 0.0], r @ [0.0, 0.0, -1.0], r @ [1.0, 0.0, 0.0]])
+    delta = landmarks - camera_pos
+    cam = delta @ axes.T  # columns: right, down, forward
+    depth = cam[:, 2]
+    in_range = np.einsum("ij,ij->i", delta, delta) <= intr.max_range ** 2
+    ids = np.flatnonzero((depth > 0.0) & in_range)
+    uv = intr.focal * cam[ids, :2] / depth[ids, None] + (intr.cx, intr.cy)
+    inside = (
+        (uv[:, 0] >= 0.0) & (uv[:, 0] <= intr.width)
+        & (uv[:, 1] >= 0.0) & (uv[:, 1] <= intr.height)
+    )
+    return ids[inside], uv[inside]
+
+
+def assert_matches_per_frame_projection(dense, world, intr):
+    """A noise-free, drop-free capture equals project_frame, frame by frame."""
+    _, obs = tk.retrace(dense, world, intr, CLEAR_DAY, base_pixel_sigma=0.0, seed=7)
+    assert obs.n_frames == len(dense)
+    assert obs.total_observations() > 1000
+    for k, frame in enumerate(obs.frames):
+        ids, uv = project_frame(dense.camera[k], dense.rotation[k], world.landmarks, intr)
+        np.testing.assert_array_equal(frame.ids, ids)
+        np.testing.assert_allclose(frame.uv, uv, rtol=0, atol=1e-9)
+
+
+def assert_same_rows(obs, other, rows):
+    """``obs`` holds the ``rows`` of ``other``: pixels up to the rounding of the projection."""
+    np.testing.assert_array_equal(obs.frame, other.frame[rows])
+    np.testing.assert_array_equal(obs.ids, other.ids[rows])
+    np.testing.assert_allclose(obs.uv, other.uv[rows], rtol=0, atol=1e-9)
+
+
 CLEAR_DAY = tk.ConditionSet()
+RAINY_NIGHT = tk.ConditionSet(weather=tk.Weather.RAIN, time_of_day=tk.TimeOfDay.NIGHT)
 
 
 class TestGenerateWorld:
@@ -165,6 +205,14 @@ class TestRetrace:
         for fa, fb in zip(runs[0].frames, runs[1].frames):
             np.testing.assert_array_equal(fa.uv, fb.uv)
 
+    def test_noise_differs_in_every_frame_of_a_static_pose(self):
+        # 130 frames span three chunks; each frame draws its own noise.
+        world = world_with([[10.0, 0.0, 0.75], [20.0, 1.0, 0.5]])
+        _, obs = tk.retrace(static_pose(frames=130), world, tk.default_intrinsics(), CLEAR_DAY,
+                            base_pixel_sigma=2.0, seed=42)
+        assert obs.total_observations() == 260
+        assert len(np.unique(obs.uv.reshape(130, 4), axis=0)) == 130
+
     def test_dropout_fraction_monte_carlo(self):
         # ~1e5 opportunities at dropout 0.3 keep a fraction in [0.69, 0.71].
         rng = np.random.default_rng(21)
@@ -209,6 +257,64 @@ class TestRetrace:
             if len(frame.uv):
                 assert np.all(frame.uv[:, 0] >= 0) and np.all(frame.uv[:, 0] <= intr.width)
                 assert np.all(frame.uv[:, 1] >= 0) and np.all(frame.uv[:, 1] <= intr.height)
+
+    def test_zero_noise_matches_per_frame_projection_on_walkthrough(self, worked_sparse):
+        # 338 frames: five full chunks and a partial one.
+        dense = tk.densify(worked_sparse)
+        assert len(dense) == 338
+        world = tk.generate_world(7, 500, tk.Box((-25, -25, 0), (27, 27, 15)))
+        assert_matches_per_frame_projection(dense, world, tk.default_intrinsics(max_range=20.0))
+
+    def test_zero_noise_matches_per_frame_projection_at_random_rotations(self):
+        rng = np.random.default_rng(17)
+        n = 150
+        camera = np.column_stack([rng.uniform(-40, 40, (n, 2)), rng.uniform(0.5, 10, n)])
+        rotation = rng.uniform(-180, 180, (n, 3))
+        dense = tk.DenseTrajectory(camera - [0.0, 0.0, 0.75], camera, rotation)
+        world = tk.generate_world(3, 800, tk.Box((-60, -60, 0), (60, 60, 15)))
+        assert_matches_per_frame_projection(dense, world, tk.default_intrinsics(max_range=60.0))
+
+    @pytest.mark.parametrize("k", [1, 63, 64, 65])
+    def test_prefix_capture_equals_first_frames_of_full_capture(self, worked_sparse, k):
+        dense = tk.densify(worked_sparse)
+        world = tk.generate_world(7, 500, tk.Box((-25, -25, 0), (27, 27, 15)))
+        intr = tk.default_intrinsics()
+        _, full = tk.retrace(dense, world, intr, RAINY_NIGHT, base_pixel_sigma=2.0, seed=7)
+        head = tk.DenseTrajectory(dense.protagonist[:k], dense.camera[:k], dense.rotation[:k])
+        _, part = tk.retrace(head, world, intr, RAINY_NIGHT, base_pixel_sigma=2.0, seed=7)
+        assert part.n_frames == k
+        assert part.total_observations() > 0
+        assert_same_rows(part, full, full.frame < k)
+
+    def test_added_landmarks_leave_observations_of_others_unchanged(self, worked_sparse):
+        dense = tk.densify(worked_sparse)
+        box = tk.Box((-25, -25, 0), (27, 27, 15))
+        world = tk.generate_world(7, 300, box)
+        more = tk.World(np.vstack([world.landmarks, tk.generate_world(8, 200, box).landmarks]),
+                        seed=7, bounds=box)
+        intr = tk.default_intrinsics()
+        _, small = tk.retrace(dense, world, intr, RAINY_NIGHT, base_pixel_sigma=2.0, seed=7)
+        _, large = tk.retrace(dense, more, intr, RAINY_NIGHT, base_pixel_sigma=2.0, seed=7)
+        assert small.total_observations() < large.total_observations()
+        assert_same_rows(small, large, large.ids < 300)
+
+    def test_pixel_noise_is_gaussian_monte_carlo(self):
+        # 1e5 landmarks well inside the image of one frame: no noise draw
+        # pushes one out, so noisy minus clean pixels are the draws.
+        rng = np.random.default_rng(23)
+        count = 100_000
+        world = world_with(np.column_stack([
+            rng.uniform(20, 60, count), rng.uniform(-2, 2, count), rng.uniform(0.3, 1.2, count)
+        ]))
+        intr = tk.default_intrinsics()
+        sigma = 3.0
+        _, clean = tk.retrace(static_pose(), world, intr, CLEAR_DAY, base_pixel_sigma=0.0, seed=4)
+        _, noisy = tk.retrace(static_pose(), world, intr, CLEAR_DAY, base_pixel_sigma=sigma, seed=4)
+        assert clean.total_observations() == count
+        np.testing.assert_array_equal(noisy.ids, clean.ids)
+        noise = noisy.uv - clean.uv
+        assert np.all(np.abs(noise.mean(axis=0)) <= 0.01 * sigma)
+        assert np.all(np.abs(noise.std(axis=0) / sigma - 1.0) <= 0.02)
 
     def test_record_pose_matches_trajectory(self, worked_sparse):
         dense = tk.densify(worked_sparse)
@@ -322,16 +428,22 @@ class TestSerialization:
             simworld.read_world(text)
 
     def test_observations_round_trip_preserves_empty_frames(self):
-        obs = tk.ObservationSet((
-            simworld.FrameObservations(0, np.array([3, 7]), np.array([[1.5, 2.5], [3.0, 4.0]])),
-            simworld.FrameObservations(1, np.array([], dtype=int), np.empty((0, 2))),
-            simworld.FrameObservations(2, np.array([1]), np.array([[900.0, 500.0]])),
-        ))
+        obs = tk.ObservationSet(
+            frame=np.array([0, 0, 2]),
+            ids=np.array([3, 7, 1]),
+            uv=np.array([[1.5, 2.5], [3.0, 4.0], [900.0, 500.0]]),
+            n_frames=3,
+        )
         back = simworld.read_observations(simworld.write_observations(obs))
         assert len(back.frames) == 3
         np.testing.assert_array_equal(back.frames[0].ids, obs.frames[0].ids)
         np.testing.assert_array_equal(back.frames[0].uv, obs.frames[0].uv)
         assert len(back.frames[1].ids) == 0
+
+    @pytest.mark.parametrize("frame, n_frames", [([1, 0], 2), ([0, 2], 2), ([0], -1)])
+    def test_observation_columns_sorted_and_within_frame_count(self, frame, n_frames):
+        with pytest.raises(ValueError):
+            tk.ObservationSet(frame, np.zeros(len(frame)), np.zeros((len(frame), 2)), n_frames)
 
     @pytest.mark.parametrize("line, column", [("-1 3 1.0 2.0", 1), ("0 -3 1.0 2.0", 3)])
     def test_observations_reject_negative_indices(self, line, column):

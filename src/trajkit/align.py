@@ -158,12 +158,12 @@ def _unit_extent(points: np.ndarray) -> tuple[np.ndarray, int]:
     return np.ldexp(points, -exponent), exponent
 
 
-def umeyama(src, dst, with_scale: bool = True) -> SimilarityTransform:
+def umeyama(src, dst) -> SimilarityTransform:
     """Least-squares similarity mapping ``src`` onto ``dst``.
 
     Minimizes sum ||dst_i - (s R src_i + t)||^2 over s > 0, R in SO(3)
     and t, via centering, the SVD of the cross-covariance and the
-    determinant-sign correction. With ``with_scale`` off, s is fixed to 1.
+    determinant-sign correction.
 
     Raises DegenerateConfiguration when the source points are coincident
     or collinear (the rotation is then under-determined).
@@ -197,16 +197,13 @@ def umeyama(src, dst, with_scale: bool = True) -> SimilarityTransform:
         sign[2] = -1.0
     rotation = u @ np.diag(sign) @ vt
 
-    if with_scale:
-        var_src = (src_c ** 2).sum() / n
-        try:
-            scale = math.ldexp(float((d * sign).sum() / var_src), dst_exponent - src_exponent)
-        except OverflowError:
-            raise DegenerateConfiguration("estimated scale exceeds the float range") from None
-        if scale <= 0:
-            raise DegenerateConfiguration("estimated scale is not positive")
-    else:
-        scale = 1.0
+    var_src = (src_c ** 2).sum() / n
+    try:
+        scale = math.ldexp(float((d * sign).sum() / var_src), dst_exponent - src_exponent)
+    except OverflowError:
+        raise DegenerateConfiguration("estimated scale exceeds the float range") from None
+    if scale <= 0:
+        raise DegenerateConfiguration("estimated scale is not positive")
 
     translation = mu_dst - scale * rotation @ mu_src
     return SimilarityTransform(scale, rotation, translation)
@@ -218,7 +215,7 @@ def residuals(transform: SimilarityTransform, src, dst) -> np.ndarray:
 
 
 def ransac_align(
-    src, dst, params: RansacParams = RansacParams(), with_scale: bool = True
+    src, dst, params: RansacParams = RansacParams()
 ) -> tuple[SimilarityTransform, np.ndarray]:
     """Robust similarity alignment by hypothesize-and-verify.
 
@@ -247,7 +244,7 @@ def ransac_align(
         rng = substream(params.seed, iteration)
         sample = rng.choice(n, size=params.min_sample, replace=False)
         try:
-            hypothesis = umeyama(src[sample], dst[sample], with_scale)
+            hypothesis = umeyama(src[sample], dst[sample])
         except DegenerateConfiguration:
             continue
         res = residuals(hypothesis, src, dst)
@@ -272,7 +269,7 @@ def ransac_align(
             f"need more than {params.min_sample}"
         )
 
-    transform = umeyama(src[best_mask], dst[best_mask], with_scale)
+    transform = umeyama(src[best_mask], dst[best_mask])
     final_mask = residuals(transform, src, dst) < params.threshold
     return transform, final_mask
 

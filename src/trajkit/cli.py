@@ -199,6 +199,8 @@ def cmd_subsample(args) -> int:
 
 
 def cmd_plot(args) -> int:
+    if bool(args.vertices) != bool(args.orders):
+        raise InputError("--vertices and --orders must be given together")
     sparse = _load_sparse(args) if args.vertices else None
     dense = (
         poseio.read_dense(_read_text(args.trajectory), fps=args.fps)
@@ -214,7 +216,7 @@ def cmd_plot(args) -> int:
 
 def cmd_export_ply(args) -> int:
     if args.world:
-        cloud = simworld.world_to_ply(simworld.read_world(_read_text(args.world)))
+        cloud = simworld.points_to_ply(simworld.read_world(_read_text(args.world)).landmarks)
     else:
         recon = poseio.read_reconstruction(_read_text(args.recon))
         cloud = simworld.points_to_ply(recon.positions)
@@ -348,10 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "vertices", None) is not None or getattr(args, "orders", None) is not None:
-        if args.command == "plot" and bool(args.vertices) != bool(args.orders):
-            print("error: --vertices and --orders must be given together", file=sys.stderr)
-            return 1
     try:
         return args.func(args)
     except InvariantViolation as exc:

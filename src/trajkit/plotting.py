@@ -48,7 +48,6 @@ class _Mapper:
         self._scale = scale
         self._height = height
         self._margin = margin
-        self.extent = float(span.max())
 
     def __call__(self, p) -> tuple[float, float]:
         x = self._margin + (p[0] - self._lo[0]) * self._scale

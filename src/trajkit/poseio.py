@@ -29,7 +29,7 @@ from . import textio
 from .align import AlignmentReport, SimilarityTransform
 from .conditions import ConditionSet, TimeOfDay, Weather
 from .errors import DuplicateImageName, ParseError
-from .textio import FIXED, fixed
+from .textio import FIXED
 from .trajectory import DenseTrajectory, SparseTrajectory, expand_visitation, frozen_array
 
 # --------------------------------------------------------------------------
@@ -130,15 +130,12 @@ class CaptureManifest:
 
 def write_manifest(manifest: CaptureManifest) -> str:
     cond = manifest.conditions
-    lines = [
-        f"# weather {cond.weather.value}",
-        f"# time_of_day {cond.time_of_day.value}",
-        f"# vehicle_density {fixed(cond.vehicle_density)}",
-        f"# pedestrian_density {fixed(cond.pedestrian_density)}",
-    ]
-    rows = np.hstack([manifest.camera, manifest.rotation]).tolist()
-    lines += (" ".join([name, *map(fixed, row)]) for name, row in zip(manifest.names, rows))
-    return "\n".join(lines) + "\n"
+    header = (
+        "# weather %s\n# time_of_day %s\n"
+        f"# vehicle_density {FIXED}\n# pedestrian_density {FIXED}\n"
+    ) % (cond.weather.value, cond.time_of_day.value, cond.vehicle_density, cond.pedestrian_density)
+    columns = (manifest.names, *manifest.camera.T, *manifest.rotation.T)
+    return header + textio.lines(" ".join(["%s"] + [FIXED] * 6) + "\n", columns)
 
 
 def read_manifest(text: str) -> CaptureManifest:
@@ -194,35 +191,26 @@ def read_reconstruction(text: str) -> ReconstructedSet:
 
 
 def write_reconstruction(recon: ReconstructedSet) -> str:
-    return "".join(
-        f"{name} {fixed(x)} {fixed(y)} {fixed(z)}\n"
-        for name, (x, y, z) in zip(recon.names, recon.positions.tolist())
-    )
+    return textio.lines(" ".join(["%s"] + [FIXED] * 3) + "\n", (recon.names, *recon.positions.T))
 
 
 # --------------------------------------------------------------------------
 # Alignment report
 # --------------------------------------------------------------------------
 
-def _g(value: float) -> str:
-    return format(float(value), ".12g")
-
-
 def write_report(report: AlignmentReport) -> str:
-    t = report.transform
-    lines = [
-        "scale " + _g(t.scale),
-        "rotation " + " ".join(_g(v) for v in t.rotation.ravel()),
-        "translation " + " ".join(_g(v) for v in t.translation),
-        "meters_per_unit " + _g(report.meters_per_unit),
-        "average_error_m " + _g(report.average_error_m),
-        "median_error_m " + _g(report.median_error_m),
-        f"inlier_count {int(report.inlier_mask.sum())}",
-        f"total_count {len(report.residuals_m)}",
-    ]
-    for name, res, inlier in zip(report.names, report.residuals_m, report.inlier_mask):
-        lines.append(f"residual {name} {_g(res)} {1 if inlier else 0}")
-    return "\n".join(lines) + "\n"
+    t, g = report.transform, "%.12g"  # the report writes twelve significant digits
+    header = (
+        f"scale {g}\nrotation{f' {g}' * 9}\ntranslation{f' {g}' * 3}\n"
+        f"meters_per_unit {g}\naverage_error_m {g}\nmedian_error_m {g}\n"
+        "inlier_count %d\ntotal_count %d\n"
+    ) % (
+        t.scale, *t.rotation.ravel(), *t.translation, report.meters_per_unit,
+        report.average_error_m, report.median_error_m, report.inlier_mask.sum(),
+        len(report.residuals_m),
+    )
+    columns = (report.names, report.residuals_m, report.inlier_mask)
+    return header + textio.lines(f"residual %s {g} %d\n", columns)
 
 
 def read_report(text: str) -> AlignmentReport:

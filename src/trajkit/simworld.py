@@ -28,8 +28,13 @@ from . import textio
 from .errors import DegenerateBounds, InvariantViolation, ParseError
 from .poseio import CaptureManifest, ReconstructedSet
 from .rng import keyed_uniform, substream
-from .textio import FIXED, fixed
+from .textio import FIXED
 from .trajectory import MAX_FRAMES, DenseTrajectory
+
+# Landmark budget of one world, checked by generate_world before it draws;
+# 10 times the largest world the tests build. retrace's chunk buffer
+# takes 4 * _CHUNK doubles, 2 KB, per landmark: 2 GB at the cap.
+MAX_LANDMARKS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -51,10 +56,6 @@ class Box:
         object.__setattr__(self, "mins", mins)
         object.__setattr__(self, "maxs", maxs)
 
-    @property
-    def center(self) -> np.ndarray:
-        return (self.mins + self.maxs) / 2.0
-
 
 @dataclass(frozen=True)
 class World:
@@ -66,6 +67,8 @@ class World:
 
     def __post_init__(self):
         pts = np.array(self.landmarks, dtype=float).reshape(-1, 3)
+        if len(pts) > MAX_LANDMARKS:
+            raise InvariantViolation(f"{len(pts)} landmarks exceed the limit of {MAX_LANDMARKS}")
         if np.any(pts < self.bounds.mins) or np.any(pts > self.bounds.maxs):
             raise InvariantViolation("landmarks outside world bounds")
         pts.setflags(write=False)
@@ -158,6 +161,8 @@ def generate_world(seed: int, count: int, bounds: Box) -> World:
     """Scatter ``count`` landmarks i.i.d. uniformly inside ``bounds``."""
     if count <= 0:
         raise ValueError(f"landmark count must be positive, got {count}")
+    if count > MAX_LANDMARKS:
+        raise InvariantViolation(f"{count} landmarks exceed the limit of {MAX_LANDMARKS}")
     rng = substream(seed)
     landmarks = rng.uniform(bounds.mins, bounds.maxs, size=(count, 3))
     return World(landmarks=landmarks, seed=seed, bounds=bounds)
@@ -217,6 +222,9 @@ def retrace(
         raise ValueError(f"base_pixel_sigma must be finite and >= 0, got {base_pixel_sigma}")
     profile = degradation(validate(cond), table)
     sigma = base_pixel_sigma * profile.pixel_noise_multiplier
+    # Draw 1 is at most 1 - 2**-53, so no noise radius exceeds sigma * sqrt(-2 ln 2**-53).
+    if not math.isfinite(sigma * math.sqrt(-2.0 * math.log(2.0 ** -53))):
+        raise ValueError(f"pixel sigma {sigma} makes the largest noise radius overflow")
     drop = profile.dropout_rate
 
     # Block f of a chunk maps a landmark [p, 1] to frame f's right, down and forward
@@ -323,14 +331,10 @@ def simulate_reconstruction(
 # --------------------------------------------------------------------------
 
 def write_world(world: World) -> str:
-    mins, maxs = world.bounds.mins, world.bounds.maxs
-    lines = [
-        f"# seed {world.seed}",
-        "# bounds " + " ".join(fixed(v) for v in (*mins, *maxs)),
-    ]
-    for i, (x, y, z) in enumerate(world.landmarks):
-        lines.append(f"{i} {fixed(x)} {fixed(y)} {fixed(z)}")
-    return "\n".join(lines) + "\n"
+    bounds = (*world.bounds.mins, *world.bounds.maxs)
+    header = f"# seed %s\n# bounds {' '.join([FIXED] * 6)}\n" % (world.seed, *bounds)
+    columns = (np.arange(len(world.landmarks)), *world.landmarks.T)
+    return header + textio.lines(f"%d {FIXED} {FIXED} {FIXED}\n", columns)
 
 
 def read_world(text: str) -> World:
@@ -388,14 +392,8 @@ def points_to_ply(points: np.ndarray) -> str:
     header = (
         "ply\n"
         "format ascii 1.0\n"
-        f"element vertex {len(pts)}\n"
-        "property float x\n"
-        "property float y\n"
-        "property float z\n"
+        "element vertex %d\n"
+        "property float x\nproperty float y\nproperty float z\n"
         "end_header\n"
-    )
-    return header + "".join(f"{fixed(x)} {fixed(y)} {fixed(z)}\n" for x, y, z in pts)
-
-
-def world_to_ply(world: World) -> str:
-    return points_to_ply(world.landmarks)
+    ) % len(pts)
+    return header + textio.lines(f"{FIXED} {FIXED} {FIXED}\n", pts.T)

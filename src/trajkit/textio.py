@@ -7,8 +7,8 @@ record of whitespace-separated fields. Numbers must be finite floats or
 64-bit integers. Each numeric column of a block of records is converted
 by one ``np.array`` call; only when that fails is the block scanned
 again, to raise a ParseError naming the line and column of its first
-bad token. Writers format their rows with ``lines``, each float with six
-fractional digits.
+bad token. Every writer formats its rows with ``lines``; every format but
+the alignment report writes a float with six fractional digits (``FIXED``).
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ _KINDS = {float: (np.float64, "a finite float"), int: (np.int64, "a 64-bit integ
 _BLOCK = 1024
 # Rows formatted at a time by lines(): only one block's values exist as Python objects.
 _WRITE_BLOCK = 4096
-# Six fractional digits, as every text format writes a float.
+# Six fractional digits, as every format but the alignment report writes a float.
 FIXED = "%.6f"
 
 
@@ -107,16 +107,15 @@ def error(recs: Records, i: int, j: int, message: str) -> ParseError:
     return ParseError(message, line=recs.line_nos[i], column=token.start() + 1)
 
 
-def fixed(value: float) -> str:
-    """A float with six fractional digits, as every text format writes it."""
-    return FIXED % value
+def lines(template: str, columns: Sequence[np.ndarray | Sequence[str]]) -> str:
+    """``template % row`` for each row of the equal-length ``columns``, concatenated.
 
-
-def lines(template: str, columns: Sequence[np.ndarray]) -> str:
-    """``template % row`` for each row of the equal-length ``columns``, concatenated."""
+    A column is an array or a sequence of strings, such as a names tuple.
+    """
     blocks = []
     for first in range(0, len(columns[0]), _WRITE_BLOCK):
-        rows = zip(*(column[first:first + _WRITE_BLOCK].tolist() for column in columns))
+        cuts = (column[first:first + _WRITE_BLOCK] for column in columns)
+        rows = zip(*(cut.tolist() if isinstance(cut, np.ndarray) else cut for cut in cuts))
         blocks.append("".join([template % row for row in rows]))
     return "".join(blocks)
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -52,10 +51,7 @@ def frozen_array(values, shape_tail: tuple[int, ...] | None = None) -> np.ndarra
 
 @dataclass(frozen=True)
 class EulerRotation:
-    """Orientation as yaw/pitch/roll angles in degrees (rx, ry, rz).
-
-    Stored unnormalized; use :meth:`canonical` before comparing angles.
-    """
+    """Orientation as yaw/pitch/roll angles in degrees (rx, ry, rz), stored unnormalized."""
 
     rx: float = 0.0
     ry: float = 0.0
@@ -64,11 +60,6 @@ class EulerRotation:
     def __post_init__(self):
         if not all(math.isfinite(a) for a in (self.rx, self.ry, self.rz)):
             raise ValueError(f"rotation angles must be finite: {self}")
-
-    def canonical(self) -> EulerRotation:
-        """Map each angle into [-180, 180)."""
-        wrap = lambda a: (a + 180.0) % 360.0 - 180.0
-        return EulerRotation(wrap(self.rx), wrap(self.ry), wrap(self.rz))
 
     def matrix(self) -> np.ndarray:
         """World-from-body rotation matrix, Rz(rz) @ Rx(rx) @ Ry(ry)."""
@@ -80,9 +71,6 @@ class EulerRotation:
         ry = np.array([[cy, 0, sy], [0, 1, 0], [-sy, 0, cy]])
         rz = np.array([[cz, -sz, 0], [sz, cz, 0], [0, 0, 1]])
         return rz @ rx @ ry
-
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.rx, self.ry, self.rz)
 
 
 @dataclass(frozen=True)
@@ -141,15 +129,15 @@ class DensifyParams:
     """Densification controls.
 
     ``orientations`` of None selects forward mode (the view follows the
-    local path tangent); otherwise it must supply one rotation per output
-    frame, taken verbatim.
+    local path tangent); otherwise it is an (N, 3) array of rx, ry, rz
+    degrees with one row per output frame, taken verbatim.
     """
 
     speed: float = 1.6
     fps: float = 60.0
     eye_offset_z: float = 0.75
     ground_z: float = 0.0
-    orientations: Sequence[EulerRotation] | np.ndarray | None = None
+    orientations: np.ndarray | None = None
 
     def __post_init__(self):
         for name in ("speed", "fps"):
@@ -250,20 +238,13 @@ def densify(sparse: SparseTrajectory, params: DensifyParams = DensifyParams()) -
         rotation = np.zeros((n, 3))
         rotation[:, 2] = yaw[seg]
     else:
-        rotation = _rotation_array(params.orientations)
+        rotation = np.asarray(params.orientations, dtype=float)
+        if rotation.ndim != 2 or rotation.shape[1] != 3:
+            raise ValueError(f"orientation array must be (N, 3), got {rotation.shape}")
         if len(rotation) != n:
             raise SuppliedLengthMismatch(expected=n, got=len(rotation))
 
     return DenseTrajectory(protagonist, camera, rotation, fps=params.fps)
-
-
-def _rotation_array(orientations: Sequence[EulerRotation] | np.ndarray) -> np.ndarray:
-    if isinstance(orientations, np.ndarray):
-        arr = np.asarray(orientations, dtype=float)
-        if arr.ndim != 2 or arr.shape[1] != 3:
-            raise ValueError(f"orientation array must be (N, 3), got {arr.shape}")
-        return arr
-    return np.array([r.as_tuple() for r in orientations], dtype=float).reshape(-1, 3)
 
 
 def perturb(

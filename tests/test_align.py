@@ -83,15 +83,6 @@ class TestUmeyama:
         recovered = tk.umeyama(src, true.apply(src))
         transform_close(recovered, true, 1e-9)
 
-    def test_without_scale(self):
-        rng = np.random.default_rng(8)
-        src = rng.uniform(-5, 5, (20, 3))
-        rot = random_rotation(rng)
-        dst = 3.0 * src @ rot.T + np.array([1.0, 0.0, -2.0])
-        fit = tk.umeyama(src, dst, with_scale=False)
-        assert fit.scale == 1.0
-        np.testing.assert_allclose(fit.rotation, rot, atol=1e-9)
-
     @pytest.mark.parametrize("scale", [1e170, 1e-170])
     def test_extreme_gauge_scale_recovered(self, scale):
         # Squares of these coordinates overflow (1e170) or underflow (1e-170).

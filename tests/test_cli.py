@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
-from trajkit import poseio
+from trajkit import poseio, simworld
 from trajkit.cli import main
 
 from conftest import WORKED_ORDER_TEXT, WORKED_VERTEX_TEXT
@@ -273,6 +275,7 @@ NON_FINITE_FLAGS = [
     ("simrecon", ["--outlier-radius", "nan"]),
     ("simrecon", ["--outlier-radius", "1e308", "--outlier-fraction", "0.2"]),
     ("capture", ["--pixel-sigma", "nan"]),
+    ("capture", ["--pixel-sigma", "1e308"]),
     ("capture", ["--focal", "nan"]),
     ("capture", ["--focal", "inf"]),
     ("capture", ["--max-range", "nan"]),
@@ -303,6 +306,17 @@ class TestNumericFlags:
             "calibrate": ["--samples", d / "samples.txt"],
         }[command]
         assert run([command, *args, *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_landmark_count_over_budget_exit_2(self, walkthrough, tmp_path, capsys):
+        assert run([
+            "capture", "--trajectory", walkthrough / "trajectory_dense.txt",
+            "--out-dir", tmp_path / "out", "--landmark-count", simworld.MAX_LANDMARKS + 1,
+        ]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
@@ -396,6 +410,14 @@ class TestPlot:
         vertex, _ = worked_files
         assert run(["plot", "--vertices", vertex, "--out", tmp_path / "p.svg"]) == 1
 
+    @pytest.mark.parametrize("flag", ["--vertices", "--orders"])
+    def test_half_a_plan_names_both_flags(self, worked_files, tmp_path, capsys, flag):
+        vertex, order = worked_files
+        out = tmp_path / "p.svg"
+        assert run(["plot", flag, vertex if flag == "--vertices" else order, "--out", out]) == 1
+        assert capsys.readouterr().err == "error: --vertices and --orders must be given together\n"
+        assert not out.exists()
+
 
 class TestExportPly:
     def test_world_cloud(self, worked_files, tmp_path):
@@ -426,3 +448,45 @@ class TestCalibrate:
         samples = tmp_path / "samples.txt"
         samples.write_text("1 2 3\n")
         assert run(["calibrate", "--samples", samples]) == 1
+
+
+# sha256 of the README walkthrough outputs that pass through no BLAS or
+# LAPACK kernel, so that every CPU writes the same bytes. A change to any
+# of them must be deliberate and stated.
+PINNED_SHA256 = {
+    "trajectory_dense.txt": "52375c13ad7783b8059d45cef72e737949107724ccc9212863ebd2acadcd562a",
+    "capture/6dpose_list.txt": "ac27c2bb015f55e31bd83815ef434ad07d6f3b5bcdd5d59936eccf7b878cbca7",
+    "capture/world.txt": "b592726aaf7cf051fab5527dbcb596cbbaff56c86ef703177bf55adf61276f56",
+    "snow_night/6dpose_list.txt":
+        "5f5da5c2e4c2cfe13de0633b4afa160977efb01cd4bd245863d0fe9d4b6bb260",
+    "subsample.txt": "ac8a1df21b0b2833a505a53a941b3a2db389454a7c76fecfdeca1286e8553c80",
+    "perturbed.txt": "d0532c006918779e84ef710ec13e716c9ca21722d11e17bc59c47fb6dd7ba3a4",
+    "world.ply": "b479af6db012bdf1145e923dc04cb71056abed4023ad94248a321b09e1909fe3",
+    "plot.svg": "e3593364ecdaf24e75fb6fd1cff80f00712e9bde78218faef8cca10086464ed0",
+}
+
+
+class TestPinnedBytes:
+    def test_walkthrough_outputs(self, tmp_path):
+        d = tmp_path
+        (d / "vertex.txt").write_text(WORKED_VERTEX_TEXT)
+        (d / "vertex_order.txt").write_text(WORKED_ORDER_TEXT)
+        for args in (
+            ["densify", "--vertices", d / "vertex.txt", "--orders", d / "vertex_order.txt",
+             "--out", d / "trajectory_dense.txt"],
+            ["capture", "--trajectory", d / "trajectory_dense.txt", "--out-dir", d / "capture",
+             "--seed", 7],
+            ["capture", "--trajectory", d / "trajectory_dense.txt", "--out-dir", d / "snow_night",
+             "--seed", 7, "--weather", "snow", "--time", "night"],
+            ["subsample", "--manifest", d / "capture" / "6dpose_list.txt", "--stride", 7,
+             "--out", d / "subsample.txt"],
+            ["perturb", "--trajectory", d / "trajectory_dense.txt", "--out", d / "perturbed.txt",
+             "--pos-sigma", 0.1, "--yaw-sigma", 2, "--seed", 3],
+            ["export-ply", "--world", d / "capture" / "world.txt", "--out", d / "world.ply"],
+            ["plot", "--vertices", d / "vertex.txt", "--orders", d / "vertex_order.txt",
+             "--trajectory", d / "trajectory_dense.txt", "--out", d / "plot.svg"],
+        ):
+            assert run(args) == 0
+        digests = {name: hashlib.sha256((d / name).read_bytes()).hexdigest()
+                   for name in PINNED_SHA256}
+        assert digests == PINNED_SHA256

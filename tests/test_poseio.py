@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trajkit as tk
-from trajkit import poseio
+from trajkit import poseio, simworld
 from trajkit.errors import (
     DanglingVertexRef,
     DuplicateImageName,
@@ -339,3 +339,140 @@ class TestReport:
         text = tk.write_report(self._report())
         assert "total_count 10" in text
         assert text.count("residual ") == 10
+
+
+# The writers before they shared textio.lines: each value formatted on its own.
+def fixed(value) -> str:
+    return "%.6f" % value
+
+
+def g(value) -> str:
+    return format(float(value), ".12g")
+
+
+def oracle_manifest(manifest: tk.CaptureManifest) -> str:
+    cond = manifest.conditions
+    lines = [
+        f"# weather {cond.weather.value}",
+        f"# time_of_day {cond.time_of_day.value}",
+        f"# vehicle_density {fixed(cond.vehicle_density)}",
+        f"# pedestrian_density {fixed(cond.pedestrian_density)}",
+    ]
+    rows = np.hstack([manifest.camera, manifest.rotation]).tolist()
+    lines += (" ".join([name, *map(fixed, row)]) for name, row in zip(manifest.names, rows))
+    return "\n".join(lines) + "\n"
+
+
+def oracle_reconstruction(recon: tk.ReconstructedSet) -> str:
+    return "".join(
+        f"{name} {fixed(x)} {fixed(y)} {fixed(z)}\n"
+        for name, (x, y, z) in zip(recon.names, recon.positions.tolist())
+    )
+
+
+def oracle_world(world: tk.World) -> str:
+    mins, maxs = world.bounds.mins, world.bounds.maxs
+    lines = [
+        f"# seed {world.seed}",
+        "# bounds " + " ".join(fixed(v) for v in (*mins, *maxs)),
+    ]
+    for i, (x, y, z) in enumerate(world.landmarks):
+        lines.append(f"{i} {fixed(x)} {fixed(y)} {fixed(z)}")
+    return "\n".join(lines) + "\n"
+
+
+def oracle_ply(points: np.ndarray) -> str:
+    header = (
+        "ply\n"
+        "format ascii 1.0\n"
+        f"element vertex {len(points)}\n"
+        "property float x\n"
+        "property float y\n"
+        "property float z\n"
+        "end_header\n"
+    )
+    return header + "".join(f"{fixed(x)} {fixed(y)} {fixed(z)}\n" for x, y, z in points)
+
+
+def oracle_report(report: tk.AlignmentReport) -> str:
+    t = report.transform
+    lines = [
+        "scale " + g(t.scale),
+        "rotation " + " ".join(g(v) for v in t.rotation.ravel()),
+        "translation " + " ".join(g(v) for v in t.translation),
+        "meters_per_unit " + g(report.meters_per_unit),
+        "average_error_m " + g(report.average_error_m),
+        "median_error_m " + g(report.median_error_m),
+        f"inlier_count {int(report.inlier_mask.sum())}",
+        f"total_count {len(report.residuals_m)}",
+    ]
+    for name, res, inlier in zip(report.names, report.residuals_m, report.inlier_mask):
+        lines.append(f"residual {name} {g(res)} {1 if inlier else 0}")
+    return "\n".join(lines) + "\n"
+
+
+# Signed zero, the sixth-decimal rounding edge, large and subnormal values.
+EDGE_FLOATS = [0.0, -0.0, 5e-7, -5e-7, 2.5e-7, -2.5e-7, 1.5e-6, 1e15, -1e15, 5e-324, -5e-324]
+FLOATS = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+# The sampled values, plus any float within 1e15: a world box pads them by 1 exactly.
+BOXED_FLOATS = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(-1e15, 1e15))
+# '%' in a name must reach the file verbatim, not act as a format directive.
+NAMES = st.lists(st.text("abcXYZ019_.%-", min_size=1, max_size=12), unique=True, max_size=12)
+
+
+def float_rows(draw, count: int, width: int, elements=FLOATS) -> np.ndarray:
+    values = draw(st.lists(elements, min_size=count * width, max_size=count * width))
+    return np.array(values, dtype=float).reshape(count, width)
+
+
+class TestWritersMatchPerValueFormatting:
+    @given(st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_manifest(self, data):
+        names = data.draw(NAMES)
+        vehicle, pedestrian = data.draw(FLOATS), data.draw(FLOATS)
+        poses = float_rows(data.draw, len(names), 6)
+        cond = tk.ConditionSet(tk.Weather.RAIN, tk.TimeOfDay.NIGHT, vehicle_density=vehicle,
+                               pedestrian_density=pedestrian)
+        manifest = tk.CaptureManifest(names, poses[:, :3], poses[:, 3:], cond)
+        assert tk.write_manifest(manifest) == oracle_manifest(manifest)
+
+    @given(st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_reconstruction(self, data):
+        names = data.draw(NAMES)
+        recon = tk.ReconstructedSet(names, float_rows(data.draw, len(names), 3))
+        assert tk.write_reconstruction(recon) == oracle_reconstruction(recon)
+
+    @given(st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_world_and_ply(self, data):
+        points = float_rows(data.draw, data.draw(st.integers(0, 12)), 3, BOXED_FLOATS)
+        box = tk.Box(points.min(axis=0, initial=0.0) - 1.0, points.max(axis=0, initial=0.0) + 1.0)
+        world = tk.World(points, seed=data.draw(st.integers(-2**70, 2**70)), bounds=box)
+        assert simworld.write_world(world) == oracle_world(world)
+        assert simworld.points_to_ply(points) == oracle_ply(points)
+        wide = float_rows(data.draw, data.draw(st.integers(0, 12)), 3)
+        assert simworld.points_to_ply(wide) == oracle_ply(wide)
+
+    @given(st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_report(self, data):
+        names = tuple(data.draw(NAMES))
+        scale = data.draw(st.one_of(st.sampled_from([5e-324, 1e15, 2.5e-7]),
+                                    st.floats(min_value=1e-300, max_value=1e300)))
+        transform = tk.SimilarityTransform.from_z_rotation(
+            scale, data.draw(st.floats(-720, 720)), float_rows(data.draw, 1, 3)[0]
+        )
+        average, median, meters_per_unit = float_rows(data.draw, 1, 3)[0]
+        report = tk.AlignmentReport(
+            transform=transform,
+            inlier_mask=data.draw(st.lists(st.booleans(), min_size=len(names),
+                                           max_size=len(names))),
+            residuals_m=float_rows(data.draw, len(names), 1).ravel(),
+            average_error_m=average,
+            median_error_m=median,
+            meters_per_unit=meters_per_unit,
+            names=names,
+        )
+        assert tk.write_report(report) == oracle_report(report)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -93,7 +95,7 @@ class TestGenerateWorld:
         bounds = tk.Box((10, -20, 0), (30, 20, 8))
         world = tk.generate_world(11, 100_000, bounds)
         extent = bounds.maxs - bounds.mins
-        offset = np.abs(world.landmarks.mean(axis=0) - bounds.center)
+        offset = np.abs(world.landmarks.mean(axis=0) - (bounds.mins + bounds.maxs) / 2)
         assert np.all(offset <= 0.02 * extent)
 
     def test_degenerate_bounds(self):
@@ -103,6 +105,21 @@ class TestGenerateWorld:
     def test_bad_count(self):
         with pytest.raises(ValueError):
             tk.generate_world(0, 0, tk.Box((0, 0, 0), (1, 1, 1)))
+
+    def test_landmark_budget_checked_before_drawing(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvariantViolation, match="limit"):
+                tk.generate_world(0, simworld.MAX_LANDMARKS + 1, tk.Box((0, 0, 0), (1, 1, 1)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000  # the landmarks alone would take 24 MB
+
+    def test_world_holds_at_most_the_landmark_budget(self):
+        points = np.broadcast_to(0.5, (simworld.MAX_LANDMARKS + 1, 3))
+        with pytest.raises(InvariantViolation, match="limit"):
+            tk.World(points, seed=0, bounds=tk.Box((0, 0, 0), (1, 1, 1)))
 
     def test_landmark_outside_bounds_rejected(self):
         with pytest.raises(InvariantViolation):
@@ -212,6 +229,18 @@ class TestRetrace:
                             base_pixel_sigma=2.0, seed=42)
         assert obs.total_observations() == 260
         assert len(np.unique(obs.uv.reshape(130, 4), axis=0)) == 130
+
+    def test_pixel_sigma_whose_noise_radius_overflows_rejected(self):
+        # The largest Box-Muller radius is about 8.57 sigma; snow doubles sigma.
+        world = world_with([[10.0, 0.0, 0.75]])
+        snow = tk.ConditionSet(weather=tk.Weather.SNOW)
+        for sigma, cond in ((1e308, CLEAR_DAY), (1.1e307, snow)):
+            with pytest.raises(ValueError, match="overflow"):
+                tk.retrace(static_pose(), world, tk.default_intrinsics(), cond,
+                           base_pixel_sigma=sigma)
+        # 8.57 * 1.1e307 is finite: accepted, with no overflow warning.
+        intr = tk.default_intrinsics()
+        tk.retrace(static_pose(), world, intr, CLEAR_DAY, base_pixel_sigma=1.1e307)
 
     def test_dropout_fraction_monte_carlo(self):
         # ~1e5 opportunities at dropout 0.3 keep a fraction in [0.69, 0.71].
@@ -458,7 +487,7 @@ class TestSerialization:
 
     def test_ply_structure(self):
         world = tk.generate_world(1, 50, tk.Box((0, 0, 0), (1, 1, 1)))
-        ply = simworld.world_to_ply(world)
+        ply = simworld.points_to_ply(world.landmarks)
         lines = ply.splitlines()
         assert lines[0] == "ply"
         assert "element vertex 50" in ply

@@ -108,8 +108,8 @@ class TestRecords:
         assert (exc.value.line, exc.value.column) == (1, 11)
 
     def test_fixed(self):
-        assert textio.fixed(-0.5) == "-0.500000"
-        assert textio.fixed(1e-7) == "0.000000"
+        values = np.array([-0.5, 1e-7])
+        assert textio.lines(textio.FIXED + "\n", [values]) == "-0.500000\n0.000000\n"
 
 
 @pytest.mark.parametrize("fmt", sorted(VALID_LINE))

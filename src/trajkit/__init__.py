@@ -29,7 +29,6 @@ from .conditions import (
     TimeOfDay,
     Weather,
     degradation,
-    validate,
 )
 from .errors import InputError, InvariantViolation, TrajkitError
 from .poseio import (

@@ -17,16 +17,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .errors import (
-    DegenerateConfiguration,
-    InsufficientOverlap,
-    InvariantViolation,
-    LengthMismatch,
-    NoConsensus,
-    TooFewPoints,
-    TooFewSamples,
-    ZeroDistance,
-)
+from .errors import DegenerateConfiguration, InvariantViolation
 from .rng import substream
 
 if TYPE_CHECKING:
@@ -171,7 +162,7 @@ def umeyama(src, dst) -> SimilarityTransform:
     src = _as_points(src, "src")
     dst = _as_points(dst, "dst")
     if len(src) != len(dst):
-        raise LengthMismatch(len(src), len(dst))
+        raise InvariantViolation(f"point sets differ in length: {len(src)} vs {len(dst)}")
     n = len(src)
     if n < 3:
         raise DegenerateConfiguration(f"{n} point(s) cannot determine a rotation")
@@ -232,10 +223,10 @@ def ransac_align(
     src = _as_points(src, "src")
     dst = _as_points(dst, "dst")
     if len(src) != len(dst):
-        raise LengthMismatch(len(src), len(dst))
+        raise InvariantViolation(f"point sets differ in length: {len(src)} vs {len(dst)}")
     n = len(src)
     if n < params.min_sample:
-        raise TooFewPoints(f"{n} correspondences, need at least {params.min_sample}")
+        raise InvariantViolation(f"{n} correspondences, need at least {params.min_sample}")
 
     best_count = 0
     best_mean = math.inf
@@ -264,7 +255,7 @@ def ransac_align(
                 break
 
     if best_mask is None or best_count < params.min_sample + 1:
-        raise NoConsensus(
+        raise InvariantViolation(
             f"best consensus holds {best_count} point(s); "
             f"need more than {params.min_sample}"
         )
@@ -299,7 +290,7 @@ def evaluate(
     recon_row = {name: i for i, name in enumerate(recon.names)}
     rows = [k for k, name in enumerate(manifest.names) if name in recon_row]
     if len(rows) < params.min_sample:
-        raise InsufficientOverlap(
+        raise InvariantViolation(
             f"{len(rows)} shared image name(s); need at least {params.min_sample}"
         )
     names = tuple(manifest.names[k] for k in rows)
@@ -332,13 +323,13 @@ def calibrate_unit_scale(
     if not 0 < stride_m < math.inf:
         raise ValueError(f"stride_m must be positive and finite, got {stride_m}")
     if len(samples) < 2:
-        raise TooFewSamples(f"{len(samples)} sample(s); need at least 2")
+        raise InvariantViolation(f"{len(samples)} sample(s); need at least 2")
     positions = np.array([p for p, _ in samples], dtype=float)
     steps = [int(s) for _, s in samples[1:]]
     if any(s < 1 for s in steps):
         raise ValueError("steps_since_previous must be >= 1 after the first sample")
     distance = float(np.linalg.norm(np.diff(positions, axis=0), axis=1).sum())
     if distance <= 0.0:
-        raise ZeroDistance("samples cover zero distance")
+        raise InvariantViolation("samples cover zero distance")
     stride_units = distance / sum(steps)
     return stride_m / stride_units

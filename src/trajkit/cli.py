@@ -3,11 +3,13 @@
 One binary, one subcommand per pipeline stage; trajectory-shaping flags
 and condition flags are kept in separate namespaces so that captures of
 the same trajectory under different conditions share an identical pose
-set. Every subcommand accepts ``--seed`` and is fully reproducible:
-identical inputs and seed give byte-identical outputs.
+set. Every subcommand is fully reproducible; the four that draw random
+numbers (``perturb``, ``capture``, ``simrecon`` and ``align``) take
+``--seed``, and identical inputs and seed give byte-identical outputs.
 
-Exit codes: 0 success, 1 input error (unreadable or malformed files),
-2 invariant violation (well-formed data breaking a domain rule).
+Exit codes: 0 success, 1 input error (unreadable or malformed files,
+or a usage error), 2 invariant violation (well-formed data breaking a
+domain rule).
 """
 
 from __future__ import annotations
@@ -47,13 +49,11 @@ def _load_sparse(args) -> trajectory.SparseTrajectory:
 
 
 def _conditions_from(args) -> conditions.ConditionSet:
-    return conditions.validate(
-        conditions.ConditionSet(
-            weather=conditions.Weather(args.weather),
-            time_of_day=conditions.TimeOfDay(args.time),
-            vehicle_density=args.vehicle_density,
-            pedestrian_density=args.pedestrian_density,
-        )
+    return conditions.ConditionSet(
+        weather=conditions.Weather(args.weather),
+        time_of_day=conditions.TimeOfDay(args.time),
+        vehicle_density=args.vehicle_density,
+        pedestrian_density=args.pedestrian_density,
     )
 
 
@@ -88,7 +88,7 @@ def cmd_densify(args) -> int:
 
 
 def cmd_perturb(args) -> int:
-    dense = poseio.read_dense(_read_text(args.trajectory), fps=args.fps)
+    dense = poseio.read_dense(_read_text(args.trajectory))
     noisy = trajectory.perturb(dense, args.pos_sigma, args.yaw_sigma, args.seed)
     _write_text(args.out, poseio.write_dense(noisy))
     print(f"wrote {len(noisy)} perturbed frames to {args.out}")
@@ -96,7 +96,7 @@ def cmd_perturb(args) -> int:
 
 
 def cmd_capture(args) -> int:
-    dense = poseio.read_dense(_read_text(args.trajectory), fps=args.fps)
+    dense = poseio.read_dense(_read_text(args.trajectory))
 
     if args.world:
         world = simworld.read_world(_read_text(args.world))
@@ -202,11 +202,7 @@ def cmd_plot(args) -> int:
     if bool(args.vertices) != bool(args.orders):
         raise InputError("--vertices and --orders must be given together")
     sparse = _load_sparse(args) if args.vertices else None
-    dense = (
-        poseio.read_dense(_read_text(args.trajectory), fps=args.fps)
-        if args.trajectory
-        else None
-    )
+    dense = poseio.read_dense(_read_text(args.trajectory)) if args.trajectory else None
     if sparse is None and dense is None:
         raise InputError("plot needs --vertices/--orders and/or --trajectory")
     _write_text(args.out, plotting.plot_svg(sparse=sparse, dense=dense))
@@ -237,18 +233,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
 
     sparse_in = argparse.ArgumentParser(add_help=False)
     sparse_in.add_argument("--vertices", required=True, help="vertex file (x y per line)")
     sparse_in.add_argument("--orders", required=True, help="visitation order file")
 
-    p = sub.add_parser("expand", parents=[common, sparse_in],
+    p = sub.add_parser("expand", parents=[sparse_in],
                        help="print the expanded visitation path")
     p.set_defaults(func=cmd_expand)
 
-    p = sub.add_parser("densify", parents=[common, sparse_in],
+    p = sub.add_parser("densify", parents=[sparse_in],
                        help="generate a dense fixed-rate trajectory")
     p.add_argument("--out", required=True)
     p.add_argument("--speed", type=float, default=1.6, help="game units per second")
@@ -258,19 +254,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--orientations", help="per-frame 'rx ry rz' file (default: forward mode)")
     p.set_defaults(func=cmd_densify)
 
-    p = sub.add_parser("perturb", parents=[common], help="add Gaussian noise to a trajectory")
+    p = sub.add_parser("perturb", parents=[seeded], help="add Gaussian noise to a trajectory")
     p.add_argument("--trajectory", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--pos-sigma", type=float, default=0.0, help="camera position noise, units")
     p.add_argument("--yaw-sigma", type=float, default=0.0, help="yaw noise, degrees")
-    p.add_argument("--fps", type=float, default=60.0)
     p.set_defaults(func=cmd_perturb)
 
-    p = sub.add_parser("capture", parents=[common],
+    p = sub.add_parser("capture", parents=[seeded],
                        help="retrace a trajectory through the synthetic world")
     p.add_argument("--trajectory", required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--fps", type=float, default=60.0)
     p.add_argument("--world", help="load a world file instead of generating one")
     p.add_argument("--world-seed", type=int, default=None,
                    help="world generation seed (default: --seed)")
@@ -291,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degradation-table", help="custom 'name value' degradation table file")
     p.set_defaults(func=cmd_capture)
 
-    p = sub.add_parser("simrecon", parents=[common],
+    p = sub.add_parser("simrecon", parents=[seeded],
                        help="simulate an external reconstruction of a capture")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
@@ -304,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--outlier-radius", type=float, default=0.0)
     p.set_defaults(func=cmd_simrecon)
 
-    p = sub.add_parser("align", parents=[common],
+    p = sub.add_parser("align", parents=[seeded],
                        help="align reconstructed positions to manifest groundtruth")
     p.add_argument("--recon", required=True)
     p.add_argument("--manifest", required=True)
@@ -316,28 +310,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--meters-per-unit", type=float, default=align.DEFAULT_METERS_PER_UNIT)
     p.set_defaults(func=cmd_align)
 
-    p = sub.add_parser("calibrate", parents=[common],
-                       help="meters-per-unit from walked 'x y z steps' samples")
+    p = sub.add_parser("calibrate", help="meters-per-unit from walked 'x y z steps' samples")
     p.add_argument("--samples", required=True)
     p.add_argument("--stride-m", type=float, default=align.DEFAULT_STRIDE_M)
     p.set_defaults(func=cmd_calibrate)
 
-    p = sub.add_parser("subsample", parents=[common],
-                       help="keep every stride-th manifest record")
+    p = sub.add_parser("subsample", help="keep every stride-th manifest record")
     p.add_argument("--manifest", required=True)
     p.add_argument("--stride", type=int, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_subsample)
 
-    p = sub.add_parser("plot", parents=[common], help="top-down SVG plot")
+    p = sub.add_parser("plot", help="top-down SVG plot")
     p.add_argument("--vertices")
     p.add_argument("--orders")
     p.add_argument("--trajectory")
-    p.add_argument("--fps", type=float, default=60.0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_plot)
 
-    p = sub.add_parser("export-ply", parents=[common], help="export a point cloud as ASCII PLY")
+    p = sub.add_parser("export-ply", help="export a point cloud as ASCII PLY")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--world")
     group.add_argument("--recon")
@@ -348,8 +339,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, but 2 means an invariant violation here.
+        if exc.code == 0:
+            raise
+        return 1
     try:
         return args.func(args)
     except InvariantViolation as exc:

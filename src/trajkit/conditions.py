@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from . import textio
-from .errors import DensityOutOfRange, MissingTableEntry
+from .errors import InputError, InvariantViolation
 
 
 class Weather(enum.Enum):
@@ -31,12 +31,24 @@ class TimeOfDay(enum.Enum):
 
 @dataclass(frozen=True)
 class ConditionSet:
-    """One environment setting; densities range 0 (none) to 1 (normal)."""
+    """One environment setting; densities range 0 (none) to 1 (normal).
+
+    A non-finite density raises ValueError, one outside [0, 1]
+    InvariantViolation.
+    """
 
     weather: Weather = Weather.CLEAR
     time_of_day: TimeOfDay = TimeOfDay.DAY
     vehicle_density: float = 0.0
     pedestrian_density: float = 0.0
+
+    def __post_init__(self):
+        for name in ("vehicle_density", "pedestrian_density"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+            if not 0.0 <= value <= 1.0:
+                raise InvariantViolation(f"{name} must be within [0, 1], got {value}")
 
 
 @dataclass(frozen=True)
@@ -65,17 +77,6 @@ DEFAULT_DEGRADATION = DegradationTable()
 DENSITY_DROPOUT_GAIN = 0.2
 
 
-def validate(cond: ConditionSet) -> ConditionSet:
-    """Return ``cond`` unchanged, or raise ValueError (non-finite) or DensityOutOfRange."""
-    for name in ("vehicle_density", "pedestrian_density"):
-        value = getattr(cond, name)
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
-        if not 0.0 <= value <= 1.0:
-            raise DensityOutOfRange(name, value)
-    return cond
-
-
 def degradation(
     cond: ConditionSet, table: DegradationTable = DEFAULT_DEGRADATION
 ) -> DegradationProfile:
@@ -83,15 +84,14 @@ def degradation(
 
     dropout = clamp(time dropout + 0.2 * max(vehicle, pedestrian), 0, 1).
     """
-    validate(cond)
     try:
         noise = table.weather_noise[cond.weather]
     except KeyError:
-        raise MissingTableEntry(f"no noise multiplier for weather {cond.weather.value!r}") from None
+        raise InputError(f"no noise multiplier for weather {cond.weather.value!r}") from None
     try:
         base_dropout = table.time_dropout[cond.time_of_day]
     except KeyError:
-        raise MissingTableEntry(f"no dropout rate for time {cond.time_of_day.value!r}") from None
+        raise InputError(f"no dropout rate for time {cond.time_of_day.value!r}") from None
     dropout = base_dropout + DENSITY_DROPOUT_GAIN * max(
         cond.vehicle_density, cond.pedestrian_density
     )
@@ -106,7 +106,7 @@ def read_degradation_table(text: str) -> DegradationTable:
     One ``name value`` pair per line, where name is a weather
     (clear/rain/snow) or time of day (day/night); ``#`` lines and blank
     lines are skipped. Entries omitted from the file are simply absent,
-    and degradation() raises MissingTableEntry if it needs them.
+    and degradation() raises InputError if it needs them.
     """
     weather_noise: dict[Weather, float] = {}
     time_dropout: dict[TimeOfDay, float] = {}

@@ -1,8 +1,16 @@
 """Exception hierarchy shared across the toolkit.
 
-Two families matter to callers: ``InputError`` for malformed or
-unreadable input (CLI exit code 1) and ``InvariantViolation`` for
-well-formed data that breaks a domain rule (CLI exit code 2).
+Each class is kept because some code tells it apart from the others:
+
+* ``InputError``: malformed, unreadable or incomplete input; the CLI
+  exits 1 (``cli.main``);
+* ``ParseError``: an ``InputError`` whose ``line`` and ``column`` name
+  where the bad token sits, in the message and as attributes;
+* ``InvariantViolation``: well-formed data that breaks a domain rule;
+  the CLI exits 2 (``cli.main``);
+* ``DegenerateConfiguration``: an ``InvariantViolation`` for points that
+  cannot determine a rotation, which ``align.ransac_align`` catches to
+  skip a degenerate sample.
 """
 
 from __future__ import annotations
@@ -28,106 +36,9 @@ class ParseError(InputError):
         self.column = column
 
 
-class WrongFieldCount(ParseError):
-    """A record line carries the wrong number of whitespace-separated fields."""
-
-    def __init__(self, line: int, expected: int, got: int):
-        super().__init__(f"expected {expected} fields, got {got}", line=line)
-        self.expected = expected
-        self.got = got
-
-
-class MissingTableEntry(InputError):
-    """A degradation table lacks an entry required by the lookup."""
-
-
 class InvariantViolation(TrajkitError):
     """Structurally valid data that violates a domain invariant."""
 
 
-class DuplicateStep(InvariantViolation):
-    """The same visitation step is claimed by more than one vertex."""
-
-    def __init__(self, step: int):
-        super().__init__(f"visitation step {step} assigned more than once")
-        self.step = step
-
-
-class MissingStep(InvariantViolation):
-    """The visitation steps have a gap: some step in 1..S is unassigned."""
-
-    def __init__(self, step: int):
-        super().__init__(f"missing visitation step {step} (steps must cover 1..S without gaps)")
-        self.step = step
-
-
-class DanglingVertexRef(InvariantViolation):
-    """A visitation step references a vertex that does not exist."""
-
-
-class DegeneratePath(InvariantViolation):
-    """A path with fewer than two distinct points cannot be traversed."""
-
-
-class SuppliedLengthMismatch(InvariantViolation):
-    """A supplied per-frame orientation list does not match the frame count."""
-
-    def __init__(self, expected: int, got: int):
-        super().__init__(f"supplied orientation list has {got} entries, trajectory has {expected} frames")
-        self.expected = expected
-        self.got = got
-
-
-class DuplicateImageName(InvariantViolation):
-    """An image name occurs more than once where uniqueness is required."""
-
-    def __init__(self, name: str, line: int | None = None):
-        loc = f" (line {line})" if line is not None else ""
-        super().__init__(f"duplicate image name {name!r}{loc}")
-        self.name = name
-
-
-class DensityOutOfRange(InvariantViolation):
-    """A traffic density value lies outside [0, 1]."""
-
-    def __init__(self, field: str, value: float):
-        super().__init__(f"{field} must be within [0, 1], got {value}")
-        self.field = field
-        self.value = value
-
-
-class DegenerateBounds(InvariantViolation):
-    """An axis-aligned box has zero or negative extent on some axis."""
-
-
-class LengthMismatch(InvariantViolation):
-    """Two corresponded point sets differ in length."""
-
-    def __init__(self, n_src: int, n_dst: int):
-        super().__init__(f"point sets differ in length: {n_src} vs {n_dst}")
-        self.n_src = n_src
-        self.n_dst = n_dst
-
-
 class DegenerateConfiguration(InvariantViolation):
     """Source points are coincident or collinear; the rotation is under-determined."""
-
-
-class TooFewPoints(InvariantViolation):
-    """Fewer correspondences than the minimal sample size."""
-
-
-class NoConsensus(InvariantViolation):
-    """No hypothesis gathered a consensus set larger than the minimal sample."""
-
-
-class InsufficientOverlap(InvariantViolation):
-    """Too few image names are shared between reconstruction and manifest."""
-
-
-class TooFewSamples(InvariantViolation):
-    """Unit calibration needs at least two position samples."""
-
-
-class ZeroDistance(InvariantViolation):
-    """Unit calibration samples cover zero distance."""

@@ -19,6 +19,9 @@ _ROMAN = (
     (1000, "M"), (900, "CM"), (500, "D"), (400, "CD"), (100, "C"), (90, "XC"),
     (50, "L"), (40, "XL"), (10, "X"), (9, "IX"), (5, "V"), (4, "IV"), (1, "I"),
 )
+# Canvas size in SVG pixels.
+WIDTH = 800
+HEIGHT = 600
 
 
 def roman_numeral(value: int) -> str:
@@ -56,10 +59,7 @@ class _Mapper:
 
 
 def plot_svg(
-    sparse: SparseTrajectory | None = None,
-    dense: DenseTrajectory | None = None,
-    width: int = 800,
-    height: int = 600,
+    sparse: SparseTrajectory | None = None, dense: DenseTrajectory | None = None
 ) -> str:
     """Render the plan and/or trajectory as an SVG string."""
     if sparse is None and dense is None:
@@ -70,18 +70,18 @@ def plot_svg(
         stacks.append(np.asarray(sparse.vertices))
     if dense is not None:
         stacks.append(np.asarray(dense.protagonist[:, :2]))
-    mapper = _Mapper(np.vstack(stacks), width, height, margin=40.0)
+    mapper = _Mapper(np.vstack(stacks), WIDTH, HEIGHT, margin=40.0)
 
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
+        f'viewBox="0 0 {WIDTH} {HEIGHT}">',
         "<defs>"
         '<marker id="arrowhead" markerWidth="8" markerHeight="8" refX="7" refY="3" orient="auto">'
         '<path d="M0,0 L7,3 L0,6 z" fill="#c0392b"/>'
         "</marker>"
         "</defs>",
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
     ]
 
     if dense is not None:
@@ -98,7 +98,7 @@ def plot_svg(
         coords = [mapper(sparse.vertices[i]) for i in path]
         parts.append('<g class="order-arrows" stroke="#c0392b" stroke-width="1.5">')
         if coords:
-            lead = _lead_in(coords, 0.05 * max(width, height))
+            lead = _lead_in(coords, 0.05 * max(WIDTH, HEIGHT))
             parts.append(_arrow(lead, coords[0], step=1))
             for s in range(1, len(coords)):
                 parts.append(_arrow(coords[s - 1], coords[s], step=s + 1))

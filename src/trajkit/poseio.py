@@ -28,7 +28,7 @@ import numpy as np
 from . import textio
 from .align import AlignmentReport, SimilarityTransform
 from .conditions import ConditionSet, TimeOfDay, Weather
-from .errors import DuplicateImageName, ParseError
+from .errors import InvariantViolation, ParseError
 from .textio import FIXED
 from .trajectory import DenseTrajectory, SparseTrajectory, expand_visitation, frozen_array
 
@@ -40,8 +40,7 @@ def read_sparse(vertex_text: str, order_text: str) -> SparseTrajectory:
     """Parse vertex and visitation-order files into a sparse trajectory.
 
     The result is validated: its steps must cover 1..S exactly once over
-    existing vertices, otherwise the matching InvariantViolation is
-    raised.
+    existing vertices, otherwise InvariantViolation is raised.
     """
     recs, _ = textio.records(vertex_text)
     if not recs.texts:
@@ -67,13 +66,12 @@ def write_dense(dense: DenseTrajectory) -> str:
     return textio.lines(" ".join([FIXED] * 9) + "\n", columns)
 
 
-def read_dense(text: str, fps: float = 60.0) -> DenseTrajectory:
-    """Parse a dense trajectory; the frame rate is not stored in the file."""
+def read_dense(text: str) -> DenseTrajectory:
     recs, _ = textio.records(text)
     if not recs.texts:
         raise ParseError("trajectory file contains no pose lines", line=1)
     data = np.column_stack(textio.table(recs, (float,) * 9))
-    return DenseTrajectory(data[:, 0:3], data[:, 3:6], data[:, 6:9], fps=fps)
+    return DenseTrajectory(data[:, 0:3], data[:, 3:6], data[:, 6:9])
 
 
 # --------------------------------------------------------------------------
@@ -84,7 +82,7 @@ def _check_names(names: Sequence[str], line_nos: Sequence[int] = ()) -> tuple[st
     """``names`` as a tuple; each must be one token not starting with ``#``.
 
     Else ValueError, as no file could hold it; a repeat raises
-    DuplicateImageName, at its line when ``line_nos`` is given.
+    InvariantViolation, at its line when ``line_nos`` is given.
     """
     names = tuple(names)
     seen: set[str] = set()
@@ -92,7 +90,8 @@ def _check_names(names: Sequence[str], line_nos: Sequence[int] = ()) -> tuple[st
         if name.split() != [name] or name.startswith("#"):
             raise ValueError(f"image name must be one token, not a comment: {name!r}")
         if name in seen:
-            raise DuplicateImageName(name, line=line_nos[k] if line_nos else None)
+            loc = f" (line {line_nos[k]})" if line_nos else ""
+            raise InvariantViolation(f"duplicate image name {name!r}{loc}")
         seen.add(name)
     return names
 

@@ -17,15 +17,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .align import SimilarityTransform
-from .conditions import (
-    DEFAULT_DEGRADATION,
-    ConditionSet,
-    DegradationTable,
-    degradation,
-    validate,
-)
+from .conditions import DEFAULT_DEGRADATION, ConditionSet, DegradationTable, degradation
 from . import textio
-from .errors import DegenerateBounds, InvariantViolation, ParseError
+from .errors import InvariantViolation, ParseError
 from .poseio import CaptureManifest, ReconstructedSet
 from .rng import keyed_uniform, substream
 from .textio import FIXED
@@ -50,7 +44,7 @@ class Box:
         if not (np.all(np.isfinite(mins)) and np.all(np.isfinite(maxs))):
             raise ValueError("bounds must be finite")
         if np.any(maxs <= mins):
-            raise DegenerateBounds(f"bounds have non-positive extent: {mins} .. {maxs}")
+            raise InvariantViolation(f"bounds have non-positive extent: {mins} .. {maxs}")
         mins.setflags(write=False)
         maxs.setflags(write=False)
         object.__setattr__(self, "mins", mins)
@@ -220,7 +214,7 @@ def retrace(
     """
     if not 0 <= base_pixel_sigma < math.inf:
         raise ValueError(f"base_pixel_sigma must be finite and >= 0, got {base_pixel_sigma}")
-    profile = degradation(validate(cond), table)
+    profile = degradation(cond, table)
     sigma = base_pixel_sigma * profile.pixel_noise_multiplier
     # Draw 1 is at most 1 - 2**-53, so no noise radius exceeds sigma * sqrt(-2 ln 2**-53).
     if not math.isfinite(sigma * math.sqrt(-2.0 * math.log(2.0 ** -53))):

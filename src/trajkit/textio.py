@@ -20,7 +20,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ParseError, WrongFieldCount
+from .errors import ParseError
 
 _TOKEN = re.compile(r"\S+")  # the fields of str.split()
 _KINDS = {float: (np.float64, "a finite float"), int: (np.int64, "a 64-bit integer")}
@@ -71,7 +71,7 @@ def take(recs: Records, indices: Sequence[int]) -> Records:
 def table(recs: Records, types: Sequence[type]) -> list:
     """The records as columns, one per type in ``types``.
 
-    Every record must have ``len(types)`` fields, else WrongFieldCount.
+    Every record must have ``len(types)`` fields, else ParseError.
     A ``str`` column is a tuple of tokens, a ``float`` column a float64
     array and an ``int`` column an int64 array.
     """
@@ -80,7 +80,8 @@ def table(recs: Records, types: Sequence[type]) -> list:
         rows = [text.split() for text in recs.texts[first:first + _BLOCK]]
         for i, fields in enumerate(rows, start=first):
             if len(fields) != len(types):
-                raise WrongFieldCount(recs.line_nos[i], expected=len(types), got=len(fields))
+                message = f"expected {len(types)} fields, got {len(fields)}"
+                raise ParseError(message, line=recs.line_nos[i])
         try:
             for part, cells, kind in zip(parts, zip(*rows), types):
                 part.append(cells if kind is str else _numbers(cells, kind))

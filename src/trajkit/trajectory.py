@@ -23,14 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DanglingVertexRef,
-    DegeneratePath,
-    DuplicateStep,
-    InvariantViolation,
-    MissingStep,
-    SuppliedLengthMismatch,
-)
+from .errors import InvariantViolation
 from .rng import substream
 
 # Frame budget of one dense trajectory, checked before anything is
@@ -104,7 +97,6 @@ class DenseTrajectory:
     protagonist: np.ndarray
     camera: np.ndarray
     rotation: np.ndarray
-    fps: float = 60.0
 
     def __post_init__(self):
         prot = frozen_array(self.protagonist, (3,))
@@ -114,8 +106,6 @@ class DenseTrajectory:
             raise ValueError("protagonist, camera and rotation must have equal length")
         if len(prot) == 0:
             raise ValueError("a dense trajectory must contain at least one sample")
-        if not 0 < self.fps < math.inf:
-            raise ValueError(f"fps must be positive and finite, got {self.fps}")
         object.__setattr__(self, "protagonist", prot)
         object.__setattr__(self, "camera", cam)
         object.__setattr__(self, "rotation", rot)
@@ -152,11 +142,11 @@ def expand_visitation(sparse: SparseTrajectory) -> list[int]:
     Returns a length-S list of 0-based vertex indices, where entry s is
     the vertex whose order set contains step s+1.
 
-    Raises DuplicateStep, MissingStep or DanglingVertexRef when the step
-    sets do not form an exact cover of 1..S over existing vertices.
+    Raises InvariantViolation when the step sets do not form an exact
+    cover of 1..S over existing vertices.
     """
     if len(sparse.orders) > len(sparse.vertices):
-        raise DanglingVertexRef(
+        raise InvariantViolation(
             f"order sets reference vertex {len(sparse.orders)}, "
             f"but only {len(sparse.vertices)} vertices exist"
         )
@@ -164,13 +154,15 @@ def expand_visitation(sparse: SparseTrajectory) -> list[int]:
     for vertex, steps in enumerate(sparse.orders):
         for step in steps:
             if step in step_to_vertex:
-                raise DuplicateStep(step)
+                raise InvariantViolation(f"visitation step {step} assigned more than once")
             step_to_vertex[step] = vertex
     total = len(step_to_vertex)
     path = []
     for step in range(1, total + 1):
         if step not in step_to_vertex:
-            raise MissingStep(step)
+            raise InvariantViolation(
+                f"missing visitation step {step} (steps must cover 1..S without gaps)"
+            )
         path.append(step_to_vertex[step])
     return path
 
@@ -180,17 +172,17 @@ def path_polyline(sparse: SparseTrajectory) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (points, cumlen): an (S, 2) array of path coordinates and the
     matching cumulative arclength, starting at 0 and ending at the total
-    path length. Raises DegeneratePath when fewer than two distinct
+    path length. Raises InvariantViolation when fewer than two distinct
     points remain.
     """
     path = expand_visitation(sparse)
     if len(path) < 2:
-        raise DegeneratePath(f"path has {len(path)} point(s); need at least 2")
+        raise InvariantViolation(f"path has {len(path)} point(s); need at least 2")
     points = sparse.vertices[path]
     gaps = np.linalg.norm(np.diff(points, axis=0), axis=1)
     cumlen = np.concatenate(([0.0], np.cumsum(gaps)))
     if cumlen[-1] <= 0.0:
-        raise DegeneratePath("all path points coincide")
+        raise InvariantViolation("all path points coincide")
     return points, cumlen
 
 
@@ -242,9 +234,11 @@ def densify(sparse: SparseTrajectory, params: DensifyParams = DensifyParams()) -
         if rotation.ndim != 2 or rotation.shape[1] != 3:
             raise ValueError(f"orientation array must be (N, 3), got {rotation.shape}")
         if len(rotation) != n:
-            raise SuppliedLengthMismatch(expected=n, got=len(rotation))
+            raise InvariantViolation(
+                f"supplied orientation list has {len(rotation)} entries, trajectory has {n} frames"
+            )
 
-    return DenseTrajectory(protagonist, camera, rotation, fps=params.fps)
+    return DenseTrajectory(protagonist, camera, rotation)
 
 
 def perturb(
@@ -262,4 +256,4 @@ def perturb(
     camera = dense.camera + pos_sigma * rng.standard_normal((n, 3))
     rotation = np.array(dense.rotation)
     rotation[:, 2] += yaw_sigma * rng.standard_normal(n)
-    return DenseTrajectory(dense.protagonist, camera, rotation, fps=dense.fps)
+    return DenseTrajectory(dense.protagonist, camera, rotation)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,6 +21,11 @@ WORKED_PATH = [0, 1, 2, 3, 4, 5, 1, 0, 6]
 
 WORKED_VERTEX_TEXT = "".join(f"{x:g} {y:g}\n" for x, y in WORKED_VERTICES)
 WORKED_ORDER_TEXT = "".join(" ".join(str(s) for s in steps) + "\n" for steps in WORKED_ORDERS)
+
+
+def exactly(message: str) -> str:
+    """A ``pytest.raises`` pattern that matches ``message`` and nothing else."""
+    return f"^{re.escape(message)}$"
 
 
 @pytest.fixture

@@ -279,7 +279,6 @@ NON_FINITE_FLAGS = [
     ("capture", ["--focal", "nan"]),
     ("capture", ["--focal", "inf"]),
     ("capture", ["--max-range", "nan"]),
-    ("capture", ["--fps", "nan"]),
     ("capture", ["--bounds", "nan", "0", "0", "10", "10", "10"]),
     ("capture", ["--vehicle-density", "nan"]),
     ("align", ["--meters-per-unit", "nan"]),
@@ -377,6 +376,19 @@ class TestSubsample:
         assert sub.rotation[1].tolist() == full.rotation[20].tolist()
         assert sub.conditions == full.conditions
 
+    def test_out_of_range_density_header_exit_2(self, worked_files, tmp_path, capsys):
+        _, cap = make_pipeline(tmp_path, worked_files)
+        manifest = tmp_path / "m.txt"
+        manifest.write_text((cap / "6dpose_list.txt").read_text().replace(
+            "# vehicle_density 0.000000", "# vehicle_density 1.5"))
+        out = tmp_path / "s.txt"
+        capsys.readouterr()
+        assert run(["subsample", "--manifest", manifest, "--stride", 7, "--out", out]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: vehicle_density must be within [0, 1], got 1.5\n"
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_bad_stride(self, worked_files, tmp_path, capsys):
         _, cap = make_pipeline(tmp_path, worked_files)
         assert run([
@@ -464,6 +476,109 @@ PINNED_SHA256 = {
     "world.ply": "b479af6db012bdf1145e923dc04cb71056abed4023ad94248a321b09e1909fe3",
     "plot.svg": "e3593364ecdaf24e75fb6fd1cff80f00712e9bde78218faef8cca10086464ed0",
 }
+
+
+# Small input files for the error-path tests below; each test writes them
+# into its own directory and runs there.
+INPUTS = {
+    "v2.txt": "0 0\n1 0\n",
+    "v3.txt": "0 0 0\n",
+    "vertex.txt": WORKED_VERTEX_TEXT,
+    "vertex_order.txt": WORKED_ORDER_TEXT,
+    "dup.txt": "1\n1\n",
+    "gap.txt": "1\n3\n",
+    "dangling.txt": "1\n2\n3\n",
+    "one.txt": "1\n",
+    "rots.txt": "0 0 0\n0 0 0\n",
+    "dense.txt": "0 0 0 0 0 0.75 0 0 0\n",
+    "manifest.txt": "a.png 0 0 0 0 0 0\n",
+    "dupman.txt": "a.png 0 0 0 0 0 0\na.png 1 1 1 0 0 0\n",
+    "no_snow.txt": "clear 1\nrain 1.5\nday 0\nnight 0.3\n",
+    "foreign.txt": "x 0 0 0\ny 1 0 0\nz 0 1 0\n",
+    "s1.txt": "0 0 0 0\n",
+    "s0.txt": "0 0 0 0\n0 0 0 5\n",
+}
+
+
+@pytest.fixture
+def inputs(tmp_path, monkeypatch):
+    """``INPUTS`` written to a fresh working directory; returns that directory."""
+    for name, text in INPUTS.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    return tmp_path
+
+
+# One failing run per rule the CLI enforces, with the exit code and the
+# one stderr line it gives.
+ERROR_CONTRACT = [
+    ("duplicate step", ["expand", "--vertices", "v2.txt", "--orders", "dup.txt"],
+     2, "visitation step 1 assigned more than once"),
+    ("step gap", ["expand", "--vertices", "v2.txt", "--orders", "gap.txt"],
+     2, "missing visitation step 2 (steps must cover 1..S without gaps)"),
+    ("dangling vertex", ["expand", "--vertices", "v2.txt", "--orders", "dangling.txt"],
+     2, "order sets reference vertex 3, but only 2 vertices exist"),
+    ("one-point path", ["densify", "--vertices", "v2.txt", "--orders", "one.txt", "--out", "out"],
+     2, "path has 1 point(s); need at least 2"),
+    ("orientation count", ["densify", "--vertices", "vertex.txt", "--orders", "vertex_order.txt",
+                           "--orientations", "rots.txt", "--out", "out"],
+     2, "supplied orientation list has 2 entries, trajectory has 338 frames"),
+    ("vertex field count", ["expand", "--vertices", "v3.txt", "--orders", "one.txt"],
+     1, "expected 2 fields, got 3 (line 1)"),
+    ("duplicate name", ["subsample", "--manifest", "dupman.txt", "--stride", "1", "--out", "out"],
+     2, "duplicate image name 'a.png' (line 2)"),
+    ("density", ["capture", "--trajectory", "dense.txt", "--out-dir", "out",
+                 "--vehicle-density", "1.5"],
+     2, "vehicle_density must be within [0, 1], got 1.5"),
+    ("flat bounds", ["capture", "--trajectory", "dense.txt", "--out-dir", "out",
+                     "--bounds", "0", "0", "0", "1", "0", "1"],
+     2, "bounds have non-positive extent: [0. 0. 0.] .. [1. 0. 1.]"),
+    ("table entry", ["capture", "--trajectory", "dense.txt", "--out-dir", "out",
+                     "--weather", "snow", "--degradation-table", "no_snow.txt"],
+     1, "no noise multiplier for weather 'snow'"),
+    ("no shared names", ["align", "--recon", "foreign.txt", "--manifest", "manifest.txt",
+                         "--out", "out"],
+     2, "0 shared image name(s); need at least 3"),
+    ("one sample", ["calibrate", "--samples", "s1.txt"], 2, "1 sample(s); need at least 2"),
+    ("zero distance", ["calibrate", "--samples", "s0.txt"], 2, "samples cover zero distance"),
+]
+
+USAGE_ERRORS = [
+    ["capture", "--trajectory", "dense.txt", "--out-dir", "out", "--width", "abc"],
+    ["capture", "--trajectory", "dense.txt", "--out-dir", "out", "--fps", "30"],
+    ["densify", "--vertices", "vertex.txt", "--orders", "vertex_order.txt", "--out", "out",
+     "--seed", "3"],
+    ["align", "--manifest", "manifest.txt", "--out", "out"],
+    [],
+]
+
+
+class TestErrorContract:
+    @pytest.mark.parametrize(
+        "argv, rc, message", [case[1:] for case in ERROR_CONTRACT],
+        ids=[case[0] for case in ERROR_CONTRACT],
+    )
+    def test_exit_code_and_message(self, inputs, capsys, argv, rc, message):
+        assert main(argv) == rc
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+        assert sorted(p.name for p in inputs.iterdir()) == sorted(INPUTS)
+
+    @pytest.mark.parametrize("argv", USAGE_ERRORS, ids=[" ".join(a) for a in USAGE_ERRORS])
+    def test_usage_error_exits_1(self, inputs, capsys, argv):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: " in captured.err.splitlines()[-1]
+        assert "Traceback" not in captured.err
+        assert sorted(p.name for p in inputs.iterdir()) == sorted(INPUTS)
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert "usage: trajkit" in capsys.readouterr().out
 
 
 class TestPinnedBytes:

@@ -8,32 +8,30 @@ from hypothesis import strategies as st
 
 import trajkit as tk
 from trajkit import conditions
-from trajkit.errors import DensityOutOfRange, MissingTableEntry, ParseError
+from trajkit.errors import InputError, InvariantViolation, ParseError
+
+from conftest import exactly
 
 
 class TestValidate:
     def test_reference_setting_is_valid(self):
         # Clear weather at noon with empty streets: the baseline setting.
         cond = tk.ConditionSet(tk.Weather.CLEAR, tk.TimeOfDay.DAY, 0.0, 0.0)
-        assert tk.validate(cond) is cond
+        assert cond == tk.ConditionSet()
 
     def test_boundary_density_valid(self):
         cond = tk.ConditionSet(vehicle_density=1.0, pedestrian_density=0.0)
-        assert tk.validate(cond) is cond
+        assert (cond.vehicle_density, cond.pedestrian_density) == (1.0, 0.0)
 
     def test_out_of_range_density(self):
-        with pytest.raises(DensityOutOfRange) as exc:
-            tk.validate(tk.ConditionSet(pedestrian_density=1.5))
-        assert exc.value.field == "pedestrian_density"
-        assert exc.value.value == 1.5
+        message = "pedestrian_density must be within [0, 1], got 1.5"
+        with pytest.raises(InvariantViolation, match=exactly(message)):
+            tk.ConditionSet(pedestrian_density=1.5)
 
     def test_negative_density(self):
-        with pytest.raises(DensityOutOfRange):
-            tk.validate(tk.ConditionSet(vehicle_density=-0.1))
-
-    def test_validate_idempotent(self):
-        cond = tk.ConditionSet(tk.Weather.RAIN, tk.TimeOfDay.NIGHT, 0.5, 0.5)
-        assert tk.validate(tk.validate(cond)) == cond
+        message = "vehicle_density must be within [0, 1], got -0.1"
+        with pytest.raises(InvariantViolation, match=exactly(message)):
+            tk.ConditionSet(vehicle_density=-0.1)
 
 
 class TestDegradation:
@@ -60,16 +58,17 @@ class TestDegradation:
 
     def test_missing_weather_entry(self):
         table = tk.DegradationTable(weather_noise={tk.Weather.CLEAR: 1.0})
-        with pytest.raises(MissingTableEntry):
+        with pytest.raises(InputError, match=exactly("no noise multiplier for weather 'snow'")):
             tk.degradation(tk.ConditionSet(weather=tk.Weather.SNOW), table)
 
     def test_missing_time_entry(self):
         table = tk.DegradationTable(time_dropout={tk.TimeOfDay.DAY: 0.0})
-        with pytest.raises(MissingTableEntry):
+        with pytest.raises(InputError, match=exactly("no dropout rate for time 'night'")):
             tk.degradation(tk.ConditionSet(time_of_day=tk.TimeOfDay.NIGHT), table)
 
     def test_invalid_condition_rejected(self):
-        with pytest.raises(DensityOutOfRange):
+        message = "vehicle_density must be within [0, 1], got 2.0"
+        with pytest.raises(InvariantViolation, match=exactly(message)):
             tk.degradation(tk.ConditionSet(vehicle_density=2.0))
 
     @given(
@@ -112,5 +111,5 @@ class TestTableFile:
     def test_partial_table_defers_to_lookup(self):
         table = conditions.read_degradation_table("clear 1.0\nday 0.0\n")
         assert tk.degradation(tk.ConditionSet(), table) == tk.DegradationProfile(1.0, 0.0)
-        with pytest.raises(MissingTableEntry):
+        with pytest.raises(InputError, match=exactly("no noise multiplier for weather 'rain'")):
             tk.degradation(tk.ConditionSet(weather=tk.Weather.RAIN), table)

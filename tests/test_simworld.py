@@ -9,9 +9,9 @@ import pytest
 
 import trajkit as tk
 from trajkit import simworld
-from trajkit.errors import DegenerateBounds, InvariantViolation, ParseError
+from trajkit.errors import InvariantViolation, ParseError
 
-from conftest import random_rotation
+from conftest import exactly, random_rotation
 
 
 def static_pose(camera=(0.0, 0.0, 0.75), rot=(0.0, 0.0, 0.0), frames=1) -> tk.DenseTrajectory:
@@ -99,7 +99,8 @@ class TestGenerateWorld:
         assert np.all(offset <= 0.02 * extent)
 
     def test_degenerate_bounds(self):
-        with pytest.raises(DegenerateBounds):
+        message = "bounds have non-positive extent: [0. 0. 0.] .. [1. 0. 1.]"
+        with pytest.raises(InvariantViolation, match=exactly(message)):
             tk.Box((0, 0, 0), (1, 0, 1))
 
     def test_bad_count(self):

@@ -5,7 +5,7 @@ Pipeline stages, each a standalone module:
 * :mod:`trajkit.trajectory` — sparse waypoint plans, dense 6DOF pose streams;
 * :mod:`trajkit.textio` — the record grammar shared by every text reader;
 * :mod:`trajkit.poseio` — plain-text pose file formats;
-* :mod:`trajkit.conditions` — environment settings and their degradation;
+* :mod:`trajkit.conditions` — condition sets and the degradation table;
 * :mod:`trajkit.simworld` — synthetic capture backend and fake reconstruction;
 * :mod:`trajkit.align` — robust similarity alignment and metric error reports;
 * :mod:`trajkit.cli` — the ``trajkit`` command line.
@@ -24,8 +24,6 @@ from .align import (
 from .conditions import (
     DEFAULT_DEGRADATION,
     ConditionSet,
-    DegradationProfile,
-    DegradationTable,
     TimeOfDay,
     Weather,
     degradation,
@@ -56,7 +54,6 @@ from .simworld import (
 from .trajectory import (
     DenseTrajectory,
     DensifyParams,
-    EulerRotation,
     SparseTrajectory,
     densify,
     expand_visitation,

@@ -83,14 +83,6 @@ class SimilarityTransform:
             inv_scale, self.rotation.T, -inv_scale * (self.rotation.T @ self.translation)
         )
 
-    def compose(self, other: SimilarityTransform) -> SimilarityTransform:
-        """self after other: (self ∘ other)(x) = self(other(x))."""
-        return SimilarityTransform(
-            self.scale * other.scale,
-            self.rotation @ other.rotation,
-            self.scale * (self.rotation @ other.translation) + self.translation,
-        )
-
 
 @dataclass(frozen=True)
 class RansacParams:

@@ -1,17 +1,19 @@
-"""Environmental condition controls and their observation-degradation mapping.
+"""Environmental condition controls and the degradation table.
 
 Conditions (weather, time of day, traffic densities) never touch camera
 poses; they only degrade what the synthetic capture backend observes.
-The mapping is a small configurable table: a pixel-noise multiplier per
-weather and an additive observation-dropout rate per time of day, plus a
-fixed density coupling.
+The table maps each weather to a pixel-noise multiplier (finite, >= 0)
+and each time of day to an observation-dropout rate (in [0, 1]); the
+rate gets a fixed density coupling on top. :func:`degradation` alone
+checks those rules.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Mapping
 
 from . import textio
@@ -51,75 +53,57 @@ class ConditionSet:
                 raise InvariantViolation(f"{name} must be within [0, 1], got {value}")
 
 
-@dataclass(frozen=True)
-class DegradationProfile:
-    """How a condition set perturbs synthetic observations."""
-
-    pixel_noise_multiplier: float
-    dropout_rate: float
-
-
-@dataclass(frozen=True)
-class DegradationTable:
-    """Weather noise multipliers and time-of-day dropout rates."""
-
-    weather_noise: Mapping[Weather, float] = field(
-        default_factory=lambda: {Weather.CLEAR: 1.0, Weather.RAIN: 1.5, Weather.SNOW: 2.0}
-    )
-    time_dropout: Mapping[TimeOfDay, float] = field(
-        default_factory=lambda: {TimeOfDay.DAY: 0.0, TimeOfDay.NIGHT: 0.3}
-    )
-
-
-DEFAULT_DEGRADATION = DegradationTable()
+DEFAULT_DEGRADATION: Mapping[Weather | TimeOfDay, float] = MappingProxyType({
+    Weather.CLEAR: 1.0, Weather.RAIN: 1.5, Weather.SNOW: 2.0,
+    TimeOfDay.DAY: 0.0, TimeOfDay.NIGHT: 0.3,
+})
 
 # Extra dropout per unit of the dominant traffic density.
 DENSITY_DROPOUT_GAIN = 0.2
 
 
 def degradation(
-    cond: ConditionSet, table: DegradationTable = DEFAULT_DEGRADATION
-) -> DegradationProfile:
-    """Look up the degradation profile for a condition set.
+    cond: ConditionSet, table: Mapping[Weather | TimeOfDay, float] = DEFAULT_DEGRADATION
+) -> tuple[float, float]:
+    """Check ``table``, then return (pixel-noise multiplier, dropout rate) for ``cond``.
 
-    dropout = clamp(time dropout + 0.2 * max(vehicle, pedestrian), 0, 1).
+    dropout = min(time dropout + 0.2 * max(vehicle, pedestrian), 1).
+    An entry outside its range, used by ``cond`` or not, raises
+    InvariantViolation; a missing entry that ``cond`` needs, InputError.
     """
-    try:
-        noise = table.weather_noise[cond.weather]
-    except KeyError:
-        raise InputError(f"no noise multiplier for weather {cond.weather.value!r}") from None
-    try:
-        base_dropout = table.time_dropout[cond.time_of_day]
-    except KeyError:
-        raise InputError(f"no dropout rate for time {cond.time_of_day.value!r}") from None
-    dropout = base_dropout + DENSITY_DROPOUT_GAIN * max(
-        cond.vehicle_density, cond.pedestrian_density
-    )
-    return DegradationProfile(
-        pixel_noise_multiplier=noise, dropout_rate=min(max(dropout, 0.0), 1.0)
-    )
+    for key, value in table.items():
+        if isinstance(key, Weather) and not 0 <= value < math.inf:
+            raise InvariantViolation(
+                f"noise multiplier for {key.value} must be finite and >= 0, got {value}"
+            )
+        if isinstance(key, TimeOfDay) and not 0 <= value <= 1:
+            raise InvariantViolation(
+                f"dropout rate for {key.value} must be within [0, 1], got {value}"
+            )
+    if cond.weather not in table:
+        raise InputError(f"no noise multiplier for weather {cond.weather.value!r}")
+    if cond.time_of_day not in table:
+        raise InputError(f"no dropout rate for time {cond.time_of_day.value!r}")
+    density = max(cond.vehicle_density, cond.pedestrian_density)
+    dropout = table[cond.time_of_day] + DENSITY_DROPOUT_GAIN * density
+    return table[cond.weather], min(dropout, 1.0)
 
 
-def read_degradation_table(text: str) -> DegradationTable:
+def read_degradation_table(text: str) -> dict[Weather | TimeOfDay, float]:
     """Parse a key/value degradation table.
 
     One ``name value`` pair per line, where name is a weather
     (clear/rain/snow) or time of day (day/night); ``#`` lines and blank
-    lines are skipped. Entries omitted from the file are simply absent,
-    and degradation() raises InputError if it needs them.
+    lines are skipped. Entries may be left out; degradation() checks the
+    values and raises InputError for an absent entry it needs.
     """
-    weather_noise: dict[Weather, float] = {}
-    time_dropout: dict[TimeOfDay, float] = {}
-    weather_names = {w.value: w for w in Weather}
-    time_names = {t.value: t for t in TimeOfDay}
+    members = {member.value: member for member in (*Weather, *TimeOfDay)}
     recs, _ = textio.records(text)
     names, values = textio.table(recs, (str, float))
+    table = {}
     for i, (token, value) in enumerate(zip(names, values.tolist())):
-        name = token.lower()
-        if name in weather_names:
-            weather_noise[weather_names[name]] = value
-        elif name in time_names:
-            time_dropout[time_names[name]] = value
-        else:
+        member = members.get(token.lower())
+        if member is None:
             raise textio.error(recs, i, 0, f"unknown table key {token!r}")
-    return DegradationTable(weather_noise=weather_noise, time_dropout=time_dropout)
+        table[member] = value
+    return table

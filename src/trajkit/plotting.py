@@ -22,6 +22,8 @@ _ROMAN = (
 # Canvas size in SVG pixels.
 WIDTH = 800
 HEIGHT = 600
+# Largest coordinate _Mapper takes; padded spans then stay within the float range.
+_MAX_COORD = np.finfo(float).max / 4
 
 
 def roman_numeral(value: int) -> str:
@@ -40,6 +42,8 @@ class _Mapper:
     """World (x east, y north) to SVG pixel coordinates, north up."""
 
     def __init__(self, points: np.ndarray, width: int, height: int, margin: float):
+        if np.abs(points).max() > _MAX_COORD:
+            raise ValueError("plot extent exceeds the float range")
         lo = points.min(axis=0)
         hi = points.max(axis=0)
         span = np.maximum(hi - lo, 1e-9)

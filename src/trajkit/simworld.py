@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
 from .align import SimilarityTransform
-from .conditions import DEFAULT_DEGRADATION, ConditionSet, DegradationTable, degradation
+from .conditions import DEFAULT_DEGRADATION, ConditionSet, TimeOfDay, Weather, degradation
 from . import textio
 from .errors import InvariantViolation, ParseError
 from .poseio import CaptureManifest, ReconstructedSet
@@ -166,9 +166,9 @@ def _camera_axes(degrees: np.ndarray) -> np.ndarray:
     """(F, 3) Euler angles in degrees -> (F, 3, 3) camera axes in world coordinates.
 
     Rows of each 3x3 block: image-right, image-down, view-forward. The
-    rotation is ``Rz @ Rx @ Ry`` as in ``EulerRotation.matrix()``; at zero
-    rotation the view axis is world +x (z up, right-handed), so
-    image-right is -y and image-down is -z.
+    rotation is ``Rz @ Rx @ Ry``, the convention stated in the
+    :mod:`trajkit.trajectory` docstring; at zero rotation the view axis is
+    world +x (z up, right-handed), so image-right is -y and image-down is -z.
     """
     angles = np.radians(degrees).T
     (cx, cy, cz), (sx, sy, sz) = np.cos(angles), np.sin(angles)
@@ -197,7 +197,7 @@ def retrace(
     cond: ConditionSet,
     base_pixel_sigma: float = 1.0,
     seed: int = 0,
-    table: DegradationTable = DEFAULT_DEGRADATION,
+    table: Mapping[Weather | TimeOfDay, float] = DEFAULT_DEGRADATION,
 ) -> tuple[CaptureManifest, ObservationSet]:
     """Replay a dense trajectory, capturing one synthetic frame per pose.
 
@@ -214,12 +214,11 @@ def retrace(
     """
     if not 0 <= base_pixel_sigma < math.inf:
         raise ValueError(f"base_pixel_sigma must be finite and >= 0, got {base_pixel_sigma}")
-    profile = degradation(cond, table)
-    sigma = base_pixel_sigma * profile.pixel_noise_multiplier
+    noise, drop = degradation(cond, table)
+    sigma = base_pixel_sigma * noise
     # Draw 1 is at most 1 - 2**-53, so no noise radius exceeds sigma * sqrt(-2 ln 2**-53).
     if not math.isfinite(sigma * math.sqrt(-2.0 * math.log(2.0 ** -53))):
         raise ValueError(f"pixel sigma {sigma} makes the largest noise radius overflow")
-    drop = profile.dropout_rate
 
     # Block f of a chunk maps a landmark [p, 1] to frame f's right, down and forward
     # coordinates, A (p - c) for camera axes A and position c, and to

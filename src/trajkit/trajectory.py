@@ -43,30 +43,6 @@ def frozen_array(values, shape_tail: tuple[int, ...] | None = None) -> np.ndarra
 
 
 @dataclass(frozen=True)
-class EulerRotation:
-    """Orientation as yaw/pitch/roll angles in degrees (rx, ry, rz), stored unnormalized."""
-
-    rx: float = 0.0
-    ry: float = 0.0
-    rz: float = 0.0
-
-    def __post_init__(self):
-        if not all(math.isfinite(a) for a in (self.rx, self.ry, self.rz)):
-            raise ValueError(f"rotation angles must be finite: {self}")
-
-    def matrix(self) -> np.ndarray:
-        """World-from-body rotation matrix, Rz(rz) @ Rx(rx) @ Ry(ry)."""
-        ax, ay, az = (math.radians(a) for a in (self.rx, self.ry, self.rz))
-        cx, sx = math.cos(ax), math.sin(ax)
-        cy, sy = math.cos(ay), math.sin(ay)
-        cz, sz = math.cos(az), math.sin(az)
-        rx = np.array([[1, 0, 0], [0, cx, -sx], [0, sx, cx]])
-        ry = np.array([[cy, 0, sy], [0, 1, 0], [-sy, 0, cy]])
-        rz = np.array([[cz, -sz, 0], [sz, cz, 0], [0, 0, 1]])
-        return rz @ rx @ ry
-
-
-@dataclass(frozen=True)
 class SparseTrajectory:
     """User-authored waypoints plus their visitation steps.
 

@@ -42,6 +42,21 @@ def random_rotation(rng: np.random.Generator) -> np.ndarray:
     return q
 
 
+def euler_matrix(rx: float, ry: float, rz: float) -> np.ndarray:
+    """World-from-body rotation matrix for degrees (rx, ry, rz), Rz(rz) @ Rx(rx) @ Ry(ry).
+
+    Scalar reference for the vectorised camera axes of ``simworld.retrace``.
+    """
+    ax, ay, az = (math.radians(a) for a in (rx, ry, rz))
+    cx, sx = math.cos(ax), math.sin(ax)
+    cy, sy = math.cos(ay), math.sin(ay)
+    cz, sz = math.cos(az), math.sin(az)
+    rx = np.array([[1, 0, 0], [0, cx, -sx], [0, sx, cx]])
+    ry = np.array([[cy, 0, sy], [0, 1, 0], [-sy, 0, cy]])
+    rz = np.array([[cz, -sz, 0], [sz, cz, 0], [0, 0, 1]])
+    return rz @ rx @ ry
+
+
 def random_similarity(
     rng: np.random.Generator,
     scale_range: tuple[float, float] = (0.1, 10.0),

@@ -494,6 +494,11 @@ INPUTS = {
     "manifest.txt": "a.png 0 0 0 0 0 0\n",
     "dupman.txt": "a.png 0 0 0 0 0 0\na.png 1 1 1 0 0 0\n",
     "no_snow.txt": "clear 1\nrain 1.5\nday 0\nnight 0.3\n",
+    "negative_noise.txt": "clear -2\nday 0\n",
+    "dropout_7.txt": "clear 1\nday 7\n",
+    "negative_snow.txt": "clear 1\nday 0\nsnow -1\n",
+    "v_huge.txt": "1e308 0\n-1e308 0\n",
+    "two.txt": "1\n2\n",
     "foreign.txt": "x 0 0 0\ny 1 0 0\nz 0 1 0\n",
     "s1.txt": "0 0 0 0\n",
     "s0.txt": "0 0 0 0\n0 0 0 5\n",
@@ -536,6 +541,20 @@ ERROR_CONTRACT = [
     ("table entry", ["capture", "--trajectory", "dense.txt", "--out-dir", "out",
                      "--weather", "snow", "--degradation-table", "no_snow.txt"],
      1, "no noise multiplier for weather 'snow'"),
+    ("negative noise", ["capture", "--trajectory", "dense.txt", "--out-dir", "out",
+                        "--degradation-table", "negative_noise.txt"],
+     2, "noise multiplier for clear must be finite and >= 0, got -2.0"),
+    ("dropout above 1", ["capture", "--trajectory", "dense.txt", "--out-dir", "out",
+                         "--degradation-table", "dropout_7.txt"],
+     2, "dropout rate for day must be within [0, 1], got 7.0"),
+    ("unused bad entry", ["capture", "--trajectory", "dense.txt", "--out-dir", "out",
+                          "--degradation-table", "negative_snow.txt"],
+     2, "noise multiplier for snow must be finite and >= 0, got -1.0"),
+    ("width overflow", ["capture", "--trajectory", "dense.txt", "--out-dir", "out",
+                        "--width", "1" + "0" * 400],
+     1, "int too large to convert to float"),
+    ("plot overflow", ["plot", "--vertices", "v_huge.txt", "--orders", "two.txt", "--out", "out"],
+     1, "plot extent exceeds the float range"),
     ("no shared names", ["align", "--recon", "foreign.txt", "--manifest", "manifest.txt",
                          "--out", "out"],
      2, "0 shared image name(s); need at least 3"),

@@ -11,7 +11,7 @@ import trajkit as tk
 from trajkit import simworld
 from trajkit.errors import InvariantViolation, ParseError
 
-from conftest import exactly, random_rotation
+from conftest import euler_matrix, exactly, random_rotation
 
 
 def static_pose(camera=(0.0, 0.0, 0.75), rot=(0.0, 0.0, 0.0), frames=1) -> tk.DenseTrajectory:
@@ -33,7 +33,7 @@ def project_frame(camera_pos, rotation, landmarks, intr):
     Landmarks strictly in front, within max_range and projecting inside
     the image (bounds inclusive); (ids, uv) sorted by landmark id.
     """
-    r = tk.EulerRotation(*rotation).matrix()
+    r = euler_matrix(*rotation)
     axes = np.stack([r @ [0.0, -1.0, 0.0], r @ [0.0, 0.0, -1.0], r @ [1.0, 0.0, 0.0]])
     delta = landmarks - camera_pos
     cam = delta @ axes.T  # columns: right, down, forward

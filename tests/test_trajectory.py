@@ -15,6 +15,7 @@ from trajkit.errors import InvariantViolation
 from conftest import (
     WORKED_PATH,
     brute_force_walk,
+    euler_matrix,
     exactly,
     random_polyline_sparse,
 )
@@ -257,11 +258,11 @@ class TestPerturb:
 
 class TestEulerRotation:
     def test_yaw_rotates_view_in_ground_plane(self):
-        r = tk.EulerRotation(0.0, 0.0, 90.0).matrix()
+        r = euler_matrix(0.0, 0.0, 90.0)
         np.testing.assert_allclose(r @ [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], atol=1e-12)
 
     def test_matrix_is_orthonormal(self):
-        r = tk.EulerRotation(12.0, -34.0, 56.0).matrix()
+        r = euler_matrix(12.0, -34.0, 56.0)
         np.testing.assert_allclose(r.T @ r, np.eye(3), atol=1e-12)
         assert np.linalg.det(r) == pytest.approx(1.0, abs=1e-12)
 

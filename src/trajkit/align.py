@@ -29,6 +29,8 @@ DEFAULT_STRIDE_M = 0.762
 DEFAULT_METERS_PER_UNIT = DEFAULT_STRIDE_M / 0.9
 
 _ORTHO_TOL = 1e-9
+# Points in a minimal RANSAC sample: three non-collinear points fix a similarity.
+MIN_SAMPLE = 3
 
 
 @dataclass(frozen=True)
@@ -89,14 +91,11 @@ class RansacParams:
     threshold: float = 0.5        # inlier residual bound, game units
     max_iterations: int = 2000
     confidence: float = 0.999
-    min_sample: int = 3
     seed: int = 0
 
     def __post_init__(self):
         if not 0 < self.threshold < math.inf:
             raise ValueError(f"threshold must be positive and finite, got {self.threshold}")
-        if self.min_sample < 3:
-            raise ValueError(f"min_sample must be at least 3, got {self.min_sample}")
         if not 0.0 < self.confidence < 1.0:
             raise ValueError(f"confidence must lie in (0, 1), got {self.confidence}")
         if self.max_iterations < 1:
@@ -124,11 +123,18 @@ class AlignmentReport:
         object.__setattr__(self, "residuals_m", res)
 
 
-def _as_points(arr, name: str) -> np.ndarray:
-    pts = np.asarray(arr, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 3:
-        raise ValueError(f"{name} must be an (N, 3) array, got shape {pts.shape}")
-    return pts
+def _point_pairs(src, dst) -> tuple[np.ndarray, np.ndarray]:
+    """``src`` and ``dst`` as float (N, 3) arrays of equal length."""
+    pairs = []
+    for arr, name in ((src, "src"), (dst, "dst")):
+        pts = np.asarray(arr, dtype=float)
+        if pts.ndim != 2 or pts.shape[1] != 3:
+            raise ValueError(f"{name} must be an (N, 3) array, got shape {pts.shape}")
+        pairs.append(pts)
+    src, dst = pairs
+    if len(src) != len(dst):
+        raise InvariantViolation(f"point sets differ in length: {len(src)} vs {len(dst)}")
+    return src, dst
 
 
 def _unit_extent(points: np.ndarray) -> tuple[np.ndarray, int]:
@@ -151,10 +157,7 @@ def umeyama(src, dst) -> SimilarityTransform:
     Raises DegenerateConfiguration when the source points are coincident
     or collinear (the rotation is then under-determined).
     """
-    src = _as_points(src, "src")
-    dst = _as_points(dst, "dst")
-    if len(src) != len(dst):
-        raise InvariantViolation(f"point sets differ in length: {len(src)} vs {len(dst)}")
+    src, dst = _point_pairs(src, dst)
     n = len(src)
     if n < 3:
         raise DegenerateConfiguration(f"{n} point(s) cannot determine a rotation")
@@ -212,20 +215,17 @@ def ransac_align(
     1 - confidence. The winner is refit on its full consensus set and the
     inlier mask recomputed once against the refit transform.
     """
-    src = _as_points(src, "src")
-    dst = _as_points(dst, "dst")
-    if len(src) != len(dst):
-        raise InvariantViolation(f"point sets differ in length: {len(src)} vs {len(dst)}")
+    src, dst = _point_pairs(src, dst)
     n = len(src)
-    if n < params.min_sample:
-        raise InvariantViolation(f"{n} correspondences, need at least {params.min_sample}")
+    if n < MIN_SAMPLE:
+        raise InvariantViolation(f"{n} correspondences, need at least {MIN_SAMPLE}")
 
     best_count = 0
     best_mean = math.inf
     best_mask: np.ndarray | None = None
     for iteration in range(params.max_iterations):
         rng = substream(params.seed, iteration)
-        sample = rng.choice(n, size=params.min_sample, replace=False)
+        sample = rng.choice(n, size=MIN_SAMPLE, replace=False)
         try:
             hypothesis = umeyama(src[sample], dst[sample])
         except DegenerateConfiguration:
@@ -240,16 +240,16 @@ def ransac_align(
             best_count = count
             best_mean = mean_res
             best_mask = mask
-        if best_count > params.min_sample:
+        if best_count > MIN_SAMPLE:
             inlier_ratio = best_count / n
-            miss_prob = (1.0 - inlier_ratio ** params.min_sample) ** (iteration + 1)
+            miss_prob = (1.0 - inlier_ratio ** MIN_SAMPLE) ** (iteration + 1)
             if miss_prob <= 1.0 - params.confidence:
                 break
 
-    if best_mask is None or best_count < params.min_sample + 1:
+    if best_mask is None or best_count < MIN_SAMPLE + 1:
         raise InvariantViolation(
             f"best consensus holds {best_count} point(s); "
-            f"need more than {params.min_sample}"
+            f"need more than {MIN_SAMPLE}"
         )
 
     transform = umeyama(src[best_mask], dst[best_mask])
@@ -281,10 +281,8 @@ def evaluate(
         raise ValueError(f"meters_per_unit must be positive and finite, got {meters_per_unit}")
     recon_row = {name: i for i, name in enumerate(recon.names)}
     rows = [k for k, name in enumerate(manifest.names) if name in recon_row]
-    if len(rows) < params.min_sample:
-        raise InvariantViolation(
-            f"{len(rows)} shared image name(s); need at least {params.min_sample}"
-        )
+    if len(rows) < MIN_SAMPLE:
+        raise InvariantViolation(f"{len(rows)} shared image name(s); need at least {MIN_SAMPLE}")
     names = tuple(manifest.names[k] for k in rows)
     src = recon.positions[[recon_row[name] for name in names]]
     dst = manifest.camera[rows]

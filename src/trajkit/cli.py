@@ -110,14 +110,9 @@ def cmd_capture(args) -> int:
             lo = xy.min(axis=0) - 25.0
             hi = xy.max(axis=0) + 25.0
             box = simworld.Box((lo[0], lo[1], 0.0), (hi[0], hi[1], 15.0))
-        world_seed = args.world_seed if args.world_seed is not None else args.seed
-        world = simworld.generate_world(world_seed, args.landmark_count, box)
+        world = simworld.generate_world(args.seed, args.landmark_count, box)
 
-    intr = simworld.Intrinsics(
-        focal=args.focal, cx=args.cx if args.cx is not None else args.width / 2.0,
-        cy=args.cy if args.cy is not None else args.height / 2.0,
-        width=args.width, height=args.height, max_range=args.max_range,
-    )
+    intr = simworld.Intrinsics(args.focal, args.width, args.height, args.max_range)
     cond = _conditions_from(args)
     table = (
         conditions.read_degradation_table(_read_text(args.degradation_table))
@@ -165,7 +160,6 @@ def cmd_align(args) -> int:
         threshold=args.threshold,
         max_iterations=args.max_iterations,
         confidence=args.confidence,
-        min_sample=args.min_sample,
         seed=args.seed,
     )
     report = align.evaluate(recon, manifest, params, meters_per_unit=args.meters_per_unit)
@@ -266,16 +260,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trajectory", required=True)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--world", help="load a world file instead of generating one")
-    p.add_argument("--world-seed", type=int, default=None,
-                   help="world generation seed (default: --seed)")
     p.add_argument("--landmark-count", type=int, default=500)
     p.add_argument("--bounds", type=float, nargs=6, metavar=("X0", "Y0", "Z0", "X1", "Y1", "Z1"),
                    help="world box (default: trajectory footprint padded)")
     p.add_argument("--focal", type=float, default=simworld.default_intrinsics().focal)
     p.add_argument("--width", type=int, default=1920)
     p.add_argument("--height", type=int, default=1080)
-    p.add_argument("--cx", type=float, default=None)
-    p.add_argument("--cy", type=float, default=None)
     p.add_argument("--max-range", type=float, default=100.0)
     p.add_argument("--pixel-sigma", type=float, default=1.0, help="base observation noise, pixels")
     p.add_argument("--weather", choices=[w.value for w in conditions.Weather], default="clear")
@@ -306,7 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold", type=float, default=0.5, help="inlier bound, game units")
     p.add_argument("--max-iterations", type=int, default=2000)
     p.add_argument("--confidence", type=float, default=0.999)
-    p.add_argument("--min-sample", type=int, default=3)
     p.add_argument("--meters-per-unit", type=float, default=align.DEFAULT_METERS_PER_UNIT)
     p.set_defaults(func=cmd_align)
 

@@ -19,9 +19,10 @@ _ROMAN = (
     (1000, "M"), (900, "CM"), (500, "D"), (400, "CD"), (100, "C"), (90, "XC"),
     (50, "L"), (40, "XL"), (10, "X"), (9, "IX"), (5, "V"), (4, "IV"), (1, "I"),
 )
-# Canvas size in SVG pixels.
+# Canvas size and the margin kept clear around the plot, in SVG pixels.
 WIDTH = 800
 HEIGHT = 600
+MARGIN = 40.0
 # Largest coordinate _Mapper takes; padded spans then stay within the float range.
 _MAX_COORD = np.finfo(float).max / 4
 
@@ -41,7 +42,7 @@ def roman_numeral(value: int) -> str:
 class _Mapper:
     """World (x east, y north) to SVG pixel coordinates, north up."""
 
-    def __init__(self, points: np.ndarray, width: int, height: int, margin: float):
+    def __init__(self, points: np.ndarray):
         if np.abs(points).max() > _MAX_COORD:
             raise ValueError("plot extent exceeds the float range")
         lo = points.min(axis=0)
@@ -49,16 +50,15 @@ class _Mapper:
         span = np.maximum(hi - lo, 1e-9)
         pad = 0.05 * span.max()
         lo, hi = lo - pad, hi + pad
-        span = hi - lo
-        scale = min((width - 2 * margin) / span[0], (height - 2 * margin) / span[1])
+        # Far from the origin the pad can round away and leave an axis with
+        # no span; such an axis does not set the scale.
+        canvas = (WIDTH - 2 * MARGIN, HEIGHT - 2 * MARGIN)
+        self._scale = min((c / s for c, s in zip(canvas, hi - lo) if s > 0), default=1.0)
         self._lo = lo
-        self._scale = scale
-        self._height = height
-        self._margin = margin
 
     def __call__(self, p) -> tuple[float, float]:
-        x = self._margin + (p[0] - self._lo[0]) * self._scale
-        y = self._height - self._margin - (p[1] - self._lo[1]) * self._scale
+        x = MARGIN + (p[0] - self._lo[0]) * self._scale
+        y = HEIGHT - MARGIN - (p[1] - self._lo[1]) * self._scale
         return x, y
 
 
@@ -74,7 +74,7 @@ def plot_svg(
         stacks.append(np.asarray(sparse.vertices))
     if dense is not None:
         stacks.append(np.asarray(dense.protagonist[:, :2]))
-    mapper = _Mapper(np.vstack(stacks), WIDTH, HEIGHT, margin=40.0)
+    mapper = _Mapper(np.vstack(stacks))
 
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',

@@ -71,9 +71,9 @@ class World:
 
 @dataclass(frozen=True)
 class Intrinsics:
+    """A pinhole camera whose principal point (cx, cy) is the image centre."""
+
     focal: float
-    cx: float
-    cy: float
     width: int
     height: int
     max_range: float
@@ -83,20 +83,17 @@ class Intrinsics:
             raise ValueError(f"focal must be positive and finite, got {self.focal}")
         if self.width <= 0 or self.height <= 0:
             raise ValueError("image dimensions must be positive")
-        if not (0 <= self.cx <= self.width and 0 <= self.cy <= self.height):
-            raise ValueError("principal point must lie within the image")
         if not self.max_range > 0:  # inf: unlimited range
             raise ValueError(f"max_range must be positive, got {self.max_range}")
+        object.__setattr__(self, "cx", self.width / 2.0)
+        object.__setattr__(self, "cy", self.height / 2.0)
 
 
 def default_intrinsics(max_range: float = 100.0) -> Intrinsics:
     """1920x1080 with a 60 degree horizontal field of view."""
     width, height = 1920, 1080
     focal = (width / 2.0) / math.tan(math.radians(30.0))
-    return Intrinsics(
-        focal=focal, cx=width / 2.0, cy=height / 2.0,
-        width=width, height=height, max_range=max_range,
-    )
+    return Intrinsics(focal=focal, width=width, height=height, max_range=max_range)
 
 
 class FrameObservations(NamedTuple):
@@ -274,8 +271,6 @@ def outlier_indices(n: int, outlier_fraction: float, seed: int) -> np.ndarray:
     recover exactly which entries were displaced.
     """
     count = int(math.floor(outlier_fraction * n))
-    if count == 0:
-        return np.empty(0, dtype=int)
     return np.sort(substream(seed, 1).choice(n, size=count, replace=False))
 
 
@@ -306,15 +301,14 @@ def simulate_reconstruction(
     positions = positions + substream(seed, 0).normal(0.0, noise_sigma, positions.shape)
 
     idx = outlier_indices(len(positions), outlier_fraction, seed)
-    if len(idx):
-        rng = substream(seed, 2)
+    rng = substream(seed, 2)
+    directions = rng.standard_normal((len(idx), 3))
+    norms = np.linalg.norm(directions, axis=1, keepdims=True)
+    while np.any(norms < 1e-12):  # essentially unreachable
         directions = rng.standard_normal((len(idx), 3))
         norms = np.linalg.norm(directions, axis=1, keepdims=True)
-        while np.any(norms < 1e-12):  # essentially unreachable
-            directions = rng.standard_normal((len(idx), 3))
-            norms = np.linalg.norm(directions, axis=1, keepdims=True)
-        radii = rng.uniform(outlier_radius, 2.0 * outlier_radius, len(idx))
-        positions[idx] += directions / norms * radii[:, None]
+    radii = rng.uniform(outlier_radius, 2.0 * outlier_radius, len(idx))
+    positions[idx] += directions / norms * radii[:, None]
 
     return ReconstructedSet(manifest.names, positions)
 
@@ -361,16 +355,23 @@ def write_observations(obs: ObservationSet) -> str:
 
 def read_observations(text: str) -> ObservationSet:
     recs, headers = textio.records(text)
-    n_frames = 0
+    n_frames = None
     for h, tokens in enumerate(map(str.split, headers.texts)):
         if len(tokens) == 2 and tokens[0] == "frames":
-            n_frames = int(textio.row(headers, h, int, start=1)[0])
+            n_frames, header = int(textio.row(headers, h, int, start=1)[0]), h
+            if n_frames < 0:
+                raise textio.error(headers, h, 1, f"negative frame count {n_frames}")
     frame, ids, u, v = textio.table(recs, (int, int, float, float))
     for j, (column, what) in enumerate(((frame, "frame index"), (ids, "landmark id"))):
         if len(column) and column.min() < 0:
             i = int(np.argmax(column < 0))
             raise textio.error(recs, i, j, f"negative {what} {column[i]}")
-    n_frames = max(n_frames, int(frame.max(initial=-1)) + 1)
+    last = int(frame.max(initial=-1))
+    if n_frames is None:
+        n_frames = last + 1
+    elif n_frames <= last:
+        line = headers.line_nos[header]
+        raise InvariantViolation(f"{n_frames} frames (line {line}) do not hold frame index {last}")
     if n_frames > MAX_FRAMES:
         raise InvariantViolation(f"{n_frames} frames exceed the limit of {MAX_FRAMES}")
     del recs  # the line texts outweigh the columns; free them before sorting

@@ -31,10 +31,10 @@ from .rng import substream
 MAX_FRAMES = 10_000_000
 
 
-def frozen_array(values, shape_tail: tuple[int, ...] | None = None) -> np.ndarray:
+def frozen_array(values, shape_tail: tuple[int, ...]) -> np.ndarray:
     """A read-only float64 copy of ``values``; every entry must be finite."""
     arr = np.array(values, dtype=float)
-    if shape_tail is not None and arr.shape[1:] != shape_tail:
+    if arr.shape[1:] != shape_tail:
         raise ValueError(f"expected trailing shape {shape_tail}, got {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError("coordinates must be finite")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import re
 
 import pytest
 
@@ -430,6 +431,23 @@ class TestPlot:
         assert capsys.readouterr().err == "error: --vertices and --orders must be given together\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("vertices", ["0 1e300\n1 1e300\n", "1e300 1e300\n1e300 1e300\n"],
+                             ids=["flat far axis", "coincident far vertices"])
+    def test_axis_without_span_far_from_origin(self, tmp_path, vertices):
+        # The 5% pad rounds away at 1e300, leaving an axis with no span.
+        (tmp_path / "v.txt").write_text(vertices)
+        (tmp_path / "o.txt").write_text("1\n2\n")
+        out = tmp_path / "p.svg"
+        assert run([
+            "plot", "--vertices", tmp_path / "v.txt", "--orders", tmp_path / "o.txt", "--out", out
+        ]) == 0
+        svg = out.read_text()
+        assert "nan" not in svg
+        coords = re.findall(r' (c?[xy][12]?)="([^"]*)"', svg)
+        assert len(coords) == 16  # two arrows, two vertices, two labels
+        for name, value in coords:
+            assert 0 <= float(value) <= (800 if "x" in name else 600)
+
 
 class TestExportPly:
     def test_world_cloud(self, worked_files, tmp_path):
@@ -569,6 +587,12 @@ USAGE_ERRORS = [
      "--seed", "3"],
     ["align", "--manifest", "manifest.txt", "--out", "out"],
     [],
+    # Settings that the model fixes: the minimal sample, the world seed
+    # (--seed draws the world) and the principal point (the image centre).
+    ["align", "--recon", "foreign.txt", "--manifest", "manifest.txt", "--out", "out",
+     "--min-sample", "3"],
+    ["capture", "--trajectory", "dense.txt", "--out-dir", "out", "--world-seed", "1"],
+    ["capture", "--trajectory", "dense.txt", "--out-dir", "out", "--cx", "960"],
 ]
 
 

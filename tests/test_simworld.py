@@ -128,6 +128,10 @@ class TestGenerateWorld:
 
 
 class TestRetrace:
+    def test_principal_point_is_image_centre(self):
+        intr = tk.Intrinsics(800.0, 640, 481, 50.0)
+        assert (intr.cx, intr.cy) == (640 / 2, 481 / 2)
+
     def test_on_axis_projection_hits_principal_point(self):
         # Protagonist at the origin, camera 0.75 above it looking +x; a
         # landmark dead ahead at eye height projects to (cx, cy) exactly.
@@ -480,6 +484,17 @@ class TestSerialization:
         with pytest.raises(ParseError) as exc:
             simworld.read_observations(f"# frames 2\n0 1 1.0 2.0\n{line}\n")
         assert (exc.value.line, exc.value.column) == (3, column)
+
+    def test_observations_reject_negative_frame_count(self):
+        with pytest.raises(ParseError) as exc:
+            simworld.read_observations("0 1 1.0 2.0\n# frames -3\n")
+        assert str(exc.value) == "negative frame count -3 (line 2, column 10)"
+
+    def test_observations_reject_frame_count_below_data(self):
+        with pytest.raises(InvariantViolation, match=r"^2 frames \(line 1\) do not hold frame"):
+            simworld.read_observations("# frames 2\n0 1 1.0 2.0\n5 1 1.0 2.0\n")
+        # Without the header the data sets the frame count.
+        assert simworld.read_observations("0 1 1.0 2.0\n5 1 1.0 2.0\n").n_frames == 6
 
     def test_observations_group_interleaved_frames_in_file_order(self):
         back = simworld.read_observations("1 5 1 1\n0 2 2 2\n1 4 3 3\n")

@@ -65,6 +65,21 @@ class TestRecords:
         assert str(exc.value) == "expected 2 fields, got 3 (line 3)"
         assert exc.value.line == 3
 
+    def test_field_count_checked_per_line(self):
+        # Three fields then one make the four of two lines, but line 1 has too many.
+        data, _ = textio.records("1 2 3\n1\n")
+        with pytest.raises(ParseError) as exc:
+            textio.table(data, (int, int))
+        assert str(exc.value) == "expected 2 fields, got 3 (line 1)"
+
+    def test_dense_field_count_checked_per_line(self):
+        # 10 + 8 fields are two lines' worth of 9; read by the total alone,
+        # the file would load with every value after field 9 shifted.
+        text = " ".join(["1"] * 10) + "\n" + " ".join(["1"] * 8) + "\n"
+        with pytest.raises(ParseError) as exc:
+            poseio.read_dense(text)
+        assert str(exc.value) == "expected 9 fields, got 10 (line 1)"
+
     def test_table_types(self):
         data, _ = textio.records("a 1 2.5\nb -3 4\n")
         names, ints, floats = textio.table(data, (str, int, float))

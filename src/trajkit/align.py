@@ -17,8 +17,8 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
+from . import rng
 from .errors import DegenerateConfiguration, InvariantViolation
-from .rng import substream
 
 if TYPE_CHECKING:
     from .poseio import CaptureManifest, ReconstructedSet
@@ -31,6 +31,8 @@ DEFAULT_METERS_PER_UNIT = DEFAULT_STRIDE_M / 0.9
 _ORTHO_TOL = 1e-9
 # Points in a minimal RANSAC sample: three non-collinear points fix a similarity.
 MIN_SAMPLE = 3
+# RANSAC iterations whose samples are drawn in one call.
+_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -115,23 +117,18 @@ class AlignmentReport:
     names: tuple[str, ...]
 
     def __post_init__(self):
-        mask = np.array(self.inlier_mask, dtype=bool)
-        res = np.array(self.residuals_m, dtype=float)
-        mask.setflags(write=False)
-        res.setflags(write=False)
-        object.__setattr__(self, "inlier_mask", mask)
-        object.__setattr__(self, "residuals_m", res)
+        for name, dtype in (("inlier_mask", bool), ("residuals_m", float)):
+            column = np.array(getattr(self, name), dtype=dtype)
+            column.setflags(write=False)
+            object.__setattr__(self, name, column)
 
 
 def _point_pairs(src, dst) -> tuple[np.ndarray, np.ndarray]:
     """``src`` and ``dst`` as float (N, 3) arrays of equal length."""
-    pairs = []
-    for arr, name in ((src, "src"), (dst, "dst")):
-        pts = np.asarray(arr, dtype=float)
+    src, dst = np.asarray(src, dtype=float), np.asarray(dst, dtype=float)
+    for pts, name in ((src, "src"), (dst, "dst")):
         if pts.ndim != 2 or pts.shape[1] != 3:
             raise ValueError(f"{name} must be an (N, 3) array, got shape {pts.shape}")
-        pairs.append(pts)
-    src, dst = pairs
     if len(src) != len(dst):
         raise InvariantViolation(f"point sets differ in length: {len(src)} vs {len(dst)}")
     return src, dst
@@ -200,13 +197,28 @@ def residuals(transform: SimilarityTransform, src, dst) -> np.ndarray:
     return np.linalg.norm(np.asarray(dst, dtype=float) - transform.apply(src), axis=1)
 
 
+def minimal_samples(n: int, seed: int, start: int, stop: int) -> np.ndarray:
+    """Row i: the MIN_SAMPLE distinct indices in [0, n) of RANSAC iteration start + i.
+
+    Floyd's method on the iteration's keyed draws: pick j is uniform over
+    [0, n - MIN_SAMPLE + j] and becomes n - MIN_SAMPLE + j if already taken.
+    """
+    iterations = np.arange(start, stop)[:, None]
+    draws = rng.keyed_uniform(seed, rng.RANSAC, iterations, np.arange(MIN_SAMPLE))
+    picks = np.floor(draws * np.arange(n - MIN_SAMPLE + 1, n + 1)).astype(np.int64)
+    for j in range(1, MIN_SAMPLE):
+        repeats = np.any(picks[:, :j] == picks[:, j:j + 1], axis=1)
+        picks[repeats, j] = n - MIN_SAMPLE + j
+    return picks
+
+
 def ransac_align(
     src, dst, params: RansacParams = RansacParams()
 ) -> tuple[SimilarityTransform, np.ndarray]:
     """Robust similarity alignment by hypothesize-and-verify.
 
-    Each iteration draws a minimal sample from a seeded, iteration-keyed
-    substream, fits the closed-form similarity on it and counts points
+    Each iteration draws a minimal sample keyed by (seed, iteration), see
+    minimal_samples, fits the closed-form similarity on it and counts points
     with residual below the threshold. The largest consensus wins; ties
     fall to the lower mean inlier residual, then the earlier iteration.
     Degenerate (collinear) samples are discarded but still count against
@@ -220,12 +232,11 @@ def ransac_align(
     if n < MIN_SAMPLE:
         raise InvariantViolation(f"{n} correspondences, need at least {MIN_SAMPLE}")
 
-    best_count = 0
-    best_mean = math.inf
-    best_mask: np.ndarray | None = None
+    best_count, best_mean, best_mask = 0, math.inf, None
     for iteration in range(params.max_iterations):
-        rng = substream(params.seed, iteration)
-        sample = rng.choice(n, size=MIN_SAMPLE, replace=False)
+        if iteration % _BLOCK == 0:
+            samples = minimal_samples(n, params.seed, iteration, iteration + _BLOCK)
+        sample = samples[iteration % _BLOCK]
         try:
             hypothesis = umeyama(src[sample], dst[sample])
         except DegenerateConfiguration:
@@ -237,20 +248,14 @@ def ransac_align(
             continue
         mean_res = float(res[mask].mean())
         if count > best_count or (count == best_count and mean_res < best_mean):
-            best_count = count
-            best_mean = mean_res
-            best_mask = mask
-        if best_count > MIN_SAMPLE:
-            inlier_ratio = best_count / n
-            miss_prob = (1.0 - inlier_ratio ** MIN_SAMPLE) ** (iteration + 1)
-            if miss_prob <= 1.0 - params.confidence:
-                break
+            best_count, best_mean, best_mask = count, mean_res, mask
+        miss_prob = (1.0 - (best_count / n) ** MIN_SAMPLE) ** (iteration + 1)
+        if best_count > MIN_SAMPLE and miss_prob <= 1.0 - params.confidence:
+            break
 
-    if best_mask is None or best_count < MIN_SAMPLE + 1:
-        raise InvariantViolation(
-            f"best consensus holds {best_count} point(s); "
-            f"need more than {MIN_SAMPLE}"
-        )
+    if best_count <= MIN_SAMPLE:
+        message = f"best consensus holds {best_count} point(s); need more than {MIN_SAMPLE}"
+        raise InvariantViolation(message)
 
     transform = umeyama(src[best_mask], dst[best_mask])
     final_mask = residuals(transform, src, dst) < params.threshold

@@ -141,12 +141,8 @@ def cmd_simrecon(args) -> int:
         args.gauge_scale, args.gauge_yaw, args.gauge_translate
     )
     recon = simworld.simulate_reconstruction(
-        manifest,
-        gauge,
-        noise_sigma=args.noise_sigma,
-        outlier_fraction=args.outlier_fraction,
-        outlier_radius=args.outlier_radius,
-        seed=args.seed,
+        manifest, gauge, noise_sigma=args.noise_sigma, outlier_fraction=args.outlier_fraction,
+        outlier_radius=args.outlier_radius, seed=args.seed,
     )
     _write_text(args.out, poseio.write_reconstruction(recon))
     print(f"wrote {len(recon.names)} reconstructed positions to {args.out}")

@@ -1,36 +1,31 @@
-"""Seeded RNG substreams and a counter-based generator.
+"""Counter-based random numbers: every draw is a pure function of its key.
 
-Every randomized operation takes an explicit integer seed and derives
-independent generators via ``substream(seed, *key)``. Keyed substreams
-(e.g. one per frame, or one per RANSAC iteration) make results identical
-whether the keyed units run serially or concurrently.
-
-``keyed_uniform`` goes one step further: each draw is a pure function of
-its key, so a batch of draws needs no generator state at all. It hashes
-the key with the SplitMix64 finaliser, in the spirit of the counter-based
-generators of Salmon et al., "Parallel Random Numbers: As Easy as 1, 2,
-3" (SC'11).
+``keyed_uniform`` is the toolkit's only source of randomness. It hashes
+(seed, *key) with the SplitMix64 finaliser, in the spirit of the
+counter-based generators of Salmon et al., "Parallel Random Numbers: As
+Easy as 1, 2, 3" (SC'11). A draw depends on no other draw, so results
+are the same however the work is split, batched or cut short.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 _U64 = (1 << 64) - 1
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 
-
-def substream(seed: int, *key: int) -> np.random.Generator:
-    """Return the generator for (seed, *key); distinct keys are independent."""
-    return np.random.default_rng(np.random.SeedSequence([seed & _U64, *key]))
+# Capture keys its draws by (seed, frame, landmark, draw). Every other kind
+# of draw leads its key with its own stream constant; at 2**63 and above,
+# beyond any frame index, so that no two kinds of draw share a key.
+WORLD, PERTURB, RECON_NOISE, OUTLIERS, DISPLACEMENT, RANSAC = range(1 << 63, (1 << 63) + 6)
+# No box_muller draw exceeds sigma * MAX_NORMAL: a uniform is at most 1 - 2**-53.
+MAX_NORMAL = math.sqrt(-2.0 * math.log(2.0 ** -53))
 
 
 def _mix(z: np.ndarray) -> np.ndarray:
-    """SplitMix64's finaliser, a bijection on uint64 arrays.
-
-    Only ever applied to arrays: uint64 arithmetic wraps silently on
-    arrays, but numpy scalars warn on overflow.
-    """
+    """SplitMix64's finaliser, a bijection on uint64 arrays (which wrap; scalars would warn)."""
     z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
     return z ^ (z >> np.uint64(31))
@@ -39,11 +34,17 @@ def _mix(z: np.ndarray) -> np.ndarray:
 def keyed_uniform(seed: int, *key) -> np.ndarray:
     """Uniform doubles in [0, 1), one per element of the broadcast ``key`` arrays.
 
-    The draw for (seed, k1, k2, ...) depends on that key alone, never on
-    which other keys are drawn with it or in what order. Keys are
-    non-negative integers.
+    The draw for (seed, k1, k2, ...) depends on that key alone. Keys are
+    integers in [0, 2**64); any integer is a seed.
     """
     h = _mix(np.array([seed & _U64], dtype=np.uint64) + _GAMMA)
     for k in key:
         h = _mix((h + _GAMMA) ^ np.asarray(k, dtype=np.uint64))
     return (h >> np.uint64(11)) * 2.0 ** -53
+
+
+def box_muller(u: np.ndarray, v: np.ndarray, sigma: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """Two independent N(0, sigma**2) arrays from two arrays of uniforms in [0, 1)."""
+    radius = sigma * np.sqrt(-2.0 * np.log1p(-u))
+    angle = 2.0 * math.pi * v
+    return radius * np.cos(angle), radius * np.sin(angle)

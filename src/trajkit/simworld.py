@@ -18,10 +18,9 @@ import numpy as np
 
 from .align import SimilarityTransform
 from .conditions import DEFAULT_DEGRADATION, ConditionSet, TimeOfDay, Weather, degradation
-from . import textio
+from . import rng, textio
 from .errors import InvariantViolation, ParseError
 from .poseio import CaptureManifest, ReconstructedSet
-from .rng import keyed_uniform, substream
 from .textio import FIXED
 from .trajectory import MAX_FRAMES, DenseTrajectory
 
@@ -43,6 +42,9 @@ class Box:
         maxs = np.array(self.maxs, dtype=float).reshape(3)
         if not (np.all(np.isfinite(mins)) and np.all(np.isfinite(maxs))):
             raise ValueError("bounds must be finite")
+        # Halving is exact, so this tests maxs - mins for overflow without overflowing.
+        if np.any(maxs / 2 - mins / 2 > np.finfo(float).max / 2):
+            raise ValueError("bounds extent exceeds the float range")
         if np.any(maxs <= mins):
             raise InvariantViolation(f"bounds have non-positive extent: {mins} .. {maxs}")
         mins.setflags(write=False)
@@ -128,11 +130,9 @@ class ObservationSet:
             raise ValueError("observations must be sorted by frame")
         if self.n_frames < 0 or len(frame) and not 0 <= frame[0] <= frame[-1] < self.n_frames:
             raise ValueError(f"frame indices must lie in 0..{self.n_frames - 1}")
-        for column in (frame, ids, uv):
+        for name, column in (("frame", frame), ("ids", ids), ("uv", uv)):
             column.setflags(write=False)
-        object.__setattr__(self, "frame", frame)
-        object.__setattr__(self, "ids", ids)
-        object.__setattr__(self, "uv", uv)
+            object.__setattr__(self, name, column)
         object.__setattr__(self, "n_frames", int(self.n_frames))
 
     @property
@@ -154,8 +154,8 @@ def generate_world(seed: int, count: int, bounds: Box) -> World:
         raise ValueError(f"landmark count must be positive, got {count}")
     if count > MAX_LANDMARKS:
         raise InvariantViolation(f"{count} landmarks exceed the limit of {MAX_LANDMARKS}")
-    rng = substream(seed)
-    landmarks = rng.uniform(bounds.mins, bounds.maxs, size=(count, 3))
+    draws = rng.keyed_uniform(seed, rng.WORLD, np.arange(count)[:, None], np.arange(3))
+    landmarks = bounds.mins + (bounds.maxs - bounds.mins) * draws
     return World(landmarks=landmarks, seed=seed, bounds=bounds)
 
 
@@ -213,8 +213,7 @@ def retrace(
         raise ValueError(f"base_pixel_sigma must be finite and >= 0, got {base_pixel_sigma}")
     noise, drop = degradation(cond, table)
     sigma = base_pixel_sigma * noise
-    # Draw 1 is at most 1 - 2**-53, so no noise radius exceeds sigma * sqrt(-2 ln 2**-53).
-    if not math.isfinite(sigma * math.sqrt(-2.0 * math.log(2.0 ** -53))):
+    if not math.isfinite(sigma * rng.MAX_NORMAL):
         raise ValueError(f"pixel sigma {sigma} makes the largest noise radius overflow")
 
     # Block f of a chunk maps a landmark [p, 1] to frame f's right, down and forward
@@ -246,10 +245,8 @@ def retrace(
         uv = np.column_stack([u[inside], v[inside]])
 
         # Draw 0 decides dropout; draws 1 and 2 give Box-Muller noise.
-        draws = keyed_uniform(seed, frame[:, None], ids[:, None], np.arange(3))
-        radius = sigma * np.sqrt(-2.0 * np.log1p(-draws[:, 1]))
-        angle = 2.0 * math.pi * draws[:, 2]
-        uv += radius[:, None] * np.column_stack([np.cos(angle), np.sin(angle)])
+        draws = rng.keyed_uniform(seed, frame[:, None], ids[:, None], np.arange(3))
+        uv += np.column_stack(rng.box_muller(draws[:, 1], draws[:, 2], sigma))
         keep = (
             (draws[:, 0] >= drop)
             & (uv[:, 0] >= 0.0) & (uv[:, 0] <= intr.width)
@@ -265,13 +262,13 @@ def retrace(
 
 
 def outlier_indices(n: int, outlier_fraction: float, seed: int) -> np.ndarray:
-    """Sorted indices of the floor(fraction * n) entries picked as outliers.
+    """Sorted indices of the floor(fraction * n) entries with the smallest keyed draws.
 
-    Shares the substream used by simulate_reconstruction, so callers can
-    recover exactly which entries were displaced.
+    These are the entries that simulate_reconstruction displaces.
     """
     count = int(math.floor(outlier_fraction * n))
-    return np.sort(substream(seed, 1).choice(n, size=count, replace=False))
+    keys = rng.keyed_uniform(seed, rng.OUTLIERS, np.arange(n))
+    return np.sort(np.argsort(keys, kind="stable")[:count])
 
 
 def simulate_reconstruction(
@@ -286,29 +283,29 @@ def simulate_reconstruction(
 
     Every groundtruth position is pushed through ``gauge`` and jittered
     with isotropic Gaussian noise; a floor(fraction * N)-sized uniformly
-    chosen subset is additionally displaced along a random direction by a
-    norm drawn uniformly from [radius, 2 * radius]. Substreams: (seed, 0)
-    noise, (seed, 1) outlier selection, (seed, 2) displacement.
+    chosen subset is additionally displaced along a direction uniform on
+    the sphere by a norm drawn uniformly from [radius, 2 * radius). The
+    noise and the displacement of row k are keyed by k, so the first k
+    rows do not depend on the rows that follow.
     """
-    if not 0 <= noise_sigma < math.inf:
-        raise ValueError(f"noise_sigma must be non-negative and finite, got {noise_sigma}")
+    if not 0 <= noise_sigma * rng.MAX_NORMAL < math.inf:
+        raise ValueError(f"noise_sigma must be >= 0, its largest draw finite; got {noise_sigma}")
     if not 0.0 <= outlier_fraction <= 1.0:
         raise ValueError("outlier_fraction must lie in [0, 1]")
     if not 0 <= 2.0 * outlier_radius < math.inf:
         raise ValueError(f"outlier_radius must be >= 0, 2 * radius finite; got {outlier_radius}")
 
     positions = gauge.apply(manifest.camera)
-    positions = positions + substream(seed, 0).normal(0.0, noise_sigma, positions.shape)
+    rows = np.arange(len(positions))[:, None]
+    draws = rng.keyed_uniform(seed, rng.RECON_NOISE, rows, np.arange(4))
+    positions += noise_sigma * np.hstack(rng.box_muller(draws[:, :2], draws[:, 2:]))[:, :3]
 
     idx = outlier_indices(len(positions), outlier_fraction, seed)
-    rng = substream(seed, 2)
-    directions = rng.standard_normal((len(idx), 3))
-    norms = np.linalg.norm(directions, axis=1, keepdims=True)
-    while np.any(norms < 1e-12):  # essentially unreachable
-        directions = rng.standard_normal((len(idx), 3))
-        norms = np.linalg.norm(directions, axis=1, keepdims=True)
-    radii = rng.uniform(outlier_radius, 2.0 * outlier_radius, len(idx))
-    positions[idx] += directions / norms * radii[:, None]
+    u, v, w = rng.keyed_uniform(seed, rng.DISPLACEMENT, idx[:, None], np.arange(3)).T
+    z, phi = 2.0 * u - 1.0, 2.0 * math.pi * v
+    ring = np.sqrt(1.0 - z * z)
+    directions = np.column_stack([ring * np.cos(phi), ring * np.sin(phi), z])
+    positions[idx] += directions * (outlier_radius * (1.0 + w))[:, None]
 
     return ReconstructedSet(manifest.names, positions)
 
@@ -329,7 +326,7 @@ def read_world(text: str) -> World:
     seed = bounds = None
     for h, tokens in enumerate(map(str.split, headers.texts)):
         if len(tokens) == 2 and tokens[0] == "seed":
-            # Any integer is a seed (substream() folds it into 64 bits).
+            # Any integer is a seed (keyed_uniform() folds it into 64 bits).
             try:
                 seed = int(tokens[1])
             except ValueError:

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import rng
 from .errors import InvariantViolation
-from .rng import substream
 
 # Frame budget of one dense trajectory, checked before anything is
 # allocated; 34 times the 291,767 frames of the full-size large plan.
@@ -225,11 +225,11 @@ def perturb(
     The protagonist track and frame indexing are untouched; zero sigmas
     return an identical copy, and a fixed seed is fully reproducible.
     """
-    if not (0 <= pos_sigma < math.inf and 0 <= yaw_sigma < math.inf):
-        raise ValueError("noise sigmas must be non-negative and finite")
-    rng = substream(seed)
-    n = len(dense)
-    camera = dense.camera + pos_sigma * rng.standard_normal((n, 3))
+    if not all(0 <= s * rng.MAX_NORMAL < math.inf for s in (pos_sigma, yaw_sigma)):
+        raise ValueError("noise sigmas must be non-negative, their largest draws finite")
+    draws = rng.keyed_uniform(seed, rng.PERTURB, np.arange(len(dense))[:, None], np.arange(4))
+    normal = np.hstack(rng.box_muller(draws[:, :2], draws[:, 2:]))
+    camera = dense.camera + pos_sigma * normal[:, :3]
     rotation = np.array(dense.rotation)
-    rotation[:, 2] += yaw_sigma * rng.standard_normal(n)
+    rotation[:, 2] += yaw_sigma * normal[:, 3]
     return DenseTrajectory(dense.protagonist, camera, rotation)

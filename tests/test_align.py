@@ -7,6 +7,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import trajkit as tk
 from trajkit import align
@@ -256,6 +258,33 @@ class TestRansacAlign:
 
             _, mask = tk.ransac_align(src, dst, params)
             np.testing.assert_array_equal(mask, expected_mask)
+
+
+class TestMinimalSamples:
+    @given(
+        n=st.integers(3, 10**12),
+        seed=st.integers(-(2**70), 2**70),
+        start=st.integers(0, 10**9),
+        before=st.integers(0, 300),
+        after=st.integers(1, 300),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_distinct_in_range_and_independent_of_block(self, n, seed, start, before, after):
+        block = align.minimal_samples(n, seed, start, start + before + after)
+        assert block.shape == (before + after, align.MIN_SAMPLE)
+        assert np.all((block >= 0) & (block < n))
+        assert np.all(np.sort(block, axis=1)[:, 1:] != np.sort(block, axis=1)[:, :-1])
+        i = start + before
+        np.testing.assert_array_equal(align.minimal_samples(n, seed, i, i + 1)[0], block[before])
+        np.testing.assert_array_equal(align.minimal_samples(n, seed, i, i + 300)[0], block[before])
+
+    def test_every_subset_equally_likely(self):
+        # 5 choose 3 = 10 subsets, 20,000 draws: each count near 2,000
+        # (binomial sd 42).
+        samples = np.sort(align.minimal_samples(5, 3, 0, 20_000), axis=1)
+        _, counts = np.unique(samples, axis=0, return_counts=True)
+        assert len(counts) == 10
+        assert np.all(np.abs(counts - 2000) <= 200)
 
 
 def build_pair(gt, gauge, **sim_kwargs):

@@ -486,12 +486,12 @@ class TestCalibrate:
 PINNED_SHA256 = {
     "trajectory_dense.txt": "52375c13ad7783b8059d45cef72e737949107724ccc9212863ebd2acadcd562a",
     "capture/6dpose_list.txt": "ac27c2bb015f55e31bd83815ef434ad07d6f3b5bcdd5d59936eccf7b878cbca7",
-    "capture/world.txt": "b592726aaf7cf051fab5527dbcb596cbbaff56c86ef703177bf55adf61276f56",
+    "capture/world.txt": "f8fe1395f0942d43587f3957ecfe8dba4cfb4e69f8f3b25465c1c9b53e0ff926",
     "snow_night/6dpose_list.txt":
         "5f5da5c2e4c2cfe13de0633b4afa160977efb01cd4bd245863d0fe9d4b6bb260",
     "subsample.txt": "ac8a1df21b0b2833a505a53a941b3a2db389454a7c76fecfdeca1286e8553c80",
-    "perturbed.txt": "d0532c006918779e84ef710ec13e716c9ca21722d11e17bc59c47fb6dd7ba3a4",
-    "world.ply": "b479af6db012bdf1145e923dc04cb71056abed4023ad94248a321b09e1909fe3",
+    "perturbed.txt": "78819a35be6471ecf58ab2791529d7531ceebad489d8cb9e71e294357657f088",
+    "world.ply": "b91ae6e39d370a34d187524b0214fe4797abcfe80bce306b56c73f425d3b2c6f",
     "plot.svg": "e3593364ecdaf24e75fb6fd1cff80f00712e9bde78218faef8cca10086464ed0",
 }
 
@@ -556,6 +556,10 @@ ERROR_CONTRACT = [
     ("flat bounds", ["capture", "--trajectory", "dense.txt", "--out-dir", "out",
                      "--bounds", "0", "0", "0", "1", "0", "1"],
      2, "bounds have non-positive extent: [0. 0. 0.] .. [1. 0. 1.]"),
+    ("overflowing bounds", ["capture", "--trajectory", "dense.txt", "--out-dir", "out",
+                            "--bounds", "-1" + "0" * 308, "-1" + "0" * 308, "0",
+                            "1" + "0" * 308, "1" + "0" * 308, "15"],
+     1, "bounds extent exceeds the float range"),
     ("table entry", ["capture", "--trajectory", "dense.txt", "--out-dir", "out",
                      "--weather", "snow", "--degradation-table", "no_snow.txt"],
      1, "no noise multiplier for weather 'snow'"),

@@ -98,6 +98,13 @@ class TestGenerateWorld:
         offset = np.abs(world.landmarks.mean(axis=0) - (bounds.mins + bounds.maxs) / 2)
         assert np.all(offset <= 0.02 * extent)
 
+    @pytest.mark.parametrize("k", [1, 7, 100])
+    def test_first_landmarks_independent_of_count(self, k):
+        bounds = tk.Box((-5, 0, 1), (5, 20, 3))
+        head = tk.generate_world(7, k, bounds)
+        whole = tk.generate_world(7, 250, bounds)
+        np.testing.assert_array_equal(head.landmarks, whole.landmarks[:k])
+
     def test_degenerate_bounds(self):
         message = "bounds have non-positive extent: [0. 0. 0.] .. [1. 0. 1.]"
         with pytest.raises(InvariantViolation, match=exactly(message)):
@@ -411,6 +418,16 @@ class TestSimulateReconstruction:
         )
         displaced = np.flatnonzero(np.linalg.norm(recon.positions - positions, axis=1) > 0)
         np.testing.assert_array_equal(displaced, simworld.outlier_indices(60, 0.25, 9))
+
+    @pytest.mark.parametrize("k", [1, 2, 50])
+    def test_noise_of_first_rows_independent_of_count(self, k):
+        positions = np.random.default_rng(9).uniform(-50, 50, (120, 3))
+        gauge = tk.SimilarityTransform.from_z_rotation(0.5, 45.0, (10.0, -3.0, 2.0))
+        kwargs = dict(noise_sigma=0.1, seed=3)
+        whole = tk.simulate_reconstruction(make_manifest(positions), gauge, **kwargs)
+        head = tk.simulate_reconstruction(make_manifest(positions[:k]), gauge, **kwargs)
+        np.testing.assert_array_equal(head.positions, whole.positions[:k])
+        assert not np.array_equal(head.positions, gauge.apply(positions[:k]))
 
     def test_deterministic(self):
         rng = np.random.default_rng(5)

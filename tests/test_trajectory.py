@@ -250,6 +250,15 @@ class TestPerturb:
         stds = out.camera.std(axis=0)
         assert np.all(stds >= 0.48) and np.all(stds <= 0.52)
 
+    @pytest.mark.parametrize("k", [1, 2, 100])
+    def test_prefix_perturbed_equals_first_frames_of_whole(self, worked_sparse, k):
+        dense = tk.densify(worked_sparse)
+        head = tk.DenseTrajectory(dense.protagonist[:k], dense.camera[:k], dense.rotation[:k])
+        whole = tk.perturb(dense, 0.3, 2.0, seed=5)
+        part = tk.perturb(head, 0.3, 2.0, seed=5)
+        np.testing.assert_array_equal(part.camera, whole.camera[:k])
+        np.testing.assert_array_equal(part.rotation, whole.rotation[:k])
+
     def test_negative_sigma_rejected(self, worked_sparse):
         dense = tk.densify(worked_sparse)
         with pytest.raises(ValueError):

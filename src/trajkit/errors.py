@@ -9,8 +9,8 @@ Each class is kept because some code tells it apart from the others:
 * ``InvariantViolation``: well-formed data that breaks a domain rule;
   the CLI exits 2 (``cli.main``);
 * ``DegenerateConfiguration``: an ``InvariantViolation`` for points that
-  cannot determine a rotation, which ``align.ransac_align`` catches to
-  skip a degenerate sample.
+  determine no similarity, which ``align.umeyama`` raises so that a
+  caller can tell a rejected fit from other domain errors.
 """
 
 from __future__ import annotations
@@ -41,4 +41,4 @@ class InvariantViolation(TrajkitError):
 
 
 class DegenerateConfiguration(InvariantViolation):
-    """Source points are coincident or collinear; the rotation is under-determined."""
+    """Points that determine no similarity, such as coincident or collinear sources."""

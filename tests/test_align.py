@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
 
 import numpy as np
@@ -93,6 +94,20 @@ class TestUmeyama:
         with pytest.raises(DegenerateConfiguration):
             tk.umeyama(1e-200 * src, 1e200 * src)
 
+    @pytest.mark.parametrize("src_offset, dst_spread, message", [
+        (1e10, 1e295, "estimated translation exceeds the float range"),
+        (1.5e308, 1.0, "centred points exceed the float range"),
+    ])
+    def test_fit_beyond_float_range_rejected(self, src_offset, dst_spread, message):
+        # scale * rotation @ mean(src) overflows; or the mean of src does.
+        rng = np.random.default_rng(14)
+        src = src_offset + 1e-5 * rng.uniform(-1, 1, (20, 3))
+        dst = dst_spread * rng.uniform(-1, 1, (20, 3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateConfiguration, match=exactly(message)):
+                tk.umeyama(src, dst)
+
     def test_collinear_rejected(self):
         src = np.array([[0, 0, 0], [1, 1, 1], [2, 2, 2]], dtype=float)
         with pytest.raises(DegenerateConfiguration):
@@ -159,6 +174,164 @@ class TestUmeyama:
             )
             cost = (align.residuals(candidate, src, dst) ** 2).sum()
             assert cost >= best_cost - 1e-9
+
+
+def scalar_fit(src, dst):
+    """The closed-form fit of one point set in scalar steps: the reference for fit_similarities."""
+    n = len(src)
+    mu_src, mu_dst = src.mean(axis=0), dst.mean(axis=0)
+    src_e = math.frexp(float(np.abs(src - mu_src).max()))[1]
+    dst_e = math.frexp(float(np.abs(dst - mu_dst).max()))[1]
+    src_c, dst_c = np.ldexp(src - mu_src, -src_e), np.ldexp(dst - mu_dst, -dst_e)
+    u, d, vt = np.linalg.svd(dst_c.T @ src_c / n)
+    sign = np.ones(3)
+    if np.linalg.det(u) * np.linalg.det(vt) < 0:
+        sign[2] = -1.0
+    rotation = u @ np.diag(sign) @ vt
+    scale = math.ldexp(float((d * sign).sum() / ((src_c ** 2).sum() / n)), dst_e - src_e)
+    return scale, rotation, mu_dst - scale * rotation @ mu_src
+
+
+class TestFitSimilarities:
+    @pytest.mark.parametrize("n", [3, 4, 50])
+    def test_rows_match_single_fits(self, n):
+        rng = np.random.default_rng(40 + n)
+        src = rng.uniform(-10, 10, (64, n, 3))
+        dst = np.stack([random_similarity(rng).apply(p) for p in src])
+        dst[32:] += rng.normal(0, 0.5, (32, n, 3))
+        src[1] = 1.0                                            # coincident
+        src[2, 2] = 2 * src[2, 1] - src[2, 0]                   # collinear
+        src[2, 3:] = 3 * src[2, 1] - 2 * src[2, 0]
+        src[3], dst[3] = 1e-200 * src[3], 1e200 * dst[3]        # scale overflows
+        dst[4] = 1.0                                            # scale 0
+        src[5] = 1e10 + 1e-6 * src[5]                           # translation overflows
+        dst[5] = 1e294 * dst[5]
+        src[6] = 1.5e308 + 1e292 * src[6]                       # centring overflows
+        scale, rotation, translation, fault = align.fit_similarities(src, dst)
+        assert sorted(fault[:7].tolist()) == list(range(len(align.FAULTS)))
+        for b in range(len(src)):
+            try:
+                single = tk.umeyama(src[b], dst[b])
+            except DegenerateConfiguration as exc:
+                assert fault[b] and str(exc) == align.FAULTS[fault[b]]
+                continue
+            assert fault[b] == 0
+            assert scale[b] == single.scale
+            np.testing.assert_array_equal(rotation[b], single.rotation)
+            np.testing.assert_array_equal(translation[b], single.translation)
+            reference = scalar_fit(src[b], dst[b])
+            assert scale[b] == reference[0]
+            np.testing.assert_array_equal(rotation[b], reference[1])
+            np.testing.assert_array_equal(translation[b], reference[2])
+
+
+def one_at_a_time(src, dst, params):
+    """ransac_align as a loop over single iterations; also returns the iterations run.
+
+    The reference the blocked loop must match bit for bit.
+    """
+    n = len(src)
+    best_count, best_mean, best_mask = 0, math.inf, None
+    samples = align.minimal_samples(n, params.seed, 0, params.max_iterations)
+    iterations = params.max_iterations
+    for iteration, sample in enumerate(samples):
+        try:
+            hypothesis = tk.umeyama(src[sample], dst[sample])
+        except DegenerateConfiguration:
+            continue
+        res = align.residuals(hypothesis, src, dst)
+        mask = res < params.threshold
+        count = int(mask.sum())
+        if count == 0:
+            continue
+        mean_res = float(res[mask].mean())
+        if count > best_count or (count == best_count and mean_res < best_mean):
+            best_count, best_mean, best_mask = count, mean_res, mask
+        miss_prob = (1.0 - (best_count / n) ** align.MIN_SAMPLE) ** (iteration + 1)
+        if best_count > align.MIN_SAMPLE and miss_prob <= 1.0 - params.confidence:
+            iterations = iteration + 1
+            break
+    if best_count <= align.MIN_SAMPLE:
+        message = f"best consensus holds {best_count} point(s); need more than 3"
+        raise InvariantViolation(message)
+    transform = tk.umeyama(src[best_mask], dst[best_mask])
+    return transform, align.residuals(transform, src, dst) < params.threshold, iterations
+
+
+def assert_matches_one_at_a_time(src, dst, params) -> int:
+    """ransac_align and the reference agree bitwise; returns the reference's iterations."""
+    try:
+        expected_transform, expected_mask, iterations = one_at_a_time(src, dst, params)
+    except InvariantViolation as exc:
+        with pytest.raises(InvariantViolation, match=exactly(str(exc))):
+            tk.ransac_align(src, dst, params)
+        return params.max_iterations
+    transform, mask = tk.ransac_align(src, dst, params)
+    np.testing.assert_array_equal(mask, expected_mask)
+    assert transform.scale == expected_transform.scale
+    np.testing.assert_array_equal(transform.rotation, expected_transform.rotation)
+    np.testing.assert_array_equal(transform.translation, expected_transform.translation)
+    return iterations
+
+
+def noisy_pairs(seed, n, outlier_fraction, sigma):
+    """Points, a similarity of them with noise sigma, and floor(f * n) gross outliers."""
+    rng = np.random.default_rng(seed)
+    src = rng.uniform(-20, 20, (n, 3))
+    dst = random_similarity(rng, scale_range=(0.5, 2.0), translation_span=20.0).apply(src)
+    dst += rng.normal(0, sigma, dst.shape)
+    outliers = rng.permutation(n)[:int(outlier_fraction * n)]
+    dst[outliers] += rng.uniform(-30, 30, (len(outliers), 3))
+    return src, dst
+
+
+class TestBlockedRansac:
+    @pytest.mark.parametrize("max_iterations", [1, 7, 8, 9, 255, 256, 257, 2000])
+    @pytest.mark.parametrize("outlier_fraction", [0.0, 0.5, 0.8, 0.9])
+    def test_matches_one_at_a_time(self, outlier_fraction, max_iterations):
+        # Noise near the threshold: hypotheses tie on count with different
+        # inlier sets, so the tie-break decides the winner.
+        for seed in (0, 1):
+            src, dst = noisy_pairs(50 + seed, 60, outlier_fraction, sigma=0.35)
+            params = tk.RansacParams(threshold=0.5, max_iterations=max_iterations, seed=seed)
+            assert_matches_one_at_a_time(src, dst, params)
+
+    def test_confidence_stop_mid_sub_block(self, monkeypatch):
+        consumed = []
+        blocked = align._consensus
+
+        def recording(*args):
+            for hypothesis in blocked(*args):
+                consumed.append(hypothesis[0])
+                yield hypothesis
+
+        monkeypatch.setattr(align, "_consensus", recording)
+        src, dst = noisy_pairs(60, 80, 0.5, sigma=0.15)
+        stops = set()
+        for digits in np.linspace(1, 12, 23):
+            consumed.clear()
+            params = tk.RansacParams(threshold=0.5, confidence=1 - 10 ** -digits, seed=3)
+            iterations = assert_matches_one_at_a_time(src, dst, params)
+            assert iterations < params.max_iterations
+            assert consumed[-1] + 1 == iterations
+            stops.add(iterations % align._SUB_BLOCK)
+        assert len(stops - {0}) >= 3
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_degenerate_rows_inside_sub_blocks(self, seed):
+        # Four distinct sources, three of them on a line, each repeated:
+        # most samples are coincident or collinear.
+        rng = np.random.default_rng(70 + seed)
+        base = np.array([[0, 0, 0], [1, 1, 0], [2, 2, 0], [0, 3, 1]], dtype=float) * 5
+        src = np.repeat(base, 5, axis=0)
+        dst = random_similarity(rng).apply(src) + rng.normal(0, 0.1, src.shape)
+        samples = align.minimal_samples(len(src), seed, 0, align._BLOCK)
+        fault = align.fit_similarities(src[samples], dst[samples])[3]
+        skipped = fault.reshape(-1, align._SUB_BLOCK) != 0
+        assert np.any(skipped.any(axis=1) & ~skipped.all(axis=1))
+        for max_iterations in (1, 8, 9, 300):
+            params = tk.RansacParams(threshold=0.3, max_iterations=max_iterations, seed=seed)
+            assert_matches_one_at_a_time(src, dst, params)
 
 
 class TestRansacAlign:

@@ -520,6 +520,16 @@ INPUTS = {
     "foreign.txt": "x 0 0 0\ny 1 0 0\nz 0 1 0\n",
     "s1.txt": "0 0 0 0\n",
     "s0.txt": "0 0 0 0\n0 0 0 5\n",
+    # Reconstructed points within 1e-5 of (1e10, 1e10, 1e10), groundtruth
+    # spread over +-1e295: every fit's translation overflows.
+    "far_recon.txt": "".join(
+        f"f{i}.png " + " ".join(f"{1e10 + 1e-5 * (i // 3 ** j % 3 - 1):.5f}" for j in range(3))
+        + "\n" for i in range(20)
+    ),
+    "far_manifest.txt": "".join(
+        f"f{i}.png {i * 7 % 19 - 9}e294 {i * 11 % 19 - 9}e294 {i * 13 % 19 - 9}e294 0 0 0\n"
+        for i in range(20)
+    ),
 }
 
 
@@ -580,6 +590,9 @@ ERROR_CONTRACT = [
     ("no shared names", ["align", "--recon", "foreign.txt", "--manifest", "manifest.txt",
                          "--out", "out"],
      2, "0 shared image name(s); need at least 3"),
+    ("translation overflow", ["align", "--recon", "far_recon.txt", "--manifest",
+                              "far_manifest.txt", "--out", "out"],
+     2, "best consensus holds 0 point(s); need more than 3"),
     ("one sample", ["calibrate", "--samples", "s1.txt"], 2, "1 sample(s); need at least 2"),
     ("zero distance", ["calibrate", "--samples", "s0.txt"], 2, "samples cover zero distance"),
 ]

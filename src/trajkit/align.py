@@ -21,6 +21,7 @@ import numpy as np
 
 from . import rng
 from .errors import DegenerateConfiguration, InvariantViolation
+from .trajectory import frozen_array
 
 if TYPE_CHECKING:
     from .poseio import CaptureManifest, ReconstructedSet
@@ -49,20 +50,16 @@ class SimilarityTransform:
     translation: np.ndarray
 
     def __post_init__(self):
-        rot = np.array(self.rotation, dtype=float)
-        tra = np.array(self.translation, dtype=float)
-        if rot.shape != (3, 3) or tra.shape != (3,):
-            raise InvariantViolation("rotation must be (3, 3) and translation (3,)")
-        if not (math.isfinite(self.scale) and np.isfinite(rot).all() and np.isfinite(tra).all()):
-            raise ValueError("scale, rotation and translation must be finite")
+        rot = frozen_array(self.rotation, (3, 3), name="rotation")
+        tra = frozen_array(self.translation, (3,), name="translation")
+        if not math.isfinite(self.scale):
+            raise ValueError(f"scale must be finite, got {self.scale}")
         if not self.scale > 0:
             raise InvariantViolation(f"scale must be positive, got {self.scale}")
         if np.abs(rot.T @ rot - np.eye(3)).max() > _ORTHO_TOL:
             raise InvariantViolation("rotation is not orthonormal within 1e-9")
         if abs(np.linalg.det(rot) - 1.0) > _ORTHO_TOL:
             raise InvariantViolation("rotation determinant is not +1 within 1e-9")
-        rot.setflags(write=False)
-        tra.setflags(write=False)
         object.__setattr__(self, "scale", float(self.scale))
         object.__setattr__(self, "rotation", rot)
         object.__setattr__(self, "translation", tra)
@@ -123,8 +120,7 @@ class AlignmentReport:
 
     def __post_init__(self):
         for name, dtype in (("inlier_mask", bool), ("residuals_m", float)):
-            column = np.array(getattr(self, name), dtype=dtype)
-            column.setflags(write=False)
+            column = frozen_array(getattr(self, name), (-1,), dtype, name=name)
             object.__setattr__(self, name, column)
 
 
@@ -227,8 +223,9 @@ def umeyama(src, dst) -> SimilarityTransform:
 
 
 def residuals(transform: SimilarityTransform, src, dst) -> np.ndarray:
-    """Per-point distances ||dst_i - T(src_i)||."""
-    return np.linalg.norm(np.asarray(dst, dtype=float) - transform.apply(src), axis=1)
+    """Per-point distances ||dst_i - T(src_i)||; one that overflows is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.linalg.norm(np.asarray(dst, dtype=float) - transform.apply(src), axis=1)
 
 
 def minimal_samples(n: int, seed: int, start: int, stop: int) -> np.ndarray:
@@ -354,7 +351,12 @@ def evaluate(
     src = recon.positions[[recon_row[name] for name in names]]
     dst = manifest.camera[rows]
     transform, mask = ransac_align(src, dst, params)
-    res_m = residuals(transform, src, dst) * meters_per_unit
+    with np.errstate(over="ignore"):
+        res_m = residuals(transform, src, dst) * meters_per_unit
+    overflow = np.flatnonzero(~np.isfinite(res_m))
+    if len(overflow):
+        name = names[overflow[0]]
+        raise InvariantViolation(f"residual of image {name!r} is not finite in meters")
     average, median = error_statistics(res_m)
     return AlignmentReport(
         transform=transform,

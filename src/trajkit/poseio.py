@@ -121,8 +121,8 @@ class CaptureManifest:
 
     def __post_init__(self):
         object.__setattr__(self, "names", _check_names(self.names))
-        object.__setattr__(self, "camera", frozen_array(self.camera, (3,)))
-        object.__setattr__(self, "rotation", frozen_array(self.rotation, (3,)))
+        for name in ("camera", "rotation"):
+            object.__setattr__(self, name, frozen_array(getattr(self, name), (-1, 3), name=name))
         if not len(self.names) == len(self.camera) == len(self.rotation):
             raise ValueError("names, camera and rotation must have equal length")
 
@@ -177,7 +177,8 @@ class ReconstructedSet:
 
     def __post_init__(self):
         object.__setattr__(self, "names", _check_names(self.names))
-        object.__setattr__(self, "positions", frozen_array(self.positions, (3,)))
+        positions = frozen_array(self.positions, (-1, 3), name="positions")
+        object.__setattr__(self, "positions", positions)
         if len(self.names) != len(self.positions):
             raise ValueError("names and positions must have equal length")
 

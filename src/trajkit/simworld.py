@@ -22,7 +22,7 @@ from . import rng, textio
 from .errors import InvariantViolation, ParseError
 from .poseio import CaptureManifest, ReconstructedSet
 from .textio import FIXED
-from .trajectory import MAX_FRAMES, DenseTrajectory
+from .trajectory import MAX_FRAMES, DenseTrajectory, frozen_array
 
 # Landmark budget of one world, checked by generate_world before it draws;
 # 10 times the largest world the tests build. retrace's chunk buffer
@@ -38,17 +38,12 @@ class Box:
     maxs: np.ndarray
 
     def __post_init__(self):
-        mins = np.array(self.mins, dtype=float).reshape(3)
-        maxs = np.array(self.maxs, dtype=float).reshape(3)
-        if not (np.all(np.isfinite(mins)) and np.all(np.isfinite(maxs))):
-            raise ValueError("bounds must be finite")
+        mins, maxs = (frozen_array(b, (3,), name="bounds") for b in (self.mins, self.maxs))
         # Halving is exact, so this tests maxs - mins for overflow without overflowing.
         if np.any(maxs / 2 - mins / 2 > np.finfo(float).max / 2):
             raise ValueError("bounds extent exceeds the float range")
         if np.any(maxs <= mins):
             raise InvariantViolation(f"bounds have non-positive extent: {mins} .. {maxs}")
-        mins.setflags(write=False)
-        maxs.setflags(write=False)
         object.__setattr__(self, "mins", mins)
         object.__setattr__(self, "maxs", maxs)
 
@@ -62,12 +57,11 @@ class World:
     bounds: Box
 
     def __post_init__(self):
-        pts = np.array(self.landmarks, dtype=float).reshape(-1, 3)
+        pts = frozen_array(self.landmarks, (-1, 3), name="landmarks")
         if len(pts) > MAX_LANDMARKS:
             raise InvariantViolation(f"{len(pts)} landmarks exceed the limit of {MAX_LANDMARKS}")
         if np.any(pts < self.bounds.mins) or np.any(pts > self.bounds.maxs):
             raise InvariantViolation("landmarks outside world bounds")
-        pts.setflags(write=False)
         object.__setattr__(self, "landmarks", pts)
 
 
@@ -121,19 +115,20 @@ class ObservationSet:
     n_frames: int
 
     def __post_init__(self):
-        frame = np.array(self.frame, dtype=np.int64).reshape(-1)
-        ids = np.array(self.ids, dtype=np.int64).reshape(-1)
-        uv = np.array(self.uv, dtype=float).reshape(-1, 2)
-        if not len(frame) == len(ids) == len(uv):
+        for name, shape, dtype in (("frame", (-1,), np.int64), ("ids", (-1,), np.int64),
+                                   ("uv", (-1, 2), float)):
+            column = frozen_array(getattr(self, name), shape, dtype, name=name)
+            object.__setattr__(self, name, column)
+        frame, n_frames = self.frame, int(self.n_frames)
+        if not len(frame) == len(self.ids) == len(self.uv):
             raise ValueError("frame, ids and uv must have equal length")
         if np.any(frame[1:] < frame[:-1]):
             raise ValueError("observations must be sorted by frame")
-        if self.n_frames < 0 or len(frame) and not 0 <= frame[0] <= frame[-1] < self.n_frames:
-            raise ValueError(f"frame indices must lie in 0..{self.n_frames - 1}")
-        for name, column in (("frame", frame), ("ids", ids), ("uv", uv)):
-            column.setflags(write=False)
-            object.__setattr__(self, name, column)
-        object.__setattr__(self, "n_frames", int(self.n_frames))
+        if n_frames < 0 or len(frame) and not 0 <= frame[0] <= frame[-1] < n_frames:
+            raise ValueError(f"frame indices must lie in 0..{n_frames - 1}")
+        if n_frames > MAX_FRAMES:
+            raise InvariantViolation(f"{n_frames} frames exceed the limit of {MAX_FRAMES}")
+        object.__setattr__(self, "n_frames", n_frames)
 
     @property
     def frames(self) -> tuple[FrameObservations, ...]:
@@ -342,7 +337,7 @@ def read_world(text: str) -> World:
         )
     if seed is None or bounds is None:
         raise ParseError("world file must carry '# seed' and '# bounds' headers", line=1)
-    return World(np.column_stack(columns).reshape(-1, 3), seed=seed, bounds=bounds)
+    return World(np.column_stack(columns), seed=seed, bounds=bounds)
 
 
 def write_observations(obs: ObservationSet) -> str:
@@ -369,8 +364,6 @@ def read_observations(text: str) -> ObservationSet:
     elif n_frames <= last:
         line = headers.line_nos[header]
         raise InvariantViolation(f"{n_frames} frames (line {line}) do not hold frame index {last}")
-    if n_frames > MAX_FRAMES:
-        raise InvariantViolation(f"{n_frames} frames exceed the limit of {MAX_FRAMES}")
     del recs  # the line texts outweigh the columns; free them before sorting
     # Group the lines by frame, keeping file order within a frame.
     order = np.argsort(frame, kind="stable")

@@ -12,8 +12,10 @@ Angle and frame conventions used throughout the toolkit:
 * at zero rotation the view axis is +x, so the yaw rz turns the view in
   the ground plane (rz = 90 looks along +y).
 
-All operations are pure functions of their inputs plus an explicit seed;
-constructed values are immutable.
+All operations are pure functions of their inputs plus an explicit seed.
+Constructed values are immutable: every value type of the toolkit stores
+each array field through frozen_array, the one place that converts it,
+checks its shape and finiteness, copies it and makes it read-only.
 """
 
 from __future__ import annotations
@@ -31,13 +33,17 @@ from .errors import InvariantViolation
 MAX_FRAMES = 10_000_000
 
 
-def frozen_array(values, shape_tail: tuple[int, ...]) -> np.ndarray:
-    """A read-only float64 copy of ``values``; every entry must be finite."""
-    arr = np.array(values, dtype=float)
-    if arr.shape[1:] != shape_tail:
-        raise ValueError(f"expected trailing shape {shape_tail}, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("coordinates must be finite")
+def frozen_array(values, shape: tuple[int, ...], dtype=float, *, name: str) -> np.ndarray:
+    """A read-only ``dtype`` copy of ``values``, for the array field ``name`` of a value type.
+
+    Its shape must match ``shape``, where -1 admits any length, and every
+    entry must be finite; else ValueError naming the field.
+    """
+    arr = np.array(values, dtype=dtype)
+    if arr.ndim != len(shape) or any(n not in (-1, m) for n, m in zip(shape, arr.shape)):
+        raise ValueError(f"{name} must have shape {shape}, got {arr.shape}".replace("-1", "N"))
+    if arr.dtype.kind == "f" and not np.isfinite(arr).all():
+        raise ValueError(f"{name} must be finite")
     arr.setflags(write=False)
     return arr
 
@@ -56,7 +62,7 @@ class SparseTrajectory:
     orders: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "vertices", frozen_array(self.vertices, (2,)))
+        object.__setattr__(self, "vertices", frozen_array(self.vertices, (-1, 2), name="vertices"))
         object.__setattr__(
             self, "orders", tuple(tuple(int(s) for s in steps) for steps in self.orders)
         )
@@ -75,16 +81,12 @@ class DenseTrajectory:
     rotation: np.ndarray
 
     def __post_init__(self):
-        prot = frozen_array(self.protagonist, (3,))
-        cam = frozen_array(self.camera, (3,))
-        rot = frozen_array(self.rotation, (3,))
-        if not (len(prot) == len(cam) == len(rot)):
+        for name in ("protagonist", "camera", "rotation"):
+            object.__setattr__(self, name, frozen_array(getattr(self, name), (-1, 3), name=name))
+        if not (len(self.protagonist) == len(self.camera) == len(self.rotation)):
             raise ValueError("protagonist, camera and rotation must have equal length")
-        if len(prot) == 0:
+        if len(self.protagonist) == 0:
             raise ValueError("a dense trajectory must contain at least one sample")
-        object.__setattr__(self, "protagonist", prot)
-        object.__setattr__(self, "camera", cam)
-        object.__setattr__(self, "rotation", rot)
 
     def __len__(self) -> int:
         return len(self.protagonist)

@@ -530,6 +530,16 @@ INPUTS = {
         f"f{i}.png {i * 7 % 19 - 9}e294 {i * 11 % 19 - 9}e294 {i * 13 % 19 - 9}e294 0 0 0\n"
         for i in range(20)
     ),
+    # Groundtruth is the reconstruction times 1e10, but for f0, which the
+    # reconstruction puts at 1e300: its residual overflows.
+    "huge_recon.txt": "f0.png 1e300 0 0\n" + "".join(
+        f"f{i}.png {i * 7 % 21 - 10}e-1 {i * 11 % 21 - 10}e-1 {i * 13 % 21 - 10}e-1\n"
+        for i in range(1, 30)
+    ),
+    "huge_manifest.txt": "".join(
+        f"f{i}.png {i * 7 % 21 - 10}e9 {i * 11 % 21 - 10}e9 {i * 13 % 21 - 10}e9 0 0 0\n"
+        for i in range(30)
+    ),
 }
 
 
@@ -593,6 +603,9 @@ ERROR_CONTRACT = [
     ("translation overflow", ["align", "--recon", "far_recon.txt", "--manifest",
                               "far_manifest.txt", "--out", "out"],
      2, "best consensus holds 0 point(s); need more than 3"),
+    ("residual overflow", ["align", "--recon", "huge_recon.txt", "--manifest",
+                           "huge_manifest.txt", "--out", "out"],
+     2, "residual of image 'f0.png' is not finite in meters"),
     ("one sample", ["calibrate", "--samples", "s1.txt"], 2, "1 sample(s); need at least 2"),
     ("zero distance", ["calibrate", "--samples", "s0.txt"], 2, "samples cover zero distance"),
 ]

@@ -1,0 +1,104 @@
+"""The freeze rule that every value type keeps: each array field is a read-only,
+finite copy of a fixed shape, made by trajectory.frozen_array."""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+import trajkit as tk
+
+TRANSFORM = tk.SimilarityTransform.from_z_rotation(2.0, 30.0, (1.0, 2.0, 3.0))
+
+# Per value type: a valid set of constructor arguments and its array fields.
+VALUES = {
+    tk.SparseTrajectory: (
+        dict(vertices=[[0.0, 0.0], [1.0, 0.0]], orders=((1,), (2,))), ["vertices"],
+    ),
+    tk.DenseTrajectory: (
+        dict(protagonist=[[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]],
+             camera=[[0.0, 0.0, 0.75], [1.0, 0.0, 0.75]],
+             rotation=[[0.0, 0.0, 0.0], [0.0, 0.0, 90.0]]),
+        ["protagonist", "camera", "rotation"],
+    ),
+    tk.CaptureManifest: (
+        dict(names=("a.png", "b.png"), camera=[[0.0, 0.0, 0.75], [1.0, 0.0, 0.75]],
+             rotation=[[0.0, 0.0, 0.0], [0.0, 0.0, 90.0]]),
+        ["camera", "rotation"],
+    ),
+    tk.ReconstructedSet: (
+        dict(names=("a.png", "b.png"), positions=[[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]),
+        ["positions"],
+    ),
+    tk.Box: (dict(mins=[0.0, 0.0, 0.0], maxs=[1.0, 2.0, 3.0]), ["mins", "maxs"]),
+    tk.World: (
+        dict(landmarks=[[0.5, 0.5, 0.5], [0.25, 0.75, 0.5]], seed=0,
+             bounds=tk.Box((0, 0, 0), (1, 1, 1))),
+        ["landmarks"],
+    ),
+    tk.ObservationSet: (
+        dict(frame=[0, 1], ids=[3, 4], uv=[[1.0, 2.0], [3.0, 4.0]], n_frames=2),
+        ["frame", "ids", "uv"],
+    ),
+    tk.SimilarityTransform: (
+        dict(scale=2.0, rotation=TRANSFORM.rotation, translation=[1.0, 2.0, 3.0]),
+        ["rotation", "translation"],
+    ),
+    tk.AlignmentReport: (
+        dict(transform=TRANSFORM, inlier_mask=[True, False], residuals_m=[0.1, 5.0],
+             average_error_m=2.55, median_error_m=2.55, meters_per_unit=1.0,
+             names=("a.png", "b.png")),
+        ["inlier_mask", "residuals_m"],
+    ),
+}
+
+FIELDS = [(cls, field) for cls, (_, fields) in VALUES.items() for field in fields]
+FIELD_IDS = [f"{cls.__name__}.{field}" for cls, field in FIELDS]
+# Fields of integer or boolean type cannot hold a non-finite value.
+FLOAT_FIELDS = [case for case in FIELDS if case[1] not in ("frame", "ids", "inlier_mask")]
+FLOAT_IDS = [f"{cls.__name__}.{field}" for cls, field in FLOAT_FIELDS]
+
+
+def build(cls, field, value):
+    """``cls`` from its valid arguments, with ``field`` replaced by ``value``."""
+    return cls(**{**VALUES[cls][0], field: value})
+
+
+def valid(cls, field) -> np.ndarray:
+    return np.array(VALUES[cls][0][field])
+
+
+def test_every_value_type_is_covered():
+    assert len(VALUES) == 9
+    for cls, (kwargs, _) in VALUES.items():
+        cls(**kwargs)
+
+
+@pytest.mark.parametrize("cls, field", FLOAT_FIELDS, ids=FLOAT_IDS)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_entry_rejected(cls, field, bad):
+    value = valid(cls, field).astype(float)
+    value.flat[0] = bad
+    with pytest.raises(ValueError, match="must be finite"):
+        build(cls, field, value)
+
+
+@pytest.mark.parametrize("cls, field", FIELDS, ids=FIELD_IDS)
+def test_wrong_shape_rejected(cls, field):
+    value = valid(cls, field)
+    # One more leading or trailing axis, or one fewer.
+    for wrong in (value[None], value[..., None], value.ravel() if value.ndim > 1 else value[0]):
+        with pytest.raises(ValueError, match="must have shape"):
+            build(cls, field, wrong)
+
+
+@pytest.mark.parametrize("cls, field", FIELDS, ids=FIELD_IDS)
+def test_stored_array_is_a_read_only_copy(cls, field):
+    value = valid(cls, field)
+    stored = getattr(build(cls, field, value), field)
+    assert not stored.flags.writeable
+    with pytest.raises(ValueError):
+        stored[...] = stored
+    # Changing the caller's array afterwards leaves the value as it was.
+    value[...] = 7
+    np.testing.assert_array_equal(stored, valid(cls, field))

@@ -513,6 +513,15 @@ class TestSerialization:
         # Without the header the data sets the frame count.
         assert simworld.read_observations("0 1 1.0 2.0\n5 1 1.0 2.0\n").n_frames == 6
 
+    def test_observations_hold_at_most_the_frame_budget(self):
+        n = simworld.MAX_FRAMES + 1
+        message = exactly(f"{n} frames exceed the limit of {simworld.MAX_FRAMES}")
+        with pytest.raises(InvariantViolation, match=message):
+            tk.ObservationSet([], [], np.zeros((0, 2)), n)
+        with pytest.raises(InvariantViolation, match=message):
+            simworld.read_observations(f"# frames {n}\n0 1 1.0 2.0\n")
+        assert tk.ObservationSet([], [], np.zeros((0, 2)), n - 1).n_frames == n - 1
+
     def test_observations_group_interleaved_frames_in_file_order(self):
         back = simworld.read_observations("1 5 1 1\n0 2 2 2\n1 4 3 3\n")
         assert [f.ids.tolist() for f in back.frames] == [[2], [5, 4]]

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import rng
 from .errors import DegenerateConfiguration, InvariantViolation
-from .trajectory import frozen_array
+from .trajectory import equal_by_value, frozen_array
 
 if TYPE_CHECKING:
     from .poseio import CaptureManifest, ReconstructedSet
@@ -48,6 +48,7 @@ class SimilarityTransform:
     scale: float
     rotation: np.ndarray
     translation: np.ndarray
+    __eq__ = equal_by_value
 
     def __post_init__(self):
         rot = frozen_array(self.rotation, (3, 3), name="rotation")
@@ -117,6 +118,7 @@ class AlignmentReport:
     median_error_m: float
     meters_per_unit: float
     names: tuple[str, ...]
+    __eq__ = equal_by_value
 
     def __post_init__(self):
         for name, dtype in (("inlier_mask", bool), ("residuals_m", float)):
@@ -387,7 +389,10 @@ def calibrate_unit_scale(
     steps = [int(s) for _, s in samples[1:]]
     if any(s < 1 for s in steps):
         raise ValueError("steps_since_previous must be >= 1 after the first sample")
-    distance = float(np.linalg.norm(np.diff(positions, axis=0), axis=1).sum())
+    with np.errstate(over="ignore"):
+        distance = float(np.linalg.norm(np.diff(positions, axis=0), axis=1).sum())
+    if not math.isfinite(distance):
+        raise ValueError("walked distance overflows the float range")
     if distance <= 0.0:
         raise InvariantViolation("samples cover zero distance")
     stride_units = distance / sum(steps)

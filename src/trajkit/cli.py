@@ -72,8 +72,8 @@ def cmd_densify(args) -> int:
     sparse = _load_sparse(args)
     orientations = None
     if args.orientations:
-        recs, _ = textio.records(_read_text(args.orientations))
-        orientations = np.column_stack(textio.table(recs, (float,) * 3))
+        columns, _ = textio.table(_read_text(args.orientations), (float,) * 3)
+        orientations = np.column_stack(columns)
     params = trajectory.DensifyParams(
         speed=args.speed,
         fps=args.fps,
@@ -167,8 +167,7 @@ def cmd_align(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    recs, _ = textio.records(_read_text(args.samples))
-    x, y, z, steps = textio.table(recs, (float, float, float, int))
+    (x, y, z, steps), _ = textio.table(_read_text(args.samples), (float, float, float, int))
     samples = list(zip(np.column_stack([x, y, z]).tolist(), steps.tolist()))
     value = align.calibrate_unit_scale(samples, stride_m=args.stride_m)
     print(f"{value:.6f}")

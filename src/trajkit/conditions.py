@@ -98,12 +98,11 @@ def read_degradation_table(text: str) -> dict[Weather | TimeOfDay, float]:
     values and raises InputError for an absent entry it needs.
     """
     members = {member.value: member for member in (*Weather, *TimeOfDay)}
-    recs, _ = textio.records(text)
-    names, values = textio.table(recs, (str, float))
+    (names, values), _ = textio.table(text, (str, float))
     table = {}
     for i, (token, value) in enumerate(zip(names, values.tolist())):
         member = members.get(token.lower())
         if member is None:
-            raise textio.error(recs, i, 0, f"unknown table key {token!r}")
+            raise textio.error(text, textio.record_line(text, i), 0, f"unknown table key {token!r}")
         table[member] = value
     return table

@@ -30,7 +30,9 @@ from .align import AlignmentReport, SimilarityTransform
 from .conditions import ConditionSet, TimeOfDay, Weather
 from .errors import InvariantViolation, ParseError
 from .textio import FIXED
-from .trajectory import DenseTrajectory, SparseTrajectory, expand_visitation, frozen_array
+from .trajectory import (
+    DenseTrajectory, SparseTrajectory, equal_by_value, expand_visitation, frozen_array,
+)
 
 # --------------------------------------------------------------------------
 # Sparse trajectory (vertex + visitation order files)
@@ -42,15 +44,15 @@ def read_sparse(vertex_text: str, order_text: str) -> SparseTrajectory:
     The result is validated: its steps must cover 1..S exactly once over
     existing vertices, otherwise InvariantViolation is raised.
     """
-    recs, _ = textio.records(vertex_text)
-    if not recs.texts:
+    columns, _ = textio.table(vertex_text, (float, float))
+    if not len(columns[0]):
         raise ParseError("vertex file contains no vertices", line=1)
-    vertices = np.column_stack(textio.table(recs, (float, float)))
+    vertices = np.column_stack(columns)
 
     # The order file is positional: line i holds the steps of vertex i; a
     # blank or '#' line leaves that vertex unvisited.
-    recs, _ = textio.records(order_text)
-    steps = {n: tuple(textio.row(recs, i, int).tolist()) for i, n in enumerate(recs.line_nos)}
+    steps = {n: tuple(textio.numbers(order_text, n, fields, int).tolist())
+             for n, fields in textio.record_fields(order_text)}
     count = max([len(vertices), *steps])
     sparse = SparseTrajectory(vertices, [steps.get(n, ()) for n in range(1, count + 1)])
     expand_visitation(sparse)  # validates the vertex references and the step cover
@@ -67,10 +69,10 @@ def write_dense(dense: DenseTrajectory) -> str:
 
 
 def read_dense(text: str) -> DenseTrajectory:
-    recs, _ = textio.records(text)
-    if not recs.texts:
+    columns, _ = textio.table(text, (float,) * 9)
+    if not len(columns[0]):
         raise ParseError("trajectory file contains no pose lines", line=1)
-    data = np.column_stack(textio.table(recs, (float,) * 9))
+    data = np.column_stack(columns)
     return DenseTrajectory(data[:, 0:3], data[:, 3:6], data[:, 6:9])
 
 
@@ -78,11 +80,11 @@ def read_dense(text: str) -> DenseTrajectory:
 # Capture manifest
 # --------------------------------------------------------------------------
 
-def _check_names(names: Sequence[str], line_nos: Sequence[int] = ()) -> tuple[str, ...]:
+def _check_names(names: Sequence[str], text: str | None = None) -> tuple[str, ...]:
     """``names`` as a tuple; each must be one token not starting with ``#``.
 
     Else ValueError, as no file could hold it; a repeat raises
-    InvariantViolation, at its line when ``line_nos`` is given.
+    InvariantViolation, at its line when the names are the records of ``text``.
     """
     names = tuple(names)
     seen: set[str] = set()
@@ -90,18 +92,10 @@ def _check_names(names: Sequence[str], line_nos: Sequence[int] = ()) -> tuple[st
         if name.split() != [name] or name.startswith("#"):
             raise ValueError(f"image name must be one token, not a comment: {name!r}")
         if name in seen:
-            loc = f" (line {line_nos[k]})" if line_nos else ""
+            loc = f" (line {textio.record_line(text, k)})" if text is not None else ""
             raise InvariantViolation(f"duplicate image name {name!r}{loc}")
         seen.add(name)
     return names
-
-
-def _equal(a, b) -> bool:
-    """Field-wise equality of two pose tables; arrays compare by value."""
-    return type(a) is type(b) and all(
-        np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y
-        for x, y in zip(vars(a).values(), vars(b).values())
-    )
 
 
 @dataclass(frozen=True)
@@ -116,8 +110,7 @@ class CaptureManifest:
     camera: np.ndarray
     rotation: np.ndarray
     conditions: ConditionSet = field(default_factory=ConditionSet)
-
-    __eq__ = _equal
+    __eq__ = equal_by_value
 
     def __post_init__(self):
         object.__setattr__(self, "names", _check_names(self.names))
@@ -138,25 +131,22 @@ def write_manifest(manifest: CaptureManifest) -> str:
 
 
 def read_manifest(text: str) -> CaptureManifest:
-    recs, headers = textio.records(text)
+    (names, *columns), headers = textio.table(text, (str,) + (float,) * 6)
     enums = {"weather": Weather, "time_of_day": TimeOfDay}
     cond = {}
-    for h, tokens in enumerate(map(str.split, headers.texts)):
-        if len(tokens) != 2:
+    for line_no, fields in headers:
+        if len(fields) != 2:
             continue  # plain comment
-        key, value = tokens
+        key, value = fields
         if key in enums:
             try:
                 cond[key] = enums[key](value)
             except ValueError:
-                raise textio.error(headers, h, 1, f"unknown {key} {value!r}") from None
+                raise textio.error(text, line_no, 1, f"unknown {key} {value!r}") from None
         elif key in ("vehicle_density", "pedestrian_density"):
-            cond[key] = float(textio.row(headers, h, float, start=1)[0])
-    names, *columns = textio.table(recs, (str,) + (float,) * 6)
-    data = np.column_stack(columns)
-    return CaptureManifest(
-        _check_names(names, recs.line_nos), data[:, :3], data[:, 3:], ConditionSet(**cond)
-    )
+            cond[key] = float(textio.numbers(text, line_no, fields, float, start=1)[0])
+    names, data = _check_names(names, text), np.column_stack(columns)
+    return CaptureManifest(names, data[:, :3], data[:, 3:], ConditionSet(**cond))
 
 
 # --------------------------------------------------------------------------
@@ -172,8 +162,7 @@ class ReconstructedSet:
 
     names: tuple[str, ...]
     positions: np.ndarray
-
-    __eq__ = _equal
+    __eq__ = equal_by_value
 
     def __post_init__(self):
         object.__setattr__(self, "names", _check_names(self.names))
@@ -185,9 +174,8 @@ class ReconstructedSet:
 
 def read_reconstruction(text: str) -> ReconstructedSet:
     """Parse ``name x y z`` lines; an empty file is a valid empty set."""
-    recs, _ = textio.records(text)
-    names, *columns = textio.table(recs, (str, float, float, float))
-    return ReconstructedSet(_check_names(names, recs.line_nos), np.column_stack(columns))
+    (names, *columns), _ = textio.table(text, (str, float, float, float))
+    return ReconstructedSet(_check_names(names, text), np.column_stack(columns))
 
 
 def write_reconstruction(recon: ReconstructedSet) -> str:
@@ -214,29 +202,35 @@ def write_report(report: AlignmentReport) -> str:
 
 
 def read_report(text: str) -> AlignmentReport:
-    recs, _ = textio.records(text)
-    keys = [line.split(None, 1)[0] for line in recs.texts]
-    key_lines = {key: i for i, key in enumerate(keys)}
-    residual = textio.take(recs, [i for i, key in enumerate(keys) if key == "residual"])
-    _, names, meters, flags = textio.table(residual, (str, str, float, str))
-    for i, flag in enumerate(flags):
-        if flag not in ("0", "1"):
-            raise textio.error(residual, i, 3, f"inlier flag must be 0 or 1, got {flag!r}")
+    keyed, names, meters, inliers = {}, [], [], []
+    for line_no, fields in textio.record_fields(text):
+        if fields[0] != "residual":
+            keyed[fields[0]] = line_no, fields
+        elif len(fields) != 4:
+            raise ParseError(f"expected 4 fields, got {len(fields)}", line=line_no)
+        elif fields[3] not in ("0", "1"):
+            raise textio.error(text, line_no, 3, f"inlier flag must be 0 or 1, got {fields[3]!r}")
+        else:
+            names.append(fields[1])
+            meters.append(textio.numbers(text, line_no, fields[:3], float, start=2)[0])
+            inliers.append(fields[3] == "1")
 
     def value(key: str, count: int = 1) -> np.ndarray:
-        if key not in key_lines:
+        if key not in keyed:
             raise ParseError(f"report has no {key!r} line")
-        _, *values = textio.table(textio.take(recs, [key_lines[key]]), (str,) + (float,) * count)
-        return np.concatenate(values)
+        line_no, fields = keyed[key]
+        if len(fields) != count + 1:
+            raise ParseError(f"expected {count + 1} fields, got {len(fields)}", line=line_no)
+        return textio.numbers(text, line_no, fields, float, start=1)
 
     return AlignmentReport(
         transform=SimilarityTransform(
             value("scale")[0], value("rotation", 9).reshape(3, 3), value("translation", 3)
         ),
-        inlier_mask=np.array(flags, dtype=str) == "1",
+        inlier_mask=inliers,
         residuals_m=meters,
         average_error_m=float(value("average_error_m")[0]),
         median_error_m=float(value("median_error_m")[0]),
         meters_per_unit=float(value("meters_per_unit")[0]),
-        names=names,
+        names=tuple(names),
     )

@@ -22,7 +22,7 @@ from . import rng, textio
 from .errors import InvariantViolation, ParseError
 from .poseio import CaptureManifest, ReconstructedSet
 from .textio import FIXED
-from .trajectory import MAX_FRAMES, DenseTrajectory, frozen_array
+from .trajectory import MAX_FRAMES, DenseTrajectory, equal_by_value, frozen_array
 
 # Landmark budget of one world, checked by generate_world before it draws;
 # 10 times the largest world the tests build. retrace's chunk buffer
@@ -36,6 +36,7 @@ class Box:
 
     mins: np.ndarray
     maxs: np.ndarray
+    __eq__ = equal_by_value
 
     def __post_init__(self):
         mins, maxs = (frozen_array(b, (3,), name="bounds") for b in (self.mins, self.maxs))
@@ -55,6 +56,7 @@ class World:
     landmarks: np.ndarray
     seed: int
     bounds: Box
+    __eq__ = equal_by_value
 
     def __post_init__(self):
         pts = frozen_array(self.landmarks, (-1, 3), name="landmarks")
@@ -113,6 +115,7 @@ class ObservationSet:
     ids: np.ndarray
     uv: np.ndarray
     n_frames: int
+    __eq__ = equal_by_value
 
     def __post_init__(self):
         for name, shape, dtype in (("frame", (-1,), np.int64), ("ids", (-1,), np.int64),
@@ -211,17 +214,24 @@ def retrace(
     if not math.isfinite(sigma * rng.MAX_NORMAL):
         raise ValueError(f"pixel sigma {sigma} makes the largest noise radius overflow")
 
+    # Coordinates beyond 2**500 are scaled down by a power of two, so that the
+    # squares below stay finite. That is exact, unless a coordinate underflows:
+    # no decision and no pixel changes.
+    extent = max(np.abs(world.landmarks).max(initial=0.0), np.abs(dense.camera).max())
+    shift = max(0, math.frexp(extent)[1] - 500)
+    landmarks, cameras = np.ldexp(world.landmarks, -shift), np.ldexp(dense.camera, -shift)
+    max_range = math.ldexp(intr.max_range, -shift)
+
     # Block f of a chunk maps a landmark [p, 1] to frame f's right, down and forward
     # coordinates, A (p - c) for camera axes A and position c, and to
     # |p - c|^2 - |p|^2 = -2 p.c + |c|^2. A product, not ** 2, squares the
     # range, so that 1e200 gives inf, not OverflowError.
-    landmarks = world.landmarks
     points = np.column_stack([landmarks, np.ones(len(landmarks))])
-    reach = intr.max_range * intr.max_range - np.einsum("ij,ij->i", landmarks, landmarks)
+    reach = max_range * max_range - np.einsum("ij,ij->i", landmarks, landmarks)
     product = np.empty((4 * _CHUNK, len(points)))  # reused by every chunk
     columns = []
     for start in range(0, len(dense), _CHUNK):
-        camera = dense.camera[start:start + _CHUNK]
+        camera = cameras[start:start + _CHUNK]
         blocks = np.empty((len(camera), 4, 4))
         blocks[:, :3, :3] = _camera_axes(dense.rotation[start:start + _CHUNK])
         blocks[:, :3, 3] = -np.einsum("fij,fj->fi", blocks[:, :3, :3], camera)
@@ -231,9 +241,10 @@ def retrace(
         right, down, depth, sq_dist = out.reshape(len(camera), 4, -1).transpose(1, 0, 2)
         # Flat indices run frame-major, so rows come out sorted by (frame, id).
         visible = np.flatnonzero((depth > 0.0) & (sq_dist <= reach))
-        pixels_per_unit = intr.focal / depth.flat[visible]
-        u = right.flat[visible] * pixels_per_unit + intr.cx
-        v = down.flat[visible] * pixels_per_unit + intr.cy
+        with np.errstate(over="ignore", invalid="ignore"):  # inf or nan: not in the image
+            pixels_per_unit = intr.focal / depth.flat[visible]
+            u = right.flat[visible] * pixels_per_unit + intr.cx
+            v = down.flat[visible] * pixels_per_unit + intr.cy
         inside = (u >= 0.0) & (u <= intr.width) & (v >= 0.0) & (v <= intr.height)
         frame, ids = np.divmod(visible[inside], len(points))
         frame += start
@@ -290,18 +301,19 @@ def simulate_reconstruction(
     if not 0 <= 2.0 * outlier_radius < math.inf:
         raise ValueError(f"outlier_radius must be >= 0, 2 * radius finite; got {outlier_radius}")
 
-    positions = gauge.apply(manifest.camera)
-    rows = np.arange(len(positions))[:, None]
+    rows = np.arange(len(manifest.camera))[:, None]
     draws = rng.keyed_uniform(seed, rng.RECON_NOISE, rows, np.arange(4))
-    positions += noise_sigma * np.hstack(rng.box_muller(draws[:, :2], draws[:, 2:]))[:, :3]
-
-    idx = outlier_indices(len(positions), outlier_fraction, seed)
+    idx = outlier_indices(len(rows), outlier_fraction, seed)
     u, v, w = rng.keyed_uniform(seed, rng.DISPLACEMENT, idx[:, None], np.arange(3)).T
     z, phi = 2.0 * u - 1.0, 2.0 * math.pi * v
     ring = np.sqrt(1.0 - z * z)
     directions = np.column_stack([ring * np.cos(phi), ring * np.sin(phi), z])
-    positions[idx] += directions * (outlier_radius * (1.0 + w))[:, None]
-
+    with np.errstate(over="ignore", invalid="ignore"):
+        positions = gauge.apply(manifest.camera)
+        positions += noise_sigma * np.hstack(rng.box_muller(draws[:, :2], draws[:, 2:]))[:, :3]
+        positions[idx] += directions * (outlier_radius * (1.0 + w))[:, None]
+    if not np.isfinite(positions).all():
+        raise ValueError("simulated positions exceed the float range")
     return ReconstructedSet(manifest.names, positions)
 
 
@@ -317,19 +329,18 @@ def write_world(world: World) -> str:
 
 
 def read_world(text: str) -> World:
-    recs, headers = textio.records(text)
+    (ids, *columns), headers = textio.table(text, (int, float, float, float))
     seed = bounds = None
-    for h, tokens in enumerate(map(str.split, headers.texts)):
-        if len(tokens) == 2 and tokens[0] == "seed":
+    for line_no, fields in headers:
+        if len(fields) == 2 and fields[0] == "seed":
             # Any integer is a seed (keyed_uniform() folds it into 64 bits).
             try:
-                seed = int(tokens[1])
+                seed = int(fields[1])
             except ValueError:
-                raise textio.error(headers, h, 1, f"invalid seed {tokens[1]!r}") from None
-        elif len(tokens) == 7 and tokens[0] == "bounds":
-            values = textio.row(headers, h, float, start=1)
+                raise textio.error(text, line_no, 1, f"invalid seed {fields[1]!r}") from None
+        elif len(fields) == 7 and fields[0] == "bounds":
+            values = textio.numbers(text, line_no, fields, float, start=1)
             bounds = Box(values[:3], values[3:])
-    ids, *columns = textio.table(recs, (int, float, float, float))
     wrong = np.flatnonzero(ids != np.arange(len(ids)))
     if len(wrong):
         raise InvariantViolation(
@@ -346,25 +357,24 @@ def write_observations(obs: ObservationSet) -> str:
 
 
 def read_observations(text: str) -> ObservationSet:
-    recs, headers = textio.records(text)
+    (frame, ids, u, v), headers = textio.table(text, (int, int, float, float))
     n_frames = None
-    for h, tokens in enumerate(map(str.split, headers.texts)):
-        if len(tokens) == 2 and tokens[0] == "frames":
-            n_frames, header = int(textio.row(headers, h, int, start=1)[0]), h
+    for line_no, fields in headers:
+        if len(fields) == 2 and fields[0] == "frames":
+            n_frames = int(textio.numbers(text, line_no, fields, int, start=1)[0])
+            frames_line = line_no
             if n_frames < 0:
-                raise textio.error(headers, h, 1, f"negative frame count {n_frames}")
-    frame, ids, u, v = textio.table(recs, (int, int, float, float))
+                raise textio.error(text, line_no, 1, f"negative frame count {n_frames}")
     for j, (column, what) in enumerate(((frame, "frame index"), (ids, "landmark id"))):
         if len(column) and column.min() < 0:
             i = int(np.argmax(column < 0))
-            raise textio.error(recs, i, j, f"negative {what} {column[i]}")
+            raise textio.error(text, textio.record_line(text, i), j, f"negative {what} {column[i]}")
     last = int(frame.max(initial=-1))
     if n_frames is None:
         n_frames = last + 1
     elif n_frames <= last:
-        line = headers.line_nos[header]
-        raise InvariantViolation(f"{n_frames} frames (line {line}) do not hold frame index {last}")
-    del recs  # the line texts outweigh the columns; free them before sorting
+        message = f"{n_frames} frames (line {frames_line}) do not hold frame index {last}"
+        raise InvariantViolation(message)
     # Group the lines by frame, keeping file order within a frame.
     order = np.argsort(frame, kind="stable")
     return ObservationSet(frame[order], ids[order], np.column_stack([u, v])[order], n_frames)

@@ -15,7 +15,8 @@ Angle and frame conventions used throughout the toolkit:
 All operations are pure functions of their inputs plus an explicit seed.
 Constructed values are immutable: every value type of the toolkit stores
 each array field through frozen_array, the one place that converts it,
-checks its shape and finiteness, copies it and makes it read-only.
+checks its shape and finiteness, copies it and makes it read-only, and
+compares by value through equal_by_value.
 """
 
 from __future__ import annotations
@@ -48,6 +49,14 @@ def frozen_array(values, shape: tuple[int, ...], dtype=float, *, name: str) -> n
     return arr
 
 
+def equal_by_value(a, b) -> bool:
+    """Field-wise equality of two values of one type; array fields compare by value."""
+    return type(a) is type(b) and all(
+        np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y
+        for x, y in zip(vars(a).values(), vars(b).values())
+    )
+
+
 @dataclass(frozen=True)
 class SparseTrajectory:
     """User-authored waypoints plus their visitation steps.
@@ -60,6 +69,7 @@ class SparseTrajectory:
 
     vertices: np.ndarray
     orders: tuple[tuple[int, ...], ...]
+    __eq__ = equal_by_value
 
     def __post_init__(self):
         object.__setattr__(self, "vertices", frozen_array(self.vertices, (-1, 2), name="vertices"))
@@ -79,6 +89,7 @@ class DenseTrajectory:
     protagonist: np.ndarray
     camera: np.ndarray
     rotation: np.ndarray
+    __eq__ = equal_by_value
 
     def __post_init__(self):
         for name in ("protagonist", "camera", "rotation"):
@@ -112,6 +123,8 @@ class DensifyParams:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be positive and finite, got {value}")
+        if not math.isfinite(self.ground_z + self.eye_offset_z):
+            raise ValueError("camera height ground_z + eye_offset_z must be finite")
 
 
 def expand_visitation(sparse: SparseTrajectory) -> list[int]:
@@ -151,14 +164,17 @@ def path_polyline(sparse: SparseTrajectory) -> tuple[np.ndarray, np.ndarray]:
     Returns (points, cumlen): an (S, 2) array of path coordinates and the
     matching cumulative arclength, starting at 0 and ending at the total
     path length. Raises InvariantViolation when fewer than two distinct
-    points remain.
+    points remain, and ValueError when the length overflows.
     """
     path = expand_visitation(sparse)
     if len(path) < 2:
         raise InvariantViolation(f"path has {len(path)} point(s); need at least 2")
     points = sparse.vertices[path]
-    gaps = np.linalg.norm(np.diff(points, axis=0), axis=1)
-    cumlen = np.concatenate(([0.0], np.cumsum(gaps)))
+    with np.errstate(over="ignore"):
+        gaps = np.linalg.norm(np.diff(points, axis=0), axis=1)
+        cumlen = np.concatenate(([0.0], np.cumsum(gaps)))
+    if not np.isfinite(cumlen[-1]):
+        raise ValueError("path length overflows the float range")
     if cumlen[-1] <= 0.0:
         raise InvariantViolation("all path points coincide")
     return points, cumlen

@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import hashlib
+import math
+import os
 import re
 
+import numpy as np
 import pytest
 
-from trajkit import poseio, simworld
+from trajkit import cli, poseio, simworld, trajectory
 from trajkit.cli import main
+from trajkit.conditions import ConditionSet
 
 from conftest import WORKED_ORDER_TEXT, WORKED_VERTEX_TEXT
 
@@ -164,6 +168,33 @@ class TestCapture:
             assert (cap_a / name).read_bytes() == (cap_b / name).read_bytes()
 
 
+    def test_world_file_read_back_within_half_a_unit_of_the_sixth_decimal(
+        self, worked_files, tmp_path, capsys
+    ):
+        # As the README says: world.txt holds six decimals, so the world read
+        # back with --world sits up to 5e-7 units from the one that was drawn.
+        _, cap = make_pipeline(tmp_path, worked_files)
+        again = tmp_path / "again"
+        assert run(["capture", "--trajectory", tmp_path / "trajectory_dense.txt",
+                    "--out-dir", again, "--seed", 3, "--world", cap / "world.txt"]) == 0
+        assert (again / "world.txt").read_bytes() == (cap / "world.txt").read_bytes()
+        back = simworld.read_world((cap / "world.txt").read_text())
+        drawn = simworld.generate_world(7, 300, back.bounds)
+        assert 0 < np.abs(back.landmarks - drawn.landmarks).max() <= 5e-7
+        assert "captured 338 frames" in capsys.readouterr().out
+
+
+class TestWriteText:
+    def test_failed_rename_leaves_no_file(self, tmp_path, monkeypatch):
+        def fail(src, dst):
+            raise OSError("rename failed")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="rename failed"):
+            cli._write_text(tmp_path / "out.txt", "text\n")
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestPipeline:
     def test_identity_pipeline_reports_zero(self, worked_files, tmp_path, capsys):
         traj, cap = make_pipeline(tmp_path, worked_files, ("--pixel-sigma", "0"))
@@ -269,6 +300,7 @@ def walkthrough(tmp_path_factory):
 
 NON_FINITE_FLAGS = [
     ("simrecon", ["--gauge-scale", "inf"]),
+    ("simrecon", ["--gauge-scale", "1e308"]),
     ("simrecon", ["--gauge-yaw", "nan"]),
     ("simrecon", ["--gauge-translate", "nan", "0", "0"]),
     ("simrecon", ["--noise-sigma", "nan"]),
@@ -338,6 +370,26 @@ class TestNumericFlags:
             ]) == 0
         for name in ("6dpose_list.txt", "observations.txt"):
             assert (huge / name).read_bytes() == (unlimited / name).read_bytes()
+
+    def test_huge_world_captures_what_an_ordinary_world_does(self, walkthrough, tmp_path, capsys):
+        # The squares of these coordinates and of the range overflow; the
+        # capture must equal that of the same scene scaled down by 2**-600.
+        out = tmp_path / "out"
+        assert run(["capture", "--trajectory", walkthrough / "trajectory_dense.txt",
+                    "--out-dir", out, "--seed", 7, "--max-range", "1e200",
+                    "--bounds", 0, 0, 0, "1e200", "1e200", "1e200"]) == 0
+        count = int(re.search(r", (\d+) observations", capsys.readouterr().out).group(1))
+        world = simworld.read_world((out / "world.txt").read_text())
+        dense = poseio.read_dense((walkthrough / "trajectory_dense.txt").read_text())
+        small_world = simworld.World(np.ldexp(world.landmarks, -600), world.seed, simworld.Box(
+            np.ldexp(world.bounds.mins, -600), np.ldexp(world.bounds.maxs, -600)))
+        small_dense = trajectory.DenseTrajectory(*(np.ldexp(getattr(dense, name), -600)
+                                                   for name in ("protagonist", "camera")),
+                                                 dense.rotation)
+        intr = simworld.default_intrinsics(max_range=math.ldexp(1e200, -600))
+        _, small = simworld.retrace(small_dense, small_world, intr, ConditionSet(), seed=7)
+        assert count == small.total_observations() > 1000
+        assert (out / "observations.txt").read_text() == simworld.write_observations(small)
 
     def test_align_handles_huge_gauge_scale(self, walkthrough, tmp_path, capsys):
         # Squaring these reconstruction coordinates would overflow.
@@ -520,6 +572,7 @@ INPUTS = {
     "foreign.txt": "x 0 0 0\ny 1 0 0\nz 0 1 0\n",
     "s1.txt": "0 0 0 0\n",
     "s0.txt": "0 0 0 0\n0 0 0 5\n",
+    "s_huge.txt": "0 0 0 0\n1e308 0 0 1\n-1e308 0 0 1\n",
     # Reconstructed points within 1e-5 of (1e10, 1e10, 1e10), groundtruth
     # spread over +-1e295: every fit's translation overflows.
     "far_recon.txt": "".join(
@@ -606,7 +659,18 @@ ERROR_CONTRACT = [
     ("residual overflow", ["align", "--recon", "huge_recon.txt", "--manifest",
                            "huge_manifest.txt", "--out", "out"],
      2, "residual of image 'f0.png' is not finite in meters"),
+    ("camera height overflow", ["densify", "--vertices", "vertex.txt", "--orders",
+                                "vertex_order.txt", "--out", "out", "--eye-offset-z", "1e308",
+                                "--ground-z", "1e308"],
+     1, "camera height ground_z + eye_offset_z must be finite"),
+    ("path length overflow", ["densify", "--vertices", "v_huge.txt", "--orders", "two.txt",
+                              "--out", "out"],
+     1, "path length overflows the float range"),
+    ("plot without inputs", ["plot", "--out", "out"],
+     1, "plot needs --vertices/--orders and/or --trajectory"),
     ("one sample", ["calibrate", "--samples", "s1.txt"], 2, "1 sample(s); need at least 2"),
+    ("distance overflow", ["calibrate", "--samples", "s_huge.txt"],
+     1, "walked distance overflows the float range"),
     ("zero distance", ["calibrate", "--samples", "s0.txt"], 2, "samples cover zero distance"),
 ]
 

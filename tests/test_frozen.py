@@ -102,3 +102,21 @@ def test_stored_array_is_a_read_only_copy(cls, field):
     # Changing the caller's array afterwards leaves the value as it was.
     value[...] = 7
     np.testing.assert_array_equal(stored, valid(cls, field))
+
+
+# A valid value of each array field that differs from the one in VALUES:
+# reversed along its first axis, but for these three.
+CHANGED = {
+    (tk.Box, "mins"): [-1.0, 0.0, 0.0],
+    (tk.ObservationSet, "frame"): [0, 0],
+    (tk.SimilarityTransform, "rotation"): TRANSFORM.rotation.T,
+}
+
+
+@pytest.mark.parametrize("cls, field", FIELDS, ids=FIELD_IDS)
+def test_compares_by_value(cls, field):
+    value = build(cls, field, valid(cls, field))
+    assert value == build(cls, field, valid(cls, field))
+    assert not value != build(cls, field, valid(cls, field))
+    changed = build(cls, field, CHANGED.get((cls, field), valid(cls, field)[::-1]))
+    assert value != changed and not value == changed

@@ -159,6 +159,28 @@ class TestRetrace:
         )
         assert obs.total_observations() == 0
 
+    @pytest.mark.parametrize("max_range", [100.0, np.inf])
+    def test_camera_beyond_the_square_root_of_the_float_range(self, max_range):
+        # |c|^2 overflows; every landmark is 1e308 below the camera.
+        intr = tk.default_intrinsics(max_range=max_range)
+        _, obs = tk.retrace(static_pose(camera=(0.0, 0.0, 1e308)), world_with([[10.0, 0.0, 0.0]]),
+                            intr, CLEAR_DAY, base_pixel_sigma=0.0)
+        assert obs.total_observations() == 0
+
+    def test_scaled_scene_captures_the_same_observations(self, worked_sparse):
+        # Landmarks, cameras and range times 2**600: the squares overflow,
+        # but scaling is exact, so the capture is the same, bit for bit.
+        dense = tk.densify(worked_sparse)
+        world = tk.generate_world(3, 400, tk.Box((-10, -10, 0), (10, 10, 5)))
+        big_world = tk.World(np.ldexp(world.landmarks, 600), 3, tk.Box(
+            np.ldexp(world.bounds.mins, 600), np.ldexp(world.bounds.maxs, 600)))
+        big_dense = tk.DenseTrajectory(np.ldexp(dense.protagonist, 600),
+                                       np.ldexp(dense.camera, 600), dense.rotation)
+        _, obs = tk.retrace(dense, world, tk.default_intrinsics(8.0), RAINY_NIGHT, seed=5)
+        _, big = tk.retrace(big_dense, big_world, tk.default_intrinsics(np.ldexp(8.0, 600)),
+                            RAINY_NIGHT, seed=5)
+        assert big == obs and obs.total_observations() > 1000
+
     def test_landmark_beyond_max_range_unobserved(self):
         intr = tk.default_intrinsics(max_range=50.0)
         _, obs = tk.retrace(
@@ -450,6 +472,11 @@ class TestSimulateReconstruction:
         recovered = gauge.inverse().apply(recon.positions)
         assert np.all(np.abs(recovered - positions) <= 3 * sigma)
 
+    def test_overflowing_gauge_rejected(self):
+        gauge = tk.SimilarityTransform.from_z_rotation(1e308, 45.0, (0.0, 0.0, 0.0))
+        with pytest.raises(ValueError, match=exactly("simulated positions exceed the float range")):
+            tk.simulate_reconstruction(make_manifest([[1.0, 2.0, 0.0], [3.0, 4.0, 0.0]]), gauge)
+
     def test_parameter_validation(self):
         manifest = make_manifest([[0.0, 0.0, 0.0]])
         gauge = tk.SimilarityTransform.identity()
@@ -526,6 +553,24 @@ class TestSerialization:
         back = simworld.read_observations("1 5 1 1\n0 2 2 2\n1 4 3 3\n")
         assert [f.ids.tolist() for f in back.frames] == [[2], [5, 4]]
         assert back.frames[1].uv.tolist() == [[1.0, 1.0], [3.0, 3.0]]
+
+    def test_read_observations_peak_memory(self):
+        # The peak of a read stays below 4 times the bytes of the columns it
+        # returns; a reader that holds every line of the file as a str
+        # peaks at 5 times.
+        n = 60_000
+        frame = np.arange(n) // 20
+        obs = tk.ObservationSet(frame, np.arange(n) % 500, np.arange(2.0 * n).reshape(n, 2) / 8,
+                                int(frame[-1]) + 1)
+        text = simworld.write_observations(obs)
+        tracemalloc.start()
+        try:
+            back = simworld.read_observations(text)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * (back.frame.nbytes + back.ids.nbytes + back.uv.nbytes)
+        assert back == obs
 
     def test_ply_structure(self):
         world = tk.generate_world(1, 50, tk.Box((0, 0, 0), (1, 1, 1)))

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import re
+from itertools import chain
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -37,39 +41,36 @@ WORLD_HEADERS = "# seed 1\n# bounds 0 0 0 1 1 1\n"
 
 class TestRecords:
     def test_headers_blank_lines_and_crlf(self):
-        data, headers = textio.records("# k v\r\n\r\n 1\t2 \r\n  #x\n3 4\n")
-        assert data.texts == [" 1\t2 ", "3 4"]
-        assert list(data.line_nos) == [3, 5]
-        assert [text.split() for text in headers.texts] == [["k", "v"], ["x"]]
-        assert list(headers.line_nos) == [1, 4]
+        text = "# k v\r\n\r\n 1\t2 \r\n  #x\n3 4\n"
+        (first, second), headers = textio.table(text, (int, int))
+        assert first.tolist() == [1, 3] and second.tolist() == [2, 4]
+        assert list(textio.record_fields(text)) == [(3, ["1", "2"]), (5, ["3", "4"])]
+        assert [textio.record_line(text, i) for i in range(2)] == [3, 5]
+        assert headers == [(1, ["k", "v"]), (4, ["x"])]
 
     def test_table_spans_blocks(self):
-        # More records than one conversion block holds; the error is the
-        # first bad token in reading order, not in block or column order.
+        # More records than one slice holds; the error is the first bad
+        # token in reading order, not in slice or column order.
         lines = [f"r{i} {i} {i / 2}" for i in range(10_000)]
-        data, _ = textio.records("\n".join(lines))
-        names, ints, floats = textio.table(data, (str, int, float))
+        (names, ints, floats), _ = textio.table("\n".join(lines), (str, int, float))
         assert names[-1] == "r9999" and len(names) == 10_000
         assert ints.tolist() == list(range(10_000))
         lines[9000] = "r9000 x 0"
         lines[5000] = "r5000 5000 nan"
-        data, _ = textio.records("\n".join(lines))
         with pytest.raises(ParseError) as exc:
-            textio.table(data, (str, int, float))
+            textio.table("\n".join(lines), (str, int, float))
         assert (exc.value.line, exc.value.column) == (5001, 12)
 
     def test_wrong_field_count(self):
-        data, _ = textio.records("1 2\n\n1 2 3\n")
         with pytest.raises(ParseError) as exc:
-            textio.table(data, (int, int))
+            textio.table("1 2\n\n1 2 3\n", (int, int))
         assert str(exc.value) == "expected 2 fields, got 3 (line 3)"
         assert exc.value.line == 3
 
     def test_field_count_checked_per_line(self):
         # Three fields then one make the four of two lines, but line 1 has too many.
-        data, _ = textio.records("1 2 3\n1\n")
         with pytest.raises(ParseError) as exc:
-            textio.table(data, (int, int))
+            textio.table("1 2 3\n1\n", (int, int))
         assert str(exc.value) == "expected 2 fields, got 3 (line 1)"
 
     def test_dense_field_count_checked_per_line(self):
@@ -81,23 +82,20 @@ class TestRecords:
         assert str(exc.value) == "expected 9 fields, got 10 (line 1)"
 
     def test_table_types(self):
-        data, _ = textio.records("a 1 2.5\nb -3 4\n")
-        names, ints, floats = textio.table(data, (str, int, float))
+        (names, ints, floats), _ = textio.table("a 1 2.5\nb -3 4\n", (str, int, float))
         assert names == ("a", "b")
         assert ints.dtype == np.int64 and ints.tolist() == [1, -3]
         assert floats.tolist() == [2.5, 4.0]
 
     def test_empty_table(self):
-        data, _ = textio.records("\n# only a header\n")
-        names, values = textio.table(data, (str, float))
+        (names, values), _ = textio.table("\n# only a header\n", (str, float))
         assert names == () and values.shape == (0,)
 
     def test_first_bad_token_in_reading_order(self):
         # Column 3 goes bad on line 2 and column 2 only on line 3; the
         # error names line 2.
-        data, _ = textio.records("1 2 3\n1 2 x\n1 y 3\n")
         with pytest.raises(ParseError) as exc:
-            textio.table(data, (int, int, float))
+            textio.table("1 2 3\n1 2 x\n1 y 3\n", (int, int, float))
         assert (exc.value.line, exc.value.column) == (2, 5)
 
     @pytest.mark.parametrize(
@@ -112,15 +110,15 @@ class TestRecords:
         ],
     )
     def test_bad_tokens(self, token, kind, reason):
-        data, _ = textio.records(f"0 0\n\t0  {token}\n")
         with pytest.raises(ParseError, match=reason) as exc:
-            textio.table(data, (kind, kind))
+            textio.table(f"0 0\n\t0  {token}\n", (kind, kind))
         assert (exc.value.line, exc.value.column) == (2, 5)
 
     def test_header_value_column(self):
-        _, headers = textio.records("  # scale x\n")
+        text = "  # scale x\n"
+        _, [(line_no, fields)] = textio.table(text, (float,))
         with pytest.raises(ParseError) as exc:
-            textio.row(headers, 0, float, start=1)
+            textio.numbers(text, line_no, fields, float, start=1)
         assert (exc.value.line, exc.value.column) == (1, 11)
 
     def test_fixed(self):
@@ -208,3 +206,149 @@ def test_reader_returns_or_raises_trajkit_error(reader, data):
         READERS[reader](text)
     except TrajkitError:
         pass
+
+
+# --------------------------------------------------------------------------
+# The record grammar as it was when every line of a file was kept as a str:
+# records() split the text into (line number, line) pairs, and table()
+# converted blocks of 1024 records, checking each block's field counts
+# first. It is the oracle for textio.table, which walks slices of the text.
+# --------------------------------------------------------------------------
+
+ORACLE_KINDS = {float: (np.float64, "a finite float"), int: (np.int64, "a 64-bit integer")}
+
+
+def oracle_records(text):
+    """The (line number, line) data records and header records of ``text``.
+
+    A header's text has its ``#`` blanked out.
+    """
+    data, headers = [], []
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        stripped = line.lstrip()
+        if not stripped:
+            continue
+        if stripped[0] == "#":
+            headers.append((line_no, line.replace("#", " ", 1)))
+        else:
+            data.append((line_no, line))
+    return data, headers
+
+
+def oracle_numbers(cells, kind):
+    values = np.array(cells, dtype=ORACLE_KINDS[kind][0])
+    if not np.isfinite(values).all():
+        raise ValueError("non-finite number")
+    return values
+
+
+def oracle_valid(cell, kind):
+    try:
+        oracle_numbers([cell], kind)
+    except (ValueError, OverflowError):
+        return False
+    return True
+
+
+def oracle_table(data, types):
+    parts = [[np.empty(0, ORACLE_KINDS[kind][0])] if kind in ORACLE_KINDS else [] for kind in types]
+    for first in range(0, len(data), 1024):
+        block = data[first:first + 1024]
+        rows = [line.split() for _, line in block]
+        for (line_no, _), fields in zip(block, rows):
+            if len(fields) != len(types):
+                raise ParseError(f"expected {len(types)} fields, got {len(fields)}", line=line_no)
+        try:
+            for part, cells, kind in zip(parts, zip(*rows), types):
+                part.append(cells if kind is str else oracle_numbers(cells, kind))
+        except (ValueError, OverflowError):
+            i, j = next((i, j) for i, fields in enumerate(rows) for j, kind in enumerate(types)
+                        if kind is not str and not oracle_valid(fields[j], kind))
+            token = list(re.finditer(r"\S+", block[i][1]))[j]
+            message = f"expected {ORACLE_KINDS[types[j]][1]}, got {rows[i][j]!r}"
+            raise ParseError(message, line=block[i][0], column=token.start() + 1) from None
+    return [
+        np.concatenate(part) if kind in ORACLE_KINDS else tuple(chain.from_iterable(part))
+        for part, kind in zip(parts, types)
+    ]
+
+
+def outcome(parse):
+    """What ``parse()`` gives: its columns (values and dtypes) and headers, or its ParseError."""
+    try:
+        columns, headers = parse()
+    except ParseError as exc:
+        return str(exc), exc.line, exc.column
+    return [(c.tolist(), c.dtype) if isinstance(c, np.ndarray) else c for c in columns], headers
+
+
+def assert_table_matches_oracle(text, types, slice_chars):
+    def oracle():
+        data, headers = oracle_records(text)
+        return oracle_table(data, types), [(n, line.split()) for n, line in headers]
+
+    with mock.patch.object(textio, "_SLICE", slice_chars):
+        assert outcome(lambda: textio.table(text, types)) == outcome(oracle)
+
+
+GRAMMAR_TYPES = [(int, int), (str, float, int), (float, float, float), (str,)]
+GOOD = {int: ["0", "-1", "17", "+3"], float: ["0", "1.5", "-2e3", ".5", "7"],
+        str: ["a.png", "x", "1", "#z", "a#b"]}
+BAD = {int: ["1.5", "x", "99999999999999999999", "nan"],
+       float: ["nan", "inf", "1e400", "x", "0x10"], str: []}
+HEADERS = [["#"], ["#", "k", "v"], ["#x", "1"], ["##"], ["#", "frames", "3"]]
+
+
+@st.composite
+def grammar_text(draw):
+    """Record text for random column types, with faults of at most one kind.
+
+    The oracle checks a block's field counts before its numbers, and
+    table() a slice's: faults of both kinds may then be reported in a
+    different order, so a text holds either bad tokens or wrong field
+    counts, never both.
+    """
+    types = draw(st.sampled_from(GRAMMAR_TYPES))
+    faults = draw(st.sampled_from(["none", "tokens", "counts"]))
+    lines = []
+    for _ in range(draw(st.integers(0, 30))):
+        kind = draw(st.sampled_from(["record"] * 4 + ["blank", "header"]))
+        if kind == "blank":
+            fields = []
+        elif kind == "header":
+            fields = draw(st.sampled_from(HEADERS))
+        else:
+            width = draw(st.integers(1, len(types) + 1)) if faults == "counts" else len(types)
+            kinds = [types[j] if j < len(types) else float for j in range(width)]
+            fields = [draw(st.sampled_from(GOOD[k] + (BAD[k] if faults == "tokens" else [])))
+                      for k in kinds]
+        indent, tail = draw(st.sampled_from(["", " ", "\t"])), draw(st.sampled_from(["", " "]))
+        end = draw(st.sampled_from(["\n", "\n", "\r\n", "\r", "\x0c", "\u2028"]))
+        lines.append(indent + draw(st.sampled_from([" ", "  ", "\t"])).join(fields) + tail + end)
+    text = "".join(lines)
+    return types, text[:-1] if text and draw(st.booleans()) else text
+
+
+@given(case=grammar_text(), slice_chars=st.integers(1, 64))
+@settings(max_examples=400, deadline=None)
+def test_table_matches_oracle(case, slice_chars):
+    # Slices of at most 64 characters: most texts span several, and the
+    # cuts land on every kind of line.
+    types, text = case
+    assert_table_matches_oracle(text, types, slice_chars)
+
+
+ORACLE_LINES = [
+    "# weather rain\r\n", "a.png 1 2\r\n", "\r\n", "  # note\n", "b.png -1.5 3\n", "\n",
+    "#\r\n", "c.png 2e3 +4\r\n", "   \n", "d.png .5 5",
+]
+
+
+@pytest.mark.parametrize("fault", [None, "c.png nan +4\r\n", "c.png 2e3\r\n", "c.png 1 2.5\r\n"])
+def test_table_matches_oracle_at_every_cut(fault):
+    # Every slice size up to the text's length: each CRLF, blank and '#'
+    # line comes to sit just before, at and after a cut.
+    lines = [fault if fault and line.startswith("c.png") else line for line in ORACLE_LINES]
+    text = "".join(lines)
+    for slice_chars in range(1, len(text) + 1):
+        assert_table_matches_oracle(text, (str, float, int), slice_chars)

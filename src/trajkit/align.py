@@ -7,8 +7,13 @@ SVD of their cross-covariance with the determinant-sign correction,
 fitted on stacks of point sets at once (fit_similarities). A RANSAC loop
 around it makes the fit robust to badly reconstructed cameras; it fits
 and scores its hypotheses a sub-block of iterations at a time and picks
-the same winner as a loop over single iterations. Errors are reported in
-meters over all matched points, using a stride-calibrated unit scale.
+the same winner as a loop over single iterations. On more than 2048
+points a bail-out pre-test scores each hypothesis on a keyed subset of
+512 points first, and on all of them only if it can still win. It drops
+a hypothesis that could win with probability at most 1e-9; short of that,
+it never runs more iterations than the loop without it.
+Errors are reported in meters over all matched points, using a
+stride-calibrated unit scale.
 """
 
 from __future__ import annotations
@@ -39,6 +44,12 @@ _BLOCK = 256
 # RANSAC iterations fitted and scored in one call; must divide _BLOCK. On
 # 20,750 points 8 beat 4 and 16, and its two (8, N) float buffers take 2.7 MB.
 _SUB_BLOCK = 8
+# Bail-out pre-test (Capel, "An effective bail-out test for RANSAC consensus
+# scoring", BMVC 2005): above 4 * _PRE points, a hypothesis is scored on all
+# of them only if its count on a keyed subset of _PRE points says it can still
+# reach the best count; one that can is dropped with probability _PRE_MISS at most.
+_PRE = 512
+_PRE_MISS = 1e-9
 
 
 @dataclass(frozen=True)
@@ -245,16 +256,56 @@ def minimal_samples(n: int, seed: int, start: int, stop: int) -> np.ndarray:
     return picks
 
 
+def _pretest_rejects(k, best_count: int, n: int):
+    """Whether a subset count ``k`` of _PRE says the full count of n is below ``best_count``.
+
+    With mu = _PRE * best_count / n, the count expected of a hypothesis that
+    ties the best, a count k < mu is rejected when (mu - k)**2 > 2 mu ln(1 / _PRE_MISS).
+    The Chernoff lower tail, which also bounds sampling without replacement
+    (Hoeffding 1963), puts the chance of that at most _PRE_MISS for any
+    hypothesis whose full count is at least ``best_count``.
+    """
+    mu = _PRE * best_count / n
+    return (k < mu) & ((mu - k) ** 2 > 2.0 * mu * -math.log(_PRE_MISS))
+
+
+def _score(scaled, translation, src_t, dst_t, res, term):
+    """res[k, i] = ||scaled[k] @ src_t[:, i] + translation[k] - dst_t[:, i]||.
+
+    One coordinate at a time into the (len(scaled), m) buffers ``res`` and
+    ``term``; a residual that overflows is never below a threshold.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        for axis, out in enumerate((res, term, term)):
+            np.matmul(scaled[:, axis], src_t, out=out)
+            out += translation[:, axis, None]
+            out -= dst_t[axis]
+            out *= out
+            if axis:
+                res += term
+        np.sqrt(res, out=res)
+    return res
+
+
 def _consensus(src: np.ndarray, dst: np.ndarray, params: RansacParams):
     """(iteration, residuals, inlier mask, inlier count) of each RANSAC hypothesis, in order.
 
     Fits and scores _SUB_BLOCK minimal samples per step. Degenerate samples
-    and hypotheses without a single inlier are left out. The arrays yielded
-    are overwritten when the next sub-block is scored.
+    and hypotheses without a single inlier are left out. Above 4 * _PRE
+    points, a hypothesis that the pre-test rejects against the best count
+    yielded before its sub-block is yielded with count 0 and no residuals:
+    it takes part in the stop test but never wins. The arrays yielded are
+    overwritten when the next sub-block is scored.
     """
     n = len(src)
     src_t, dst_t = np.ascontiguousarray(src.T), np.ascontiguousarray(dst.T)
     res_buf, term_buf = np.empty((2, _SUB_BLOCK, n))
+    pretest = n > 4 * _PRE
+    if pretest:
+        subset = rng.keyed_subset(params.seed, rng.PREVERIFY, n, _PRE)
+        sub_src, sub_dst = src_t[:, subset], dst_t[:, subset]
+        sub_res, sub_term = np.empty((2, _SUB_BLOCK, _PRE))
+    best = 0
     for start in range(0, params.max_iterations, _SUB_BLOCK):
         if start % _BLOCK == 0:
             stop = min(start + _BLOCK, params.max_iterations)
@@ -262,23 +313,28 @@ def _consensus(src: np.ndarray, dst: np.ndarray, params: RansacParams):
         sample = samples[start % _BLOCK:][:_SUB_BLOCK]
         scale, rotation, translation, fault = fit_similarities(src[sample], dst[sample])
         rows = np.flatnonzero(fault == 0)
-        scaled = scale[rows, None, None] * rotation[rows]
-        res, term = res_buf[:len(rows)], term_buf[:len(rows)]
-        # res[k, i] = ||scale R src_i + t - dst_i|| for hypothesis rows[k], one
-        # coordinate at a time; a residual that overflows is never an inlier.
-        with np.errstate(over="ignore", invalid="ignore"):
-            for axis, out in enumerate((res, term, term)):
-                np.matmul(scaled[:, axis], src_t, out=out)
-                out += translation[rows, axis, None]
-                out -= dst_t[axis]
-                out *= out
-                if axis:
-                    res += term
-            np.sqrt(res, out=res)
+        scaled, translation = scale[rows, None, None] * rotation[rows], translation[rows]
+        rejected = np.zeros(len(rows), dtype=bool)
+        if pretest and best:
+            sub = _score(scaled, translation, sub_src, sub_dst,
+                         sub_res[:len(rows)], sub_term[:len(rows)])
+            rejected = _pretest_rejects((sub < params.threshold).sum(axis=1), best, n)
+        kept = np.flatnonzero(~rejected)
+        # BLAS rounds a product of one row (gemv) unlike one of several (gemm):
+        # a kept row is scored as it is when all of its sub-block is.
+        scored = np.repeat(kept, 2) if len(kept) == 1 < len(rows) else kept
+        res = _score(scaled[scored], translation[scored], src_t, dst_t,
+                     res_buf[:len(scored)], term_buf[:len(scored)])
         inliers = res < params.threshold
-        for k, count in enumerate(inliers.sum(axis=1).tolist()):
+        scores = zip(res, inliers, inliers.sum(axis=1).tolist())
+        for row, reject in zip(rows.tolist(), rejected.tolist()):
+            if reject:
+                yield start + row, None, None, 0
+                continue
+            row_res, row_inliers, count = next(scores)
             if count:
-                yield start + int(rows[k]), res[k], inliers[k], count
+                best = max(best, count)
+                yield start + row, row_res, row_inliers, count
 
 
 def ransac_align(
@@ -298,6 +354,19 @@ def ransac_align(
     an all-inlier sample drops below 1 - confidence. The winner is refit on
     its full consensus set and the inlier mask recomputed once against the
     refit transform.
+
+    On more than 4 * _PRE points, once a hypothesis has inliers, each later
+    sub-block is first scored on a fixed subset of _PRE points (the rows
+    with the smallest draws keyed by (seed, PREVERIFY, row)). A hypothesis
+    whose subset count says it cannot reach the best count held when its
+    sub-block began (see _pretest_rejects) is not scored on all points: it
+    runs the stop test, as a hypothesis with inliers does, but never wins.
+    One whose full count is at least that best is dropped with probability
+    at most _PRE_MISS = 1e-9. Short of such a loss, the pre-test runs no
+    more iterations than the loop without it, as it only adds stop tests;
+    it can change the winner only when it ends the loop at a hypothesis
+    without inliers, which that loop passes over, and a later one would
+    have won.
     """
     src, dst = _point_pairs(src, dst)
     n = len(src)

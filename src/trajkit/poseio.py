@@ -145,8 +145,12 @@ def read_manifest(text: str) -> CaptureManifest:
                 raise textio.error(text, line_no, 1, f"unknown {key} {value!r}") from None
         elif key in ("vehicle_density", "pedestrian_density"):
             cond[key] = float(textio.numbers(text, line_no, fields, float, start=1)[0])
-    names, data = _check_names(names, text), np.column_stack(columns)
-    return CaptureManifest(names, data[:, :3], data[:, 3:], ConditionSet(**cond))
+    data = np.column_stack(columns)
+    try:
+        return CaptureManifest(names, data[:, :3], data[:, 3:], ConditionSet(**cond))
+    except (ValueError, InvariantViolation):
+        _check_names(names, text)  # a repeated name is the first fault, named at its line
+        raise
 
 
 # --------------------------------------------------------------------------
@@ -175,7 +179,11 @@ class ReconstructedSet:
 def read_reconstruction(text: str) -> ReconstructedSet:
     """Parse ``name x y z`` lines; an empty file is a valid empty set."""
     (names, *columns), _ = textio.table(text, (str, float, float, float))
-    return ReconstructedSet(_check_names(names, text), np.column_stack(columns))
+    try:
+        return ReconstructedSet(names, np.column_stack(columns))
+    except (ValueError, InvariantViolation):
+        _check_names(names, text)  # a repeated name is the first fault, named at its line
+        raise
 
 
 def write_reconstruction(recon: ReconstructedSet) -> str:

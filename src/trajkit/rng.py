@@ -19,7 +19,9 @@ _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 # Capture keys its draws by (seed, frame, landmark, draw). Every other kind
 # of draw leads its key with its own stream constant; at 2**63 and above,
 # beyond any frame index, so that no two kinds of draw share a key.
-WORLD, PERTURB, RECON_NOISE, OUTLIERS, DISPLACEMENT, RANSAC = range(1 << 63, (1 << 63) + 6)
+WORLD, PERTURB, RECON_NOISE, OUTLIERS, DISPLACEMENT, RANSAC, PREVERIFY = range(
+    1 << 63, (1 << 63) + 7
+)
 # No box_muller draw exceeds sigma * MAX_NORMAL: a uniform is at most 1 - 2**-53.
 MAX_NORMAL = math.sqrt(-2.0 * math.log(2.0 ** -53))
 
@@ -41,6 +43,12 @@ def keyed_uniform(seed: int, *key) -> np.ndarray:
     for k in key:
         h = _mix((h + _GAMMA) ^ np.asarray(k, dtype=np.uint64))
     return (h >> np.uint64(11)) * 2.0 ** -53
+
+
+def keyed_subset(seed: int, stream: int, n: int, count: int) -> np.ndarray:
+    """Sorted indices of the ``count`` rows in [0, n) with the smallest (stream, row) draws."""
+    keys = keyed_uniform(seed, stream, np.arange(n))
+    return np.sort(np.argsort(keys, kind="stable")[:count])
 
 
 def box_muller(u: np.ndarray, v: np.ndarray, sigma: float = 1.0) -> tuple[np.ndarray, np.ndarray]:

@@ -272,9 +272,7 @@ def outlier_indices(n: int, outlier_fraction: float, seed: int) -> np.ndarray:
 
     These are the entries that simulate_reconstruction displaces.
     """
-    count = int(math.floor(outlier_fraction * n))
-    keys = rng.keyed_uniform(seed, rng.OUTLIERS, np.arange(n))
-    return np.sort(np.argsort(keys, kind="stable")[:count])
+    return rng.keyed_subset(seed, rng.OUTLIERS, n, int(math.floor(outlier_fraction * n)))
 
 
 def simulate_reconstruction(

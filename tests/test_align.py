@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 import trajkit as tk
 from trajkit import align
 from trajkit.errors import DegenerateConfiguration, InvariantViolation
+from trajkit.rng import PREVERIFY, keyed_uniform
 
 from conftest import exactly, random_rotation, random_similarity
 
@@ -225,28 +227,44 @@ class TestFitSimilarities:
             np.testing.assert_array_equal(translation[b], reference[2])
 
 
-def one_at_a_time(src, dst, params):
+def one_at_a_time(src, dst, params, pretest=False):
     """ransac_align as a loop over single iterations; also returns the iterations run.
 
-    The reference the blocked loop must match bit for bit.
+    The reference the blocked loop must match bit for bit. Without
+    ``pretest`` it scores every hypothesis on all points, as ransac_align
+    does on 4 * _PRE points or fewer. With it, above that size, a hypothesis
+    is first counted on the _PRE keyed subset points; one that the count
+    rules out against the best count held when its sub-block began only
+    takes part in the stop test.
     """
     n = len(src)
+    draws = keyed_uniform(params.seed, PREVERIFY, np.arange(n))
+    subset = np.sort(np.argsort(draws, kind="stable")[:align._PRE])
+    pretest = pretest and n > 4 * align._PRE
     best_count, best_mean, best_mask = 0, math.inf, None
     samples = align.minimal_samples(n, params.seed, 0, params.max_iterations)
     iterations = params.max_iterations
     for iteration, sample in enumerate(samples):
+        if iteration % align._SUB_BLOCK == 0:
+            block_best = best_count
         try:
             hypothesis = tk.umeyama(src[sample], dst[sample])
         except DegenerateConfiguration:
             continue
-        res = align.residuals(hypothesis, src, dst)
-        mask = res < params.threshold
-        count = int(mask.sum())
-        if count == 0:
-            continue
-        mean_res = float(res[mask].mean())
-        if count > best_count or (count == best_count and mean_res < best_mean):
-            best_count, best_mean, best_mask = count, mean_res, mask
+        if pretest and block_best:
+            sub_res = align.residuals(hypothesis, src[subset], dst[subset])
+            rejected = align._pretest_rejects((sub_res < params.threshold).sum(), block_best, n)
+        else:
+            rejected = False
+        if not rejected:
+            res = align.residuals(hypothesis, src, dst)
+            mask = res < params.threshold
+            count = int(mask.sum())
+            if count == 0:
+                continue
+            mean_res = float(res[mask].mean())
+            if count > best_count or (count == best_count and mean_res < best_mean):
+                best_count, best_mean, best_mask = count, mean_res, mask
         miss_prob = (1.0 - (best_count / n) ** align.MIN_SAMPLE) ** (iteration + 1)
         if best_count > align.MIN_SAMPLE and miss_prob <= 1.0 - params.confidence:
             iterations = iteration + 1
@@ -258,20 +276,59 @@ def one_at_a_time(src, dst, params):
     return transform, align.residuals(transform, src, dst) < params.threshold, iterations
 
 
-def assert_matches_one_at_a_time(src, dst, params) -> int:
-    """ransac_align and the reference agree bitwise; returns the reference's iterations."""
+def outcome(run):
+    """run()'s result, or the message of the InvariantViolation it raises."""
     try:
-        expected_transform, expected_mask, iterations = one_at_a_time(src, dst, params)
+        return run()
     except InvariantViolation as exc:
-        with pytest.raises(InvariantViolation, match=exactly(str(exc))):
-            tk.ransac_align(src, dst, params)
-        return params.max_iterations
-    transform, mask = tk.ransac_align(src, dst, params)
+        return str(exc)
+
+
+def iterations_run(result, params) -> int:
+    """The iterations of a reference or run_blocked result; a failed run used the whole budget."""
+    return params.max_iterations if isinstance(result, str) else result[2]
+
+
+def assert_same_outcome(actual, expected):
+    """Both raised the same message, or both give the same transform and mask, bit for bit."""
+    if isinstance(expected, str):
+        assert actual == expected
+        return
+    (transform, mask, *_), (expected_transform, expected_mask, *_) = actual, expected
     np.testing.assert_array_equal(mask, expected_mask)
     assert transform.scale == expected_transform.scale
     np.testing.assert_array_equal(transform.rotation, expected_transform.rotation)
     np.testing.assert_array_equal(transform.translation, expected_transform.translation)
-    return iterations
+
+
+def assert_matches_one_at_a_time(src, dst, params) -> int:
+    """ransac_align and the reference agree bitwise; returns the reference's iterations."""
+    expected = outcome(lambda: one_at_a_time(src, dst, params))
+    assert_same_outcome(outcome(lambda: tk.ransac_align(src, dst, params)), expected)
+    return iterations_run(expected, params)
+
+
+def run_blocked(monkeypatch, src, dst, params, rejects=None):
+    """ransac_align's transform and mask, and the iterations its loop ran.
+
+    Appends to ``rejects`` the iterations that _consensus yielded with count
+    0, the hypotheses the pre-test ruled out.
+    """
+    consumed, exhausted = [], []
+    blocked = align._consensus
+
+    def recording(*args):
+        for hypothesis in blocked(*args):
+            consumed.append(hypothesis[0])
+            if rejects is not None and hypothesis[3] == 0:
+                rejects.append(hypothesis[0])
+            yield hypothesis
+        exhausted.append(True)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(align, "_consensus", recording)
+        transform, mask = tk.ransac_align(src, dst, params)
+    return transform, mask, params.max_iterations if exhausted else consumed[-1] + 1
 
 
 def noisy_pairs(seed, n, outlier_fraction, sigma):
@@ -283,6 +340,24 @@ def noisy_pairs(seed, n, outlier_fraction, sigma):
     outliers = rng.permutation(n)[:int(outlier_fraction * n)]
     dst[outliers] += rng.uniform(-30, 30, (len(outliers), 3))
     return src, dst
+
+
+def assert_stops_mid_sub_block(monkeypatch, n: int) -> list[int]:
+    """Stops at many confidences match the reference, several inside a sub-block.
+
+    Returns the iterations the pre-test rejected.
+    """
+    src, dst = noisy_pairs(60, n, 0.5, sigma=0.15)
+    stops, rejects = set(), []
+    for digits in np.linspace(1, 12, 23):
+        params = tk.RansacParams(threshold=0.5, confidence=1 - 10 ** -digits, seed=3)
+        blocked = run_blocked(monkeypatch, src, dst, params, rejects)
+        reference = one_at_a_time(src, dst, params, pretest=True)
+        assert_same_outcome(blocked, reference)
+        assert blocked[2] == reference[2] < params.max_iterations
+        stops.add(blocked[2] % align._SUB_BLOCK)
+    assert len(stops - {0}) >= 3
+    return rejects
 
 
 class TestBlockedRansac:
@@ -297,25 +372,7 @@ class TestBlockedRansac:
             assert_matches_one_at_a_time(src, dst, params)
 
     def test_confidence_stop_mid_sub_block(self, monkeypatch):
-        consumed = []
-        blocked = align._consensus
-
-        def recording(*args):
-            for hypothesis in blocked(*args):
-                consumed.append(hypothesis[0])
-                yield hypothesis
-
-        monkeypatch.setattr(align, "_consensus", recording)
-        src, dst = noisy_pairs(60, 80, 0.5, sigma=0.15)
-        stops = set()
-        for digits in np.linspace(1, 12, 23):
-            consumed.clear()
-            params = tk.RansacParams(threshold=0.5, confidence=1 - 10 ** -digits, seed=3)
-            iterations = assert_matches_one_at_a_time(src, dst, params)
-            assert iterations < params.max_iterations
-            assert consumed[-1] + 1 == iterations
-            stops.add(iterations % align._SUB_BLOCK)
-        assert len(stops - {0}) >= 3
+        assert_stops_mid_sub_block(monkeypatch, 80)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_degenerate_rows_inside_sub_blocks(self, seed):
@@ -332,6 +389,114 @@ class TestBlockedRansac:
         for max_iterations in (1, 8, 9, 300):
             params = tk.RansacParams(threshold=0.3, max_iterations=max_iterations, seed=seed)
             assert_matches_one_at_a_time(src, dst, params)
+
+
+def hypergeometric_cdf(n: int, c: int, m: int) -> list[int]:
+    """Entry k: C(n, m) * P(K <= k) for K the inliers among m of n points drawn without
+    replacement, c of them inliers; exact integers, for k up to min(c, m)."""
+    lo = max(0, m - (n - c))
+    term, total, cdf = math.comb(c, lo) * math.comb(n - c, m - lo), 0, [0] * lo
+    for j in range(lo, min(c, m) + 1):
+        total += term
+        cdf.append(total)
+        term = term * (c - j) * (m - j) // ((j + 1) * (n - c - m + j + 1))
+    return cdf
+
+
+class TestPretest:
+    """The bail-out pre-test of ransac_align, which acts above 4 * _PRE points."""
+
+    @pytest.mark.parametrize("n", [2049, 3000, 4096, 20750, 50000])
+    def test_rejection_bounded_by_exact_hypergeometric_tail(self, n):
+        # A hypothesis whose full count c ties the best is the likeliest to be
+        # wrongly rejected; the chance is P(K <= k) for every k the rule rejects.
+        assert align._PRE_MISS == 1e-9
+        m, checked = align._PRE, 0
+        total = math.comb(n, m)
+        for c in sorted({*np.geomspace(1, n, 60).round().astype(int).tolist(), n}):
+            rejected = np.flatnonzero(align._pretest_rejects(np.arange(m + 1), c, n))
+            if not len(rejected):
+                continue
+            assert rejected.tolist() == list(range(len(rejected)))
+            cdf = hypergeometric_cdf(n, c, m)
+            for k in rejected.tolist():
+                assert (cdf[k] if k < len(cdf) else total) * 10**9 <= total, (n, c, k)
+            checked += len(rejected)
+        assert checked > 0
+
+    @pytest.mark.parametrize("n", [2049, 3000, 20750, 50000])
+    def test_no_rejection_while_mu_at_most_twice_log(self, n):
+        limit = 2 * math.log(1e9)
+        last = max(c for c in range(1, n + 1) if align._PRE * c / n <= limit)
+        k = np.arange(align._PRE + 1)
+        for c in range(1, last + 1):
+            assert not align._pretest_rejects(k, c, n).any(), c
+        assert align._pretest_rejects(k, last + 1, n)[0]
+
+    @pytest.mark.parametrize("max_iterations", [1, 9, 257, 2000])
+    @pytest.mark.parametrize("outlier_fraction", [0.5, 0.8, 0.9])
+    def test_matches_pretested_reference(self, monkeypatch, outlier_fraction, max_iterations):
+        # Noise well inside the threshold: at 90% outliers the best count is
+        # then just large enough for the pre-test to reject by.
+        rejects = []
+        for seed, n in ((0, 3000), (1, 5000)):
+            src, dst = noisy_pairs(80 + seed, n, outlier_fraction, sigma=0.1)
+            params = tk.RansacParams(threshold=0.5, max_iterations=max_iterations, seed=seed)
+            blocked = outcome(lambda: run_blocked(monkeypatch, src, dst, params, rejects))
+            reference = outcome(lambda: one_at_a_time(src, dst, params, pretest=True))
+            assert_same_outcome(blocked, reference)
+            assert iterations_run(blocked, params) == iterations_run(reference, params)
+            plain = outcome(lambda: one_at_a_time(src, dst, params))
+            assert iterations_run(blocked, params) <= iterations_run(plain, params)
+        assert rejects or max_iterations < 257
+
+    def test_subset_is_the_rows_with_the_smallest_keyed_draws(self, monkeypatch):
+        # Outliers on exactly those rows: once the first sub-block has found the
+        # transform, no hypothesis can pass the pre-test, however good it is.
+        n, seed = 3000, 5
+        src, dst = noisy_pairs(82, n, 0.0, sigma=0.1)
+        draws = keyed_uniform(seed, PREVERIFY, np.arange(n))
+        subset = np.argsort(draws, kind="stable")[:align._PRE]
+        dst[subset] += np.random.default_rng(83).uniform(-30, 30, (align._PRE, 3))
+        params = tk.RansacParams(threshold=0.5, max_iterations=40, confidence=1 - 1e-15, seed=seed)
+        rejects = []
+        run_blocked(monkeypatch, src, dst, params, rejects)
+        assert rejects == list(range(align._SUB_BLOCK, params.max_iterations))
+
+    def test_scored_rows_keep_the_bits_of_their_whole_sub_block(self):
+        # BLAS rounds a product of one row unlike one of several, so a row
+        # scored alone would differ in the last bits from the loop without
+        # the pre-test, which scores every row of the sub-block.
+        src, dst = noisy_pairs(81, 3000, 0.8, sigma=0.1)
+        params = tk.RansacParams(threshold=0.5, max_iterations=512, seed=2)
+        samples = align.minimal_samples(len(src), params.seed, 0, params.max_iterations)
+        src_t, dst_t = np.ascontiguousarray(src.T), np.ascontiguousarray(dst.T)
+        scored, rejected = Counter(), Counter()
+        for iteration, res, _, count in align._consensus(src, dst, params):
+            start = iteration - iteration % align._SUB_BLOCK
+            (rejected if count == 0 else scored)[start] += 1
+            if count:
+                sample = samples[start:start + align._SUB_BLOCK]
+                scale, rotation, translation, fault = align.fit_similarities(src[sample], dst[sample])
+                rows = np.flatnonzero(fault == 0)
+                whole = align._score(scale[rows, None, None] * rotation[rows], translation[rows],
+                                     src_t, dst_t, *np.empty((2, len(rows), len(src))))
+                np.testing.assert_array_equal(res, whole[rows.tolist().index(iteration - start)])
+        assert any(scored[start] == 1 and rejected[start] for start in scored)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_same_winner_as_without_pretest(self, monkeypatch, seed):
+        rejects = []
+        src, dst = noisy_pairs(90 + seed, 3000 + 700 * seed, 0.8, sigma=0.15)
+        params = tk.RansacParams(threshold=0.5, seed=seed)
+        blocked = run_blocked(monkeypatch, src, dst, params, rejects)
+        plain = one_at_a_time(src, dst, params)
+        assert_same_outcome(blocked, plain)
+        assert blocked[2] <= plain[2]
+        assert rejects
+
+    def test_confidence_stop_mid_sub_block(self, monkeypatch):
+        assert assert_stops_mid_sub_block(monkeypatch, 3000)
 
 
 class TestRansacAlign:

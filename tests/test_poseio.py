@@ -186,6 +186,14 @@ class TestManifest:
         with pytest.raises(InvariantViolation, match=exactly("duplicate image name 'a.png'")):
             tk.CaptureManifest(("a.png", "a.png"), np.zeros((2, 3)), np.zeros((2, 3)))
 
+    def test_duplicate_name_reported_before_a_bad_density(self):
+        text = "# vehicle_density 2\na.png 0 0 0 0 0 0\na.png 1 1 1 0 0 0\n"
+        with pytest.raises(InvariantViolation, match=exactly("duplicate image name 'a.png' (line 3)")):
+            tk.read_manifest(text)
+        message = "vehicle_density must be within [0, 1], got 2.0"
+        with pytest.raises(InvariantViolation, match=exactly(message)):
+            tk.read_manifest(text.replace("a.png 1", "b.png 1"))
+
     def test_unknown_comment_lines_ignored(self):
         text = "# some free-form note\n# weather rain\na.png 0 0 0 0 0 0\n"
         manifest = tk.read_manifest(text)
@@ -482,3 +490,15 @@ class TestWritersMatchPerValueFormatting:
             names=names,
         )
         assert tk.write_report(report) == oracle_report(report)
+
+
+@pytest.mark.parametrize("read, text", [
+    (tk.read_manifest, "a.png 0 0 0 0 0 0\nb.png 1 1 1 0 0 0\n"),
+    (tk.read_reconstruction, "a.png 0 0 0\nb.png 1 1 1\n"),
+])
+def test_names_checked_once_per_read(monkeypatch, read, text):
+    calls = []
+    check = poseio._check_names
+    monkeypatch.setattr(poseio, "_check_names", lambda *args: calls.append(args) or check(*args))
+    read(text)
+    assert len(calls) == 1

@@ -87,6 +87,8 @@ def _check_names(names: Sequence[str], text: str | None = None) -> tuple[str, ..
     InvariantViolation, at its line when the names are the records of ``text``.
     """
     names = tuple(names)
+    if _single_tokens(names) and len(unique := set(names)) == len(names) and "" not in unique:
+        return names
     seen: set[str] = set()
     for k, name in enumerate(names):
         if name.split() != [name] or name.startswith("#"):
@@ -96,6 +98,22 @@ def _check_names(names: Sequence[str], text: str | None = None) -> tuple[str, ..
             raise InvariantViolation(f"duplicate image name {name!r}{loc}")
         seen.add(name)
     return names
+
+
+def _single_tokens(names: tuple[str, ...]) -> bool:
+    """Whether one pass over the joined names shows none holds whitespace or a leading ``#``.
+
+    Then the only whitespace is the len - 1 separators, and a name starts
+    with ``#`` where the joined names or a " #" do. Only " " of all
+    whitespace is printable, so an unprintable name is not shown here (nor
+    a non-str one): the caller's loop judges it. An empty name passes.
+    """
+    try:
+        joined = " ".join(names)
+    except TypeError:
+        return False
+    return (joined.count(" ") == len(names) - 1 and joined.isprintable()
+            and not joined.startswith("#") and " #" not in joined)
 
 
 @dataclass(frozen=True)

@@ -245,6 +245,13 @@ def retrace(
             pixels_per_unit = intr.focal / depth.flat[visible]
             u = right.flat[visible] * pixels_per_unit + intr.cx
             v = down.flat[visible] * pixels_per_unit + intr.cy
+            # At a depth below focal / 1.8e308 the scale overflows, and 0 * inf is nan:
+            # divide by the depth first there.
+            tiny = np.flatnonzero(np.isinf(pixels_per_unit))
+            if len(tiny):
+                near = depth.flat[visible[tiny]]
+                u[tiny] = right.flat[visible[tiny]] / near * intr.focal + intr.cx
+                v[tiny] = down.flat[visible[tiny]] / near * intr.focal + intr.cy
         inside = (u >= 0.0) & (u <= intr.width) & (v >= 0.0) & (v <= intr.height)
         frame, ids = np.divmod(visible[inside], len(points))
         frame += start

@@ -5,17 +5,28 @@ are skipped. A line whose first non-blank character is ``#`` is a header,
 whose fields after the ``#`` go to the reader; every other line is a
 record of whitespace-separated fields. Numbers must be finite floats or
 64-bit integers. ``table`` walks the text in slices of about 64 KB, cut
-just after a newline, and converts each numeric column of a slice by one
-``np.array`` call; only a slice with a header, a blank line or a wrong
-field count goes line by line. No line number is stored: a ParseError
-recounts the lines to name the line and column of the first bad token.
+just after a newline, and parses each slice with one ``np.loadtxt`` call,
+numpy's C parser. Only a slice that is all ASCII, holds no ``#`` and no
+blank line, and whose every line has the right field count and finite
+numbers is taken from loadtxt; any other slice (or one loadtxt refuses)
+goes line by line, which gives the outcome of Python's ``int`` and
+``float``. No line number is stored: a ParseError recounts the lines to
+name the line and column of the first bad token.
+
 Every writer formats its rows with ``lines``; every format but the
 alignment report writes a float with six fractional digits (``FIXED``).
+A template of ``%d`` fields over int64 and ``%.6f`` fields over float64
+columns is formatted a block at a time as one byte buffer, rounding as
+Python does: a product x * 1e6 near a half-integer is recomputed by
+Python's own ``%.6f``. A float of 2**42 / 1e6 or more, or one not finite,
+sends its block, and any other template every row, through ``%``.
 """
 
 from __future__ import annotations
 
 import re
+import warnings
+from functools import cache
 from itertools import chain, islice
 from typing import Iterator, Sequence
 
@@ -63,10 +74,8 @@ def table(text: str, types: Sequence[type]) -> tuple[list, list[tuple[int, list[
     width, headers = len(types), []
     parts = [[np.empty(0, _KINDS[kind][0])] if kind in _KINDS else [] for kind in types]
     for before, piece, lines in _slices(text):
-        # Only a slice with a "#", a blank line or a wrong field count goes line by
-        # line. The lists that count fields die at once: a slice keeps only its
-        # flat tokens, so no container per line outlives the test.
-        if "#" in piece or list(map(len, map(str.split, lines))).count(width) != len(lines):
+        columns = _parse(piece, lines, types)
+        if columns is None:
             line_nos, tokens = [], []
             for line_no, fields in enumerate(map(str.split, lines), start=before + 1):
                 if not fields:
@@ -78,15 +87,50 @@ def table(text: str, types: Sequence[type]) -> tuple[list, list[tuple[int, list[
                 else:
                     line_nos.append(line_no)
                     tokens += fields
-        else:
-            tokens, line_nos = piece.split(), range(before + 1, before + len(lines) + 1)
-        for part, column in zip(parts, _columns(text, tokens, line_nos, types)):
+            columns = _columns(text, tokens, line_nos, types)
+        for part, column in zip(parts, columns):
             part.append(column)
     columns = [
         np.concatenate(part) if kind in _KINDS else tuple(chain.from_iterable(part))
         for part, kind in zip(parts, types)
     ]
     return columns, headers
+
+
+def _parse(piece: str, lines: list[str], types: Sequence[type]) -> list | None:
+    """The columns of a slice by numpy's C parser, or None if the slice must go line by line.
+
+    Only an ASCII slice (loadtxt of numpy 2.4 can crash on other text)
+    with no ``#`` is parsed. Every line must hold ``len(types)`` fields. In an
+    all-numeric table the dtype enforces that; otherwise loadtxt reads the
+    numeric columns, raises on a line too short for the last of them, and
+    the token count rules out a line too long.
+    """
+    if "#" in piece or not piece.isascii() or piece.isspace() or types[-1] is str:
+        return None
+    width = len(types)
+    numeric = [j for j, kind in enumerate(types) if kind is not str]
+    names = {}
+    if len(numeric) < width:
+        tokens = piece.split()
+        if len(tokens) != width * len(lines):
+            return None
+        names = {j: tuple(tokens[j::width]) for j, kind in enumerate(types) if kind is str}
+        del tokens
+    dtype = [(f"f{j}", _KINDS[types[j]][0]) for j in numeric]
+    try:
+        # A warning (numpy 1.24 reads "1.0" as an int with a DeprecationWarning) is a refusal.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = np.loadtxt(lines, dtype, comments=None, usecols=numeric if names else None,
+                              ndmin=1)
+    except (ValueError, Warning):
+        return None
+    if len(rows) != len(lines):  # a blank line
+        return None
+    if not all(np.isfinite(rows[f"f{j}"]).all() for j in numeric if types[j] is float):
+        return None
+    return [names[j] if j in names else rows[f"f{j}"] for j in range(width)]
 
 
 def numbers(
@@ -125,17 +169,112 @@ def error(text: str, line_no: int, j: int, message: str) -> ParseError:
     return ParseError(message, line=line_no, column=token.start() + 1)
 
 
+# lines() writes "%d" over int64 and FIXED over float64 as rows of little-endian
+# uint32 words, one word per three digits, padded with NUL bytes that are then
+# dropped.
+_BYTE_FIELDS = {"%d": np.int64, FIXED: np.float64}
+_FIELD = r"(%d|%\.6f)"  # compiled by re on first use, not at import
+# x * 1e6 is rounded once, so it is off from the exact product by at most
+# 2**-53 of its size: rint of it rounds as "%.6f" rounds x unless it lies
+# within 2**-50 of its size (2**-8 at the limit) of a half-integer, and Python
+# formats those few values itself. A block holding a float of magnitude
+# _FIXED_LIMIT or more, or one not finite, goes row by row.
+_FIXED_LIMIT = 2.0 ** 42 / 1e6
+_LEAD, _ONLY, _POINT = 1000, 2000, 3000
+
+
+@cache  # built on first use: a process that writes no numbers never builds it
+def _group_words() -> np.ndarray:
+    """The word of each group g of three digits: ``[g]`` inside a number,
+    ``[_LEAD + g]`` as its leading group (no leading zeros, so 0 is empty),
+    ``[_ONLY + g]`` as its only group (0 is "0") and ``[_POINT + g]`` after a
+    decimal point. Byte k of a word is its bits 8k to 8k + 7."""
+    g = np.arange(1000, dtype=np.uint32)
+    d0, d1, d2 = g // 100 + 48, g // 10 % 10 + 48, g % 10 + 48
+    shown0, shown1 = (g >= 100) * d0, (g >= 10) * d1
+    return np.concatenate([
+        d0 | d1 << 8 | d2 << 16,
+        shown0 | shown1 << 8 | (g > 0) * d2 << 16,
+        shown0 | shown1 << 8 | d2 << 16,
+        ord(".") | d0 << 8 | d1 << 16 | d2 << 24,
+    ]).astype("<u4")
+
+
 def lines(template: str, columns: Sequence[np.ndarray | Sequence[str]]) -> str:
     """``template % row`` for each row of the equal-length ``columns``, concatenated.
 
     A column is an array or a sequence of strings, such as a names tuple.
     """
+    pieces = re.split(_FIELD, template)  # literal, field, literal, ..., literal
+    as_bytes = (
+        "%" not in "".join(pieces[::2]) and "\0" not in template  # NUL bytes are dropped
+        and len(columns) == len(pieces) // 2
+        and all(isinstance(column, np.ndarray) and column.ndim == 1
+                and column.dtype == _BYTE_FIELDS[field]
+                for field, column in zip(pieces[1::2], columns))
+    )
     blocks = []
     for first in range(0, len(columns[0]), _WRITE_BLOCK):
-        cuts = (column[first:first + _WRITE_BLOCK] for column in columns)
-        rows = zip(*(cut.tolist() if isinstance(cut, np.ndarray) else cut for cut in cuts))
-        blocks.append("".join([template % row for row in rows]))
+        cuts = [column[first:first + _WRITE_BLOCK] for column in columns]
+        block = _format(pieces, cuts) if as_bytes else None
+        if block is None:
+            rows = zip(*(cut.tolist() if isinstance(cut, np.ndarray) else cut for cut in cuts))
+            block = "".join([template % row for row in rows])
+        blocks.append(block)
     return "".join(blocks)
+
+
+def _format(pieces: list[str], cuts: list[np.ndarray]) -> str | None:
+    """The rows of ``cuts`` as ``lines`` writes them, or None if a float is out of range.
+
+    A row is a run of words: four bytes of a literal to a word; for a
+    number a "-" word (if the block holds a negative), its integer digits
+    and, for FIXED, its ".ddd" and "ddd" words.
+    """
+    words = []  # a literal word or a column of words, in row order
+    for literal, field, cut in zip(pieces[::2], pieces[1::2], cuts):
+        words += _literal(literal)
+        if field == "%d":
+            negative = cut < 0
+            magnitude = np.abs(cut).view(np.uint64)  # the view makes abs(-2**63) 2**63
+        else:
+            scaled = np.abs(cut)
+            if not (scaled < _FIXED_LIMIT).all():  # also false for nan
+                return None
+            scaled *= 1e6
+            rounded = np.rint(scaled)
+            magnitude = rounded.astype(np.uint64)
+            for i in np.flatnonzero(np.abs(scaled - rounded) > 0.5 - scaled * 2.0 ** -50).tolist():
+                magnitude[i] = int((FIXED % abs(cut[i])).replace(".", ""))
+            negative = np.signbit(cut)  # Python writes -0.000000 too
+            magnitude, low = np.divmod(magnitude, np.uint64(1000))
+            magnitude, high = np.divmod(magnitude, np.uint64(1000))
+        if negative.any():
+            words.append(negative * np.uint32(ord("-")))
+        words += _integer(magnitude)
+        if field == FIXED:
+            words += [_group_words().take(high + _POINT), _group_words().take(low)]
+    words += _literal(pieces[-1])
+    buf = np.empty((len(cuts[0]), len(words)), "<u4")
+    for j, column in enumerate(words):
+        buf[:, j] = column
+    return buf.tobytes().translate(None, b"\0").decode()
+
+
+def _literal(text: str) -> list[int]:
+    data = text.encode()
+    return [int.from_bytes(data[k:k + 4].ljust(4, b"\0"), "little") for k in range(0, len(data), 4)]
+
+
+def _integer(magnitude: np.ndarray) -> list[np.ndarray]:
+    """The words of the digits of each uint64 of ``magnitude``, most significant first."""
+    least, words = int(magnitude.min()), []
+    for k in range(-(-len(str(int(magnitude.max()))) // 3)):
+        magnitude, group = np.divmod(magnitude, np.uint64(1000))
+        if least < 1000 ** (k + 1):  # the group leads some number
+            group += (magnitude == 0) * np.uint64(_ONLY if k == 0 else _LEAD)
+        words.append(_group_words().take(group))
+    return words[::-1]
 
 
 def _numbers(cells: Sequence[str], kind: type) -> np.ndarray:

@@ -279,6 +279,28 @@ class TestReconstruction:
         with pytest.raises(ValueError):
             tk.ReconstructedSet((name,), [(0, 0, 0)])
 
+    @pytest.mark.parametrize("name", ["bad name.png", "tab\tname.png", "#a.png", "", " a.png",
+                                      "a.png\u2028", "a\x1fb", "a\xa0b"])
+    def test_bad_name_among_good_ones_rejected(self, name):
+        # The one-pass test over all names finds a bad name at any place.
+        message = f"image name must be one token, not a comment: {name!r}"
+        with pytest.raises(ValueError, match=exactly(message)):
+            tk.ReconstructedSet(("x.png", "y.png", name, "z.png"), np.zeros((4, 3)))
+
+    def test_first_bad_name_in_order_reported(self):
+        with pytest.raises(InvariantViolation, match=exactly("duplicate image name 'x.png'")):
+            tk.ReconstructedSet(("x.png", "x.png", "#c"), np.zeros((3, 3)))
+        with pytest.raises(ValueError, match="'#c'"):
+            tk.ReconstructedSet(("x.png", "#c", "x.png"), np.zeros((3, 3)))
+
+    def test_name_that_is_not_a_str_rejected(self):
+        with pytest.raises(AttributeError):
+            tk.ReconstructedSet((5,), np.zeros((1, 3)))
+
+    def test_unprintable_single_token_names_accepted(self):
+        names = ("a\x01b", "\u00e9.png", "\u200bz", "x#")
+        assert tk.ReconstructedSet(names, np.zeros((4, 3))).names == names
+
     def test_positions_are_a_read_only_float_array(self):
         recon = tk.ReconstructedSet(["a.png"], [(1, 2, 3)])
         assert recon.names == ("a.png",)

@@ -201,6 +201,19 @@ class TestRetrace:
         assert u == pytest.approx(intr.cx - intr.focal / 10.0)
         assert v == pytest.approx(intr.cy)
 
+    @pytest.mark.parametrize("ahead", [1e-300, 1e-306, 5e-324])
+    def test_landmark_at_tiny_depth_observed(self, ahead):
+        # focal / depth overflows below a depth of about 1e-305; the pixel is
+        # still the principal point, and a lateral offset still scales by focal.
+        intr = tk.default_intrinsics()
+        _, obs = tk.retrace(static_pose(camera=(0.0, 0.0, 0.0)), world_with([[ahead, 0.0, 0.0]]),
+                            intr, CLEAR_DAY, base_pixel_sigma=0.0, seed=0)
+        assert obs.uv.tolist() == [[960.0, 540.0]]
+        _, obs = tk.retrace(static_pose(camera=(0.0, 0.0, 0.0)),
+                            world_with([[1e-306, 1e-307, 0.0]]), intr, CLEAR_DAY,
+                            base_pixel_sigma=0.0, seed=0)
+        assert obs.uv[0, 0] == pytest.approx(intr.cx - intr.focal / 10.0)
+
     def test_tilt_moves_projection_until_out_of_frame(self):
         # Tilting the view axis (ry) slides an on-axis landmark along the
         # v axis; it stays observed only while the projection is in frame.

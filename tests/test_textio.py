@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import os
 import re
+import subprocess
+import sys
 from itertools import chain
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -13,6 +17,8 @@ from hypothesis import strategies as st
 
 from trajkit import conditions, poseio, simworld, textio
 from trajkit.errors import ParseError, TrajkitError
+
+from conftest import exactly
 
 READERS = {
     "sparse vertices": lambda text: poseio.read_sparse(text, "1\n"),
@@ -352,3 +358,172 @@ def test_table_matches_oracle_at_every_cut(fault):
     text = "".join(lines)
     for slice_chars in range(1, len(text) + 1):
         assert_table_matches_oracle(text, (str, float, int), slice_chars)
+
+
+# --------------------------------------------------------------------------
+# The C-speed paths: table() parses a slice with np.loadtxt when it can
+# vouch for the result, and lines() formats "%d" and "%.6f" as bytes.
+# --------------------------------------------------------------------------
+
+# Tokens that np.loadtxt and Python's float/int read differently, each in
+# an int and a float column; the outcome is the one of the line-by-line
+# reader, pinned: (values of the second column) or (message, line, column).
+LOADTXT_PINS = [
+    ("1_0", int, [2, 2, 2, 10]),
+    ("1_0", float, [2.0, 2.0, 2.0, 10.0]),
+    ("0x1", int, ("expected a 64-bit integer, got '0x1' (line 4, column 3)", 4, 3)),
+    ("0x1", float, ("expected a finite float, got '0x1' (line 4, column 3)", 4, 3)),
+    ("+inf", int, ("expected a 64-bit integer, got '+inf' (line 4, column 3)", 4, 3)),
+    ("+inf", float, ("expected a finite float, got '+inf' (line 4, column 3)", 4, 3)),
+    ("1.0", int, ("expected a 64-bit integer, got '1.0' (line 4, column 3)", 4, 3)),
+    ("1.0", float, [2.0, 2.0, 2.0, 1.0]),
+    ("1e5", int, ("expected a 64-bit integer, got '1e5' (line 4, column 3)", 4, 3)),
+    ("+3", int, [2, 2, 2, 3]),
+    ("-0", float, [2.0, 2.0, 2.0, -0.0]),
+    ("7\x1f", int, [2, 2, 2, 7]),
+    ("\x1f7", float, [2.0, 2.0, 2.0, 7.0]),
+    ("\x00", int, ("expected a 64-bit integer, got '\\x00' (line 4, column 3)", 4, 3)),
+    ("7\x00", float, ("expected a finite float, got '7\\x00' (line 4, column 3)", 4, 3)),
+]
+
+
+@pytest.mark.parametrize("token, kind, expected", LOADTXT_PINS)
+def test_tokens_loadtxt_reads_differently(token, kind, expected):
+    text = "1 2\n" * 3 + f"5 {token}\n"
+    got = outcome(lambda: textio.table(text, (kind, kind)))
+    if isinstance(expected, tuple):
+        assert got == expected
+    else:
+        assert [repr(v) for v in got[0][1][0]] == [repr(v) for v in expected]
+        assert got[0][1][1] == np.dtype(ORACLE_KINDS[kind][0])
+
+
+def test_non_ascii_slice_never_reaches_loadtxt():
+    # np.loadtxt of numpy 2.4 kills the process with SIGSEGV on this line.
+    # A child process reads it (and other non-ASCII text) through every
+    # kind of table, first with the real loadtxt, then with one that exits
+    # if it is handed a non-ASCII line; the child must exit cleanly.
+    script = """
+import sys
+import numpy as np
+from trajkit import textio
+from trajkit.errors import ParseError
+
+def read_all():
+    for text in ["\\U000bfff2\\x8a\\n", "1 2\\n\\u00e9 3\\n", "1\\u20002\\n", "a.png 1 2\\n\\u2028"]:
+        for types in [(int, int), (str, int, int), (float, float), (str, float, float)]:
+            try:
+                textio.table(text, types)
+            except ParseError:
+                pass
+
+read_all()
+loadtxt = np.loadtxt
+
+def ascii_only(lines, *args, **kwargs):
+    if not all(line.isascii() for line in lines):
+        sys.exit(3)
+    return loadtxt(lines, *args, **kwargs)
+
+np.loadtxt = ascii_only
+read_all()
+"""
+    src = str(Path(textio.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                            text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+
+
+LOADTXT = np.loadtxt
+
+
+def test_loadtxt_path_taken_and_equal():
+    # A clean slice goes through loadtxt in one call; a slice with a "#", a
+    # blank line or a non-finite float goes line by line, with the same
+    # columns as the oracle.
+    text = "".join(f"r{i} {i} {i / 3!r} {-i}\n" for i in range(500))
+    calls = []
+    with mock.patch.object(np, "loadtxt", side_effect=lambda *a, **k: calls.append(1) or
+                           LOADTXT(*a, **k)):
+        for extra in ["", "# h\n", "\n", "r 1 inf 2\n"]:
+            assert_table_matches_oracle(text + extra, (str, int, float, int), 1 << 16)
+    # Neither the slice with a "#" nor the one whose blank line leaves it
+    # short of tokens calls it.
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("text, types, message", [
+    # Totals that are a whole number of records: loadtxt skips the blank
+    # line, ignores fields beyond its columns and never sees a str column.
+    ("a 1 2 3 4 5 6 7\n\n", (str, float, float, float), "expected 4 fields, got 8 (line 1)"),
+    ("a 1 2 3 4\nb 1 2\n", (str, float, float, float), "expected 4 fields, got 5 (line 1)"),
+    ("1\n2 a b\n", (float, str), "expected 2 fields, got 1 (line 1)"),
+    ("1 2\n\n3 4 5\n", (int, int), "expected 2 fields, got 3 (line 3)"),
+])
+def test_field_counts_around_loadtxt(text, types, message):
+    with pytest.raises(ParseError, match=exactly(message)):
+        textio.table(text, types)
+
+
+def fixed_oracle(template, columns):
+    rows = zip(*(column.tolist() for column in columns))
+    return "".join(template % row for row in rows)
+
+
+# Exact ties of "%.6f": x * 1e6 is a half-integer exactly when x is an odd
+# multiple of 1/128.
+TIES = st.integers(-2**40, 2**40).map(lambda j: (2 * j + 1) / 128)
+NEAR_TIES = st.tuples(st.integers(0, 2**31), st.sampled_from([1e-6, 1e6]),
+                      st.sampled_from([1, -1])).map(lambda t: t[2] * (t[0] + 0.5) / t[1])
+LIMIT = 2.0 ** 42 / 1e6
+EDGES = st.sampled_from([
+    0.0, -0.0, -1e-300, -5e-324, 5e-324, -4e-7, -5e-7, -5.000001e-7, 4.999999e-7, 9.9999995,
+    -999999.9999995, LIMIT, -LIMIT, np.nextafter(LIMIT, 0), np.nextafter(-LIMIT, 0),
+    np.nextafter(LIMIT, np.inf), 2.0 ** 42, -2.0 ** 42, 2.0 ** 42 + 1, 2.0 ** 53, 1e300,
+    float("nan"), float("inf"), float("-inf"),
+])
+ADVERSARIAL_FLOATS = st.one_of(
+    TIES, NEAR_TIES, EDGES, st.floats(-1e7, 1e7), st.floats(-1e-5, 1e-5),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+INT64 = st.one_of(st.integers(-2**63, 2**63 - 1), st.integers(-1001, 1001),
+                  st.sampled_from([-2**63, 2**63 - 1, -1, 0, 999, 1000, -10**18, 10**18]))
+
+
+@given(data=st.data(), block=st.integers(1, 9))
+@settings(max_examples=200, deadline=None)
+def test_lines_matches_percent_formatting(data, block):
+    n = data.draw(st.integers(1, 40))
+    fields = data.draw(st.lists(st.sampled_from(["%d", "%.6f"]), min_size=1, max_size=4))
+    seps = data.draw(st.lists(st.sampled_from([" ", "", "\t", " | ", "row ", "\u2192 ", "%% "]),
+                              min_size=len(fields) + 1, max_size=len(fields) + 1))
+    template = "".join(sep + field for sep, field in zip(seps, fields)) + seps[-1] + "\n"
+    columns = [
+        np.array(data.draw(st.lists(INT64 if field == "%d" else ADVERSARIAL_FLOATS,
+                                    min_size=n, max_size=n)),
+                 dtype=np.int64 if field == "%d" else np.float64)
+        for field in fields
+    ]
+    with mock.patch.object(textio, "_WRITE_BLOCK", block):
+        assert textio.lines(template, columns) == fixed_oracle(template, columns)
+
+
+def test_lines_rounds_every_tie_as_python():
+    # Every odd multiple of 1/128 up to 2**16 / 128 (each an exact tie),
+    # with the floats one unit in the last place on either side of it.
+    ties = (2 * np.arange(-2**15, 2**15) + 1) / 128
+    values = np.concatenate([ties, np.nextafter(ties, np.inf), np.nextafter(ties, -np.inf)])
+    values = np.concatenate([values, values * 1e-6, values * 1e3])
+    ids = np.arange(len(values), dtype=np.int64) - len(values) // 2
+    template = "%d %.6f\n"
+    assert textio.lines(template, [ids, values]) == fixed_oracle(template, [ids, values])
+
+
+def test_lines_other_templates_go_row_by_row():
+    # "%s", "%.12g" and columns of other dtypes keep Python's own formatting.
+    names, values = ("a", "b"), np.array([0.1, -2.5e-7])
+    assert textio.lines("%s %.6f\n", [names, values]) == "a 0.100000\nb -0.000000\n"
+    assert textio.lines("%.12g\n", [values]) == "0.1\n-2.5e-07\n"
+    assert textio.lines("%d\n", [np.array([True, False])]) == "1\n0\n"
+    assert textio.lines("%.6f\n", [np.array([1, 2], np.int32)]) == "1.000000\n2.000000\n"

@@ -152,12 +152,8 @@ def cmd_simrecon(args) -> int:
 def cmd_align(args) -> int:
     recon = poseio.read_reconstruction(_read_text(args.recon))
     manifest = poseio.read_manifest(_read_text(args.manifest))
-    params = align.RansacParams(
-        threshold=args.threshold,
-        max_iterations=args.max_iterations,
-        confidence=args.confidence,
-        seed=args.seed,
-    )
+    params = align.RansacParams(threshold=args.threshold, max_iterations=args.max_iterations,
+                                confidence=args.confidence, seed=args.seed)
     report = align.evaluate(recon, manifest, params, meters_per_unit=args.meters_per_unit)
     _write_text(args.out, poseio.write_report(report))
     print(f"average_error {report.average_error_m:.6f} m")
@@ -236,10 +232,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("densify", parents=[sparse_in],
                        help="generate a dense fixed-rate trajectory")
     p.add_argument("--out", required=True)
-    p.add_argument("--speed", type=float, default=1.6, help="game units per second")
-    p.add_argument("--fps", type=float, default=60.0)
-    p.add_argument("--eye-offset-z", type=float, default=0.75)
-    p.add_argument("--ground-z", type=float, default=0.0)
+    p.add_argument("--speed", type=float, default=trajectory.DensifyParams.speed,
+                   help="game units per second")
+    p.add_argument("--fps", type=float, default=trajectory.DensifyParams.fps)
+    p.add_argument("--eye-offset-z", type=float, default=trajectory.DensifyParams.eye_offset_z)
+    p.add_argument("--ground-z", type=float, default=trajectory.DensifyParams.ground_z)
     p.add_argument("--orientations", help="per-frame 'rx ry rz' file (default: forward mode)")
     p.set_defaults(func=cmd_densify)
 
@@ -258,10 +255,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--landmark-count", type=int, default=500)
     p.add_argument("--bounds", type=float, nargs=6, metavar=("X0", "Y0", "Z0", "X1", "Y1", "Z1"),
                    help="world box (default: trajectory footprint padded)")
-    p.add_argument("--focal", type=float, default=simworld.default_intrinsics().focal)
-    p.add_argument("--width", type=int, default=1920)
-    p.add_argument("--height", type=int, default=1080)
-    p.add_argument("--max-range", type=float, default=100.0)
+    intrinsics = simworld.default_intrinsics()
+    p.add_argument("--focal", type=float, default=intrinsics.focal)
+    p.add_argument("--width", type=int, default=intrinsics.width)
+    p.add_argument("--height", type=int, default=intrinsics.height)
+    p.add_argument("--max-range", type=float, default=intrinsics.max_range)
     p.add_argument("--pixel-sigma", type=float, default=1.0, help="base observation noise, pixels")
     p.add_argument("--weather", choices=[w.value for w in conditions.Weather], default="clear")
     p.add_argument("--time", choices=[t.value for t in conditions.TimeOfDay], default="day")
@@ -288,9 +286,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--recon", required=True)
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True, help="alignment report file")
-    p.add_argument("--threshold", type=float, default=0.5, help="inlier bound, game units")
-    p.add_argument("--max-iterations", type=int, default=2000)
-    p.add_argument("--confidence", type=float, default=0.999)
+    p.add_argument("--threshold", type=float, default=align.RansacParams.threshold,
+                   help="inlier bound, game units")
+    p.add_argument("--max-iterations", type=int, default=align.RansacParams.max_iterations)
+    p.add_argument("--confidence", type=float, default=align.RansacParams.confidence)
     p.add_argument("--meters-per-unit", type=float, default=align.DEFAULT_METERS_PER_UNIT)
     p.set_defaults(func=cmd_align)
 

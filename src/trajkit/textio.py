@@ -1,17 +1,17 @@
 """The grammar shared by every plain-text record file the toolkit reads.
 
-Lines are split as by ``str.splitlines`` and numbered from 1; blank lines
-are skipped. A line whose first non-blank character is ``#`` is a header,
-whose fields after the ``#`` go to the reader; every other line is a
-record of whitespace-separated fields. Numbers must be finite floats or
-64-bit integers. ``table`` walks the text in slices of about 64 KB, cut
-just after a newline, and parses each slice with one ``np.loadtxt`` call,
-numpy's C parser. Only a slice that is all ASCII, holds no ``#`` and no
-blank line, and whose every line has the right field count and finite
-numbers is taken from loadtxt; any other slice (or one loadtxt refuses)
-goes line by line, which gives the outcome of Python's ``int`` and
-``float``. No line number is stored: a ParseError recounts the lines to
-name the line and column of the first bad token.
+Lines are split as by ``str.splitlines`` and numbered from 1; blank lines are
+skipped. A line whose first non-blank character is ``#`` is a header, whose
+fields after the ``#`` go to the reader; every other line is a record of
+whitespace-separated fields. Numbers must be finite floats or 64-bit integers.
+``table`` walks the text in slices of about 64 KB, cut just after a newline,
+and parses each slice with one ``np.loadtxt`` call, numpy's C parser, into one
+structured dtype: a name column is an object field. Only a slice that is all
+ASCII, holds no ``#`` and no blank line, and whose lines have the width
+loadtxt checks and finite numbers is taken from loadtxt; any other slice (or
+one loadtxt refuses) goes line by line, which gives the outcome of Python's
+``int`` and ``float``. No line number is stored: a ParseError recounts the
+lines to name the line and column of the first bad token.
 
 Every writer formats its rows with ``lines``; every format but the
 alignment report writes a float with six fractional digits (``FIXED``).
@@ -100,37 +100,27 @@ def table(text: str, types: Sequence[type]) -> tuple[list, list[tuple[int, list[
 def _parse(piece: str, lines: list[str], types: Sequence[type]) -> list | None:
     """The columns of a slice by numpy's C parser, or None if the slice must go line by line.
 
-    Only an ASCII slice (loadtxt of numpy 2.4 can crash on other text)
-    with no ``#`` is parsed. Every line must hold ``len(types)`` fields. In an
-    all-numeric table the dtype enforces that; otherwise loadtxt reads the
-    numeric columns, raises on a line too short for the last of them, and
-    the token count rules out a line too long.
+    Only an ASCII slice (loadtxt of numpy 2.4 can crash on other text) with
+    no ``#`` is parsed, by one structured dtype: a ``str`` column is an object
+    field, read as a Python str. loadtxt raises on a line of another width.
     """
-    if "#" in piece or not piece.isascii() or piece.isspace() or types[-1] is str:
+    if "#" in piece or not piece.isascii():
         return None
-    width = len(types)
-    numeric = [j for j, kind in enumerate(types) if kind is not str]
-    names = {}
-    if len(numeric) < width:
-        tokens = piece.split()
-        if len(tokens) != width * len(lines):
-            return None
-        names = {j: tuple(tokens[j::width]) for j, kind in enumerate(types) if kind is str}
-        del tokens
-    dtype = [(f"f{j}", _KINDS[types[j]][0]) for j in numeric]
+    dtype = [(f"f{j}", object if kind is str else _KINDS[kind][0]) for j, kind in enumerate(types)]
     try:
         # A warning (numpy 1.24 reads "1.0" as an int with a DeprecationWarning) is a refusal.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rows = np.loadtxt(lines, dtype, comments=None, usecols=numeric if names else None,
-                              ndmin=1)
+            rows = np.loadtxt(lines, dtype, comments=None, ndmin=1)
     except (ValueError, Warning):
         return None
     if len(rows) != len(lines):  # a blank line
         return None
-    if not all(np.isfinite(rows[f"f{j}"]).all() for j in numeric if types[j] is float):
+    columns = [rows[f"f{j}"] for j in range(len(types))]
+    if not all(np.isfinite(column).all() for column, kind in zip(columns, types) if kind is float):
         return None
-    return [names[j] if j in names else rows[f"f{j}"] for j in range(width)]
+    return [tuple(column.tolist()) if kind is str else column
+            for column, kind in zip(columns, types)]
 
 
 def numbers(

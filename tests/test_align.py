@@ -555,6 +555,11 @@ class TestRansacAlign:
         with pytest.raises(InvariantViolation, match=exactly("2 correspondences, need at least 3")):
             tk.ransac_align(np.zeros((2, 3)), np.zeros((2, 3)), tk.RansacParams())
 
+    def test_points_must_be_n_by_3(self):
+        message = "src must be an (N, 3) array, got shape (4, 2)"
+        with pytest.raises(ValueError, match=exactly(message)):
+            tk.ransac_align(np.zeros((4, 2)), np.zeros((4, 2)), tk.RansacParams())
+
     def test_brute_force_equivalence_small_n(self):
         # Exhaustive enumeration of all minimal samples, with the same
         # scoring rules, picks the same consensus set.

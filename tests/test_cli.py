@@ -10,11 +10,11 @@ import re
 import numpy as np
 import pytest
 
-from trajkit import cli, poseio, simworld, trajectory
+from trajkit import cli, plotting, poseio, simworld, trajectory
 from trajkit.cli import main
 from trajkit.conditions import ConditionSet
 
-from conftest import WORKED_ORDER_TEXT, WORKED_VERTEX_TEXT
+from conftest import WORKED_ORDER_TEXT, WORKED_VERTEX_TEXT, exactly
 
 
 @pytest.fixture
@@ -35,6 +35,10 @@ class TestExpand:
         vertex, order = worked_files
         assert run(["expand", "--vertices", vertex, "--orders", order]) == 0
         assert capsys.readouterr().out.strip() == "I II III IV V VI II I VII"
+
+    def test_roman_numerals_start_at_1(self):
+        with pytest.raises(ValueError, match=exactly("roman numerals start at 1, got 0")):
+            plotting.roman_numeral(0)
 
     def test_missing_file(self, tmp_path, capsys):
         rc = run(["expand", "--vertices", tmp_path / "nope.txt", "--orders", tmp_path / "nope2.txt"])
@@ -471,6 +475,11 @@ class TestPlot:
         ]) == 0
         assert 'class="dense-path"' in out.read_text()
 
+    def test_nothing_to_plot_rejected(self):
+        message = "nothing to plot: provide a sparse plan and/or a dense trajectory"
+        with pytest.raises(ValueError, match=exactly(message)):
+            plotting.plot_svg()
+
     def test_vertices_without_orders_rejected(self, worked_files, tmp_path, capsys):
         vertex, _ = worked_files
         assert run(["plot", "--vertices", vertex, "--out", tmp_path / "p.svg"]) == 1
@@ -666,6 +675,14 @@ ERROR_CONTRACT = [
     ("path length overflow", ["densify", "--vertices", "v_huge.txt", "--orders", "two.txt",
                               "--out", "out"],
      1, "path length overflows the float range"),
+    ("zero iterations", ["align", "--recon", "foreign.txt", "--manifest", "manifest.txt",
+                         "--out", "out", "--max-iterations", "0"],
+     1, "max_iterations must be at least 1"),
+    ("confidence of 1", ["align", "--recon", "foreign.txt", "--manifest", "manifest.txt",
+                         "--out", "out", "--confidence", "1"],
+     1, "confidence must lie in (0, 1), got 1.0"),
+    ("zero width", ["capture", "--trajectory", "dense.txt", "--out-dir", "out", "--width", "0"],
+     1, "image dimensions must be positive"),
     ("plot without inputs", ["plot", "--out", "out"],
      1, "plot needs --vertices/--orders and/or --trajectory"),
     ("one sample", ["calibrate", "--samples", "s1.txt"], 2, "1 sample(s); need at least 2"),

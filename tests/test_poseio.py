@@ -368,6 +368,10 @@ class TestReport:
             poseio.read_report("\n".join(lines))
         assert (exc.value.line, exc.value.column) == (line_no, column)
 
+    def test_wrong_field_count(self):
+        with pytest.raises(ParseError, match=exactly("expected 2 fields, got 3 (line 1)")):
+            poseio.read_report("scale 1 2\n")
+
     def test_counts_in_text(self):
         text = tk.write_report(self._report())
         assert "total_count 10" in text

@@ -536,6 +536,10 @@ class TestSerialization:
         with pytest.raises(ValueError):
             tk.ObservationSet(frame, np.zeros(len(frame)), np.zeros((len(frame), 2)), n_frames)
 
+    def test_observation_columns_of_unequal_length_rejected(self):
+        with pytest.raises(ValueError, match=exactly("frame, ids and uv must have equal length")):
+            tk.ObservationSet([0], [0, 1], [[1, 2]], 1)
+
     @pytest.mark.parametrize("line, column", [("-1 3 1.0 2.0", 1), ("0 -3 1.0 2.0", 3)])
     def test_observations_reject_negative_indices(self, line, column):
         with pytest.raises(ParseError) as exc:

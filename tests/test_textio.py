@@ -448,14 +448,30 @@ def test_loadtxt_path_taken_and_equal():
                            LOADTXT(*a, **k)):
         for extra in ["", "# h\n", "\n", "r 1 inf 2\n"]:
             assert_table_matches_oracle(text + extra, (str, int, float, int), 1 << 16)
-    # Neither the slice with a "#" nor the one whose blank line leaves it
-    # short of tokens calls it.
-    assert len(calls) == 2
+    # The slice with a "#" does not call it; the one with a blank line does,
+    # and is refused by its row count.
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("types", [(int, str), (float, str, int)])
+def test_loadtxt_reads_a_name_column_anywhere(types):
+    # A str column last or in the middle is an object field: each clean
+    # slice takes one loadtxt call, and no line goes line by line.
+    cells = {int: lambda i: str(-i), float: lambda i: repr(i / 3), str: lambda i: f"r{i}.png"}
+    text = "".join(" ".join(cells[kind](i) for kind in types) + "\n" for i in range(2000))
+    with mock.patch.object(textio, "_SLICE", 1 << 12):
+        slices = sum(1 for _ in textio._slices(text))
+    calls = []
+    with (mock.patch.object(np, "loadtxt", side_effect=lambda *a, **k: calls.append(1) or
+                            LOADTXT(*a, **k)),
+          mock.patch.object(textio, "_columns", side_effect=AssertionError("line by line"))):
+        assert_table_matches_oracle(text, types, 1 << 12)
+    assert slices > 1 and len(calls) == slices
 
 
 @pytest.mark.parametrize("text, types, message", [
-    # Totals that are a whole number of records: loadtxt skips the blank
-    # line, ignores fields beyond its columns and never sees a str column.
+    # Totals that are a whole number of records, so no count of a slice's
+    # tokens finds the bad line: loadtxt's width check refuses the slice.
     ("a 1 2 3 4 5 6 7\n\n", (str, float, float, float), "expected 4 fields, got 8 (line 1)"),
     ("a 1 2 3 4\nb 1 2\n", (str, float, float, float), "expected 4 fields, got 5 (line 1)"),
     ("1\n2 a b\n", (float, str), "expected 2 fields, got 1 (line 1)"),

@@ -285,3 +285,8 @@ class TestDenseTrajectory:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             tk.DenseTrajectory(np.zeros((0, 3)), np.zeros((0, 3)), np.zeros((0, 3)))
+
+    def test_rejects_unequal_lengths(self):
+        message = "protagonist, camera and rotation must have equal length"
+        with pytest.raises(ValueError, match=exactly(message)):
+            tk.DenseTrajectory(np.zeros((2, 3)), np.zeros((3, 3)), np.zeros((2, 3)))

@@ -180,9 +180,10 @@ def _camera_axes(degrees: np.ndarray) -> np.ndarray:
     return np.stack([-r[:, :, 1], -r[:, :, 2], r[:, :, 0]], axis=1)
 
 
-# Frames projected per step of retrace: the product of a chunk takes
-# 4 * _CHUNK * M doubles, 1 MB for 500 landmarks.
+# Frames projected per step of retrace: a chunk's product takes 4 * _CHUNK * M
+# doubles, 1 MB for 500 landmarks. Camera blocks, 128 B a frame, are built per _GROUP.
 _CHUNK = 64
+_GROUP = 64 * _CHUNK
 
 
 def retrace(
@@ -222,50 +223,54 @@ def retrace(
     landmarks, cameras = np.ldexp(world.landmarks, -shift), np.ldexp(dense.camera, -shift)
     max_range = math.ldexp(intr.max_range, -shift)
 
-    # Block f of a chunk maps a landmark [p, 1] to frame f's right, down and forward
+    # Block f maps a landmark [p, 1] to frame f's right, down and forward
     # coordinates, A (p - c) for camera axes A and position c, and to
     # |p - c|^2 - |p|^2 = -2 p.c + |c|^2. A product, not ** 2, squares the
     # range, so that 1e200 gives inf, not OverflowError.
     points = np.column_stack([landmarks, np.ones(len(landmarks))])
     reach = max_range * max_range - np.einsum("ij,ij->i", landmarks, landmarks)
-    product = np.empty((4 * _CHUNK, len(points)))  # reused by every chunk
+    m = len(points)
+    product = np.empty((4 * _CHUNK, m))  # reused by every chunk
     columns = []
-    for start in range(0, len(dense), _CHUNK):
-        camera = cameras[start:start + _CHUNK]
+
+    def in_image(u, v):  # bounds inclusive
+        return (u >= 0.0) & (u <= intr.width) & (v >= 0.0) & (v <= intr.height)
+
+    for group in range(0, len(dense), _GROUP):
+        camera = cameras[group:group + _GROUP]
         blocks = np.empty((len(camera), 4, 4))
-        blocks[:, :3, :3] = _camera_axes(dense.rotation[start:start + _CHUNK])
+        blocks[:, :3, :3] = _camera_axes(dense.rotation[group:group + _GROUP])
         blocks[:, :3, 3] = -np.einsum("fij,fj->fi", blocks[:, :3, :3], camera)
         blocks[:, 3, :3] = -2.0 * camera
         blocks[:, 3, 3] = np.einsum("ij,ij->i", camera, camera)
-        out = np.matmul(blocks.reshape(-1, 4), points.T, out=product[:4 * len(camera)])
-        right, down, depth, sq_dist = out.reshape(len(camera), 4, -1).transpose(1, 0, 2)
-        # Flat indices run frame-major, so rows come out sorted by (frame, id).
-        visible = np.flatnonzero((depth > 0.0) & (sq_dist <= reach))
-        with np.errstate(over="ignore", invalid="ignore"):  # inf or nan: not in the image
-            pixels_per_unit = intr.focal / depth.flat[visible]
-            u = right.flat[visible] * pixels_per_unit + intr.cx
-            v = down.flat[visible] * pixels_per_unit + intr.cy
-            # At a depth below focal / 1.8e308 the scale overflows, and 0 * inf is nan:
-            # divide by the depth first there.
-            tiny = np.flatnonzero(np.isinf(pixels_per_unit))
-            if len(tiny):
-                near = depth.flat[visible[tiny]]
-                u[tiny] = right.flat[visible[tiny]] / near * intr.focal + intr.cx
-                v[tiny] = down.flat[visible[tiny]] / near * intr.focal + intr.cy
-        inside = (u >= 0.0) & (u <= intr.width) & (v >= 0.0) & (v <= intr.height)
-        frame, ids = np.divmod(visible[inside], len(points))
-        frame += start
-        uv = np.column_stack([u[inside], v[inside]])
-
-        # Draw 0 decides dropout; draws 1 and 2 give Box-Muller noise.
-        draws = rng.keyed_uniform(seed, frame[:, None], ids[:, None], np.arange(3))
-        uv += np.column_stack(rng.box_muller(draws[:, 1], draws[:, 2], sigma))
-        keep = (
-            (draws[:, 0] >= drop)
-            & (uv[:, 0] >= 0.0) & (uv[:, 0] <= intr.width)
-            & (uv[:, 1] >= 0.0) & (uv[:, 1] <= intr.height)
-        )
-        columns.append((frame[keep], ids[keep], uv[keep]))
+        for start in range(0, len(camera), _CHUNK):
+            chunk = blocks[start:start + _CHUNK]
+            out = np.matmul(chunk.reshape(-1, 4), points.T, out=product[:4 * len(chunk)])
+            _, _, depth, sq_dist = out.reshape(len(chunk), 4, -1).transpose(1, 0, 2)
+            # Flat indices run frame-major, so rows come out sorted by (frame, id).
+            visible = np.flatnonzero((depth > 0.0) & (sq_dist <= reach))
+            at = visible + visible // m * (3 * m)  # row 0 of frame f, id i: 4 f m + i
+            right, down, ahead = (out.reshape(-1).take(at + q * m) for q in range(3))
+            with np.errstate(over="ignore", invalid="ignore"):  # inf or nan: not in the image
+                pixels_per_unit = intr.focal / ahead
+                u = right * pixels_per_unit + intr.cx
+                v = down * pixels_per_unit + intr.cy
+                # At a depth below focal / 1.8e308 the scale overflows, and 0 * inf is
+                # nan: divide by the depth first there.
+                tiny = np.flatnonzero(np.isinf(pixels_per_unit))
+                if len(tiny):
+                    u[tiny] = right[tiny] / ahead[tiny] * intr.focal + intr.cx
+                    v[tiny] = down[tiny] / ahead[tiny] * intr.focal + intr.cy
+            inside = np.flatnonzero(in_image(u, v))
+            frame, ids = np.divmod(visible[inside], m)
+            frame += group + start
+            # Draw 0 decides dropout; draws 1 and 2 give Box-Muller noise to the survivors.
+            draws = rng.keyed_uniform(seed, frame[:, None], ids[:, None], np.arange(3))
+            kept = np.flatnonzero(draws[:, 0] >= drop)
+            du, dv = rng.box_muller(draws[kept, 1], draws[kept, 2], sigma)
+            uv = np.column_stack([u[inside[kept]] + du, v[inside[kept]] + dv])
+            keep = in_image(*uv.T)
+            columns.append((frame[kept[keep]], ids[kept[keep]], uv[keep]))
     frame, ids, uv = (np.concatenate(column) for column in zip(*columns))
     names = [f"frame_{k:06d}.png" for k in range(len(dense))]
     return (

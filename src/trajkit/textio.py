@@ -16,10 +16,10 @@ lines to name the line and column of the first bad token.
 Every writer formats its rows with ``lines``; every format but the
 alignment report writes a float with six fractional digits (``FIXED``).
 A template of ``%d`` fields over int64 and ``%.6f`` fields over float64
-columns is formatted a block at a time as one byte buffer, rounding as
-Python does: a product x * 1e6 near a half-integer is recomputed by
-Python's own ``%.6f``. A float of 2**42 / 1e6 or more, or one not finite,
-sends its block, and any other template every row, through ``%``.
+columns, led by at most one ``%s`` of names, is formatted a block at a time
+as one byte buffer, rounding as Python does: x * 1e6 near a half-integer
+is recomputed by Python's own ``%.6f``. A float of 2**42 / 1e6 or more, or
+one not finite, sends its block, and other templates every row, through ``%``.
 """
 
 from __future__ import annotations
@@ -47,12 +47,13 @@ FIXED = "%.6f"
 def _slices(text: str) -> Iterator[tuple[int, str, list[str]]]:
     """(lines before it, slice, its lines) for each slice of ``text``, cut just after a newline."""
     start = before = 0
+    stop = re.match(r"(?:[ \t]*#.*\n)*", text).end()  # the leading headers: a slice of their own
     while start < len(text):
-        stop = text.find("\n", start + _SLICE) + 1 or len(text)
+        stop = stop or text.find("\n", start + _SLICE) + 1 or len(text)
         piece = text[start:stop]
         lines = piece.splitlines()
         yield before, piece, lines
-        before, start = before + len(lines), stop
+        before, start, stop = before + len(lines), stop, 0
 
 
 def record_fields(text: str) -> Iterator[tuple[int, list[str]]]:
@@ -195,6 +196,10 @@ def lines(template: str, columns: Sequence[np.ndarray | Sequence[str]]) -> str:
 
     A column is an array or a sequence of strings, such as a names tuple.
     """
+    rest = template[2:]  # a leading name field heads each line of the rest, formatted alone
+    if (template[:2] == "%s" and len(columns) > 1 and not isinstance(columns[0], np.ndarray)
+            and "%s" not in rest and rest[-1:] == "\n" and rest.splitlines(True) == [rest]):
+        return "".join(map(str.__add__, columns[0], lines(rest, columns[1:]).splitlines(True)))
     pieces = re.split(_FIELD, template)  # literal, field, literal, ..., literal
     as_bytes = (
         "%" not in "".join(pieces[::2]) and "\0" not in template  # NUL bytes are dropped

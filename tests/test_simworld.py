@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import trajkit as tk
 from trajkit import simworld
+from trajkit.conditions import degradation
 from trajkit.errors import InvariantViolation, ParseError
+from trajkit.rng import box_muller, keyed_uniform
 
 from conftest import euler_matrix, exactly, random_rotation
 
@@ -402,6 +407,117 @@ class TestRetrace:
         k = len(dense) // 2
         assert manifest.camera[k] == pytest.approx(dense.camera[k])
         assert manifest.names[k] == f"frame_{k:06d}.png"
+
+    def test_conditions_share_their_draws(self, worked_sparse):
+        # The README walkthrough as `trajkit capture --seed 7` runs it. Draws are
+        # keyed on (seed, frame, landmark), not on the condition: night keeps a
+        # subset of day's observations, and rain's noise is 1.5 times clear's.
+        dense = tk.read_dense(tk.write_dense(tk.densify(worked_sparse)))
+        xy = dense.protagonist[:, :2]
+        box = tk.Box((*(xy.min(axis=0) - 25.0), 0.0), (*(xy.max(axis=0) + 25.0), 15.0))
+        world, intr = tk.generate_world(7, 500, box), tk.default_intrinsics()
+
+        def capture(cond, sigma=1.0):
+            """The (frame, landmark) keys of the observations, sorted, and their pixels."""
+            _, obs = tk.retrace(dense, world, intr, cond, base_pixel_sigma=sigma, seed=7)
+            return obs.frame * len(world.landmarks) + obs.ids, obs.uv
+
+        day, day_uv = capture(CLEAR_DAY)
+        night, night_uv = capture(tk.ConditionSet(time_of_day=tk.TimeOfDay.NIGHT))
+        assert (len(day), len(night)) == (9579, 6702)
+        assert np.isin(night, day).all()
+        np.testing.assert_array_equal(night_uv, day_uv[np.isin(day, night)])
+
+        clean, clean_uv = capture(CLEAR_DAY, sigma=0.0)
+        rain, rain_uv = capture(tk.ConditionSet(weather=tk.Weather.RAIN))
+        both = np.intersect1d(day, rain)
+        assert len(both) > 9000
+        clear_offset = day_uv[np.isin(day, both)] - clean_uv[np.isin(clean, both)]
+        rain_offset = rain_uv[np.isin(rain, both)] - clean_uv[np.isin(clean, both)]
+        assert np.abs(rain_offset - 1.5 * clear_offset).max() <= 1e-9
+
+
+# --------------------------------------------------------------------------
+# retrace as it was when it read the product through strided views, built the
+# camera blocks per 64-frame chunk and drew noise for every observation in the
+# image, dropped or not. It is the oracle for retrace, bit for bit.
+# --------------------------------------------------------------------------
+
+def oracle_retrace(dense, world, intr, base_pixel_sigma, seed, table):
+    """The (frame, ids, uv) columns of a clear-day capture."""
+    noise, drop = degradation(CLEAR_DAY, table)
+    sigma = base_pixel_sigma * noise
+    extent = max(np.abs(world.landmarks).max(initial=0.0), np.abs(dense.camera).max())
+    shift = max(0, math.frexp(extent)[1] - 500)
+    landmarks, cameras = np.ldexp(world.landmarks, -shift), np.ldexp(dense.camera, -shift)
+    max_range = math.ldexp(intr.max_range, -shift)
+    points = np.column_stack([landmarks, np.ones(len(landmarks))])
+    reach = max_range * max_range - np.einsum("ij,ij->i", landmarks, landmarks)
+    product = np.empty((4 * 64, len(points)))
+    columns = []
+    for start in range(0, len(dense), 64):
+        camera = cameras[start:start + 64]
+        blocks = np.empty((len(camera), 4, 4))
+        blocks[:, :3, :3] = simworld._camera_axes(dense.rotation[start:start + 64])
+        blocks[:, :3, 3] = -np.einsum("fij,fj->fi", blocks[:, :3, :3], camera)
+        blocks[:, 3, :3] = -2.0 * camera
+        blocks[:, 3, 3] = np.einsum("ij,ij->i", camera, camera)
+        out = np.matmul(blocks.reshape(-1, 4), points.T, out=product[:4 * len(camera)])
+        right, down, depth, sq_dist = out.reshape(len(camera), 4, -1).transpose(1, 0, 2)
+        visible = np.flatnonzero((depth > 0.0) & (sq_dist <= reach))
+        with np.errstate(over="ignore", invalid="ignore"):
+            pixels_per_unit = intr.focal / depth.flat[visible]
+            u = right.flat[visible] * pixels_per_unit + intr.cx
+            v = down.flat[visible] * pixels_per_unit + intr.cy
+            tiny = np.flatnonzero(np.isinf(pixels_per_unit))
+            if len(tiny):
+                near = depth.flat[visible[tiny]]
+                u[tiny] = right.flat[visible[tiny]] / near * intr.focal + intr.cx
+                v[tiny] = down.flat[visible[tiny]] / near * intr.focal + intr.cy
+        inside = (u >= 0.0) & (u <= intr.width) & (v >= 0.0) & (v <= intr.height)
+        frame, ids = np.divmod(visible[inside], len(points))
+        frame += start
+        uv = np.column_stack([u[inside], v[inside]])
+        draws = keyed_uniform(seed, frame[:, None], ids[:, None], np.arange(3))
+        uv += np.column_stack(box_muller(draws[:, 1], draws[:, 2], sigma))
+        keep = (
+            (draws[:, 0] >= drop)
+            & (uv[:, 0] >= 0.0) & (uv[:, 0] <= intr.width)
+            & (uv[:, 1] >= 0.0) & (uv[:, 1] <= intr.height)
+        )
+        columns.append((frame[keep], ids[keep], uv[keep]))
+    return [np.concatenate(column) for column in zip(*columns)]
+
+
+@given(frames=st.sampled_from([1, 63, 64, 65, 129, 4097]), count=st.sampled_from([0, 1, 37]),
+       scene=st.sampled_from(["plain", "tiny depth", "beyond 2**500"]),
+       sigma=st.sampled_from([0.0, 2.0]), dropout=st.sampled_from([0.0, 0.3, 1.0]),
+       seed=st.integers(0, 2**32 - 1))
+@example(frames=4097, count=37, scene="plain", sigma=2.0, dropout=0.3, seed=1)
+@settings(max_examples=60, deadline=None)
+def test_retrace_matches_its_oracle(frames, count, scene, sigma, dropout, seed):
+    # 4097 frames cross the boundary of retrace's 4096-frame groups of camera blocks.
+    g = np.random.default_rng(seed)
+    camera = g.uniform(-20.0, 20.0, (frames, 3))
+    rotation = g.uniform(-180.0, 180.0, (frames, 3))
+    landmarks = g.uniform(-30.0, 30.0, (count, 3))
+    if count:  # the last frame (4096 of 4097: past a group boundary) sees the last landmark
+        camera[-1], rotation[-1] = landmarks[-1] - [10.0, 0.0, 0.0], 0.0
+    if scene == "tiny depth":  # frame 0 looks along +x from the origin at landmark 0
+        camera[0] = rotation[0] = 0.0
+        landmarks[:1] = (1e-306, 1e-307, 0.0)
+    shift = 520 if scene == "beyond 2**500" else 0
+    dense = tk.DenseTrajectory(np.ldexp(camera - [0.0, 0.0, 0.75], shift),
+                               np.ldexp(camera, shift), rotation)
+    bounds = tk.Box(np.ldexp([-30.0] * 3, shift), np.ldexp([30.0] * 3, shift))
+    world = tk.World(np.ldexp(landmarks, shift), seed, bounds)
+    intr = tk.default_intrinsics(max_range=math.ldexp(100.0, shift))
+    table = {tk.Weather.CLEAR: 1.0, tk.TimeOfDay.DAY: dropout}
+    _, obs = tk.retrace(dense, world, intr, CLEAR_DAY, sigma, seed, table)
+    expected = oracle_retrace(dense, world, intr, sigma, seed, table)
+    for column, oracle in zip((obs.frame, obs.ids, obs.uv), expected):
+        assert (column.dtype, column.shape) == (oracle.dtype, oracle.shape)
+        assert column.tobytes() == oracle.tobytes()
 
 
 def make_manifest(positions) -> tk.CaptureManifest:

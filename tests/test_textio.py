@@ -543,3 +543,62 @@ def test_lines_other_templates_go_row_by_row():
     assert textio.lines("%.12g\n", [values]) == "0.1\n-2.5e-07\n"
     assert textio.lines("%d\n", [np.array([True, False])]) == "1\n0\n"
     assert textio.lines("%.6f\n", [np.array([1, 2], np.int32)]) == "1.000000\n2.000000\n"
+
+
+# The cells and dtype of a column after the leading "%s" of names.
+NAMED_ROW_FIELDS = {"%d": (INT64, np.int64), "%.6f": (ADVERSARIAL_FLOATS, np.float64),
+                    "%s": (st.text(max_size=6), None)}
+
+
+@given(data=st.data(), block=st.integers(1, 9))
+@settings(max_examples=200, deadline=None)
+def test_lines_with_a_name_column_matches_percent_formatting(data, block):
+    # A leading "%s" over names heads the lines of the rest, which take the byte
+    # path unless their block holds a float of 2**42 / 1e6 or more, or a nan. A
+    # rest with a line break or another "%s" goes row by row.
+    n = data.draw(st.integers(1, 40))
+    fields = data.draw(st.lists(st.sampled_from(list(NAMED_ROW_FIELDS)), min_size=1, max_size=4))
+    seps = data.draw(st.lists(st.sampled_from([" ", "", "\t", " | ", "\u2192 ", "\x0c", "\r"]),
+                              min_size=len(fields) + 1, max_size=len(fields) + 1))
+    template = "%s" + "".join(sep + field for sep, field in zip(seps, fields)) + seps[-1] + "\n"
+    columns = [tuple(data.draw(st.lists(st.text(max_size=6), min_size=n, max_size=n)))]
+    for field in fields:
+        cells, dtype = NAMED_ROW_FIELDS[field]
+        cells = data.draw(st.lists(cells, min_size=n, max_size=n))
+        columns.append(tuple(cells) if dtype is None else np.array(cells, dtype))
+    rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns))
+    with mock.patch.object(textio, "_WRITE_BLOCK", block):
+        assert textio.lines(template, columns) == "".join(template % row for row in rows)
+
+
+def test_names_head_the_byte_path():
+    names, values = ("a.png", "b\nc.png"), np.array([0.1, -2.5e-7])
+    with mock.patch.object(textio, "_format", wraps=textio._format) as formatted:
+        assert textio.lines("%s %.6f\n", [names, values]) == "a.png 0.100000\nb\nc.png -0.000000\n"
+    assert formatted.call_count == 1
+
+
+COLUMNS = textio._columns
+
+
+@pytest.mark.parametrize("fault", [None, 0, -1])
+def test_leading_headers_are_one_slice(fault):
+    # Header lines that span three slices, then records: the headers are a slice
+    # of their own, every slice of records takes one loadtxt call, and no record
+    # goes line by line.
+    headers = "".join(f"{' ' * (i % 2)}# key{i} {i}\n" for i in range(1200))
+    lines = [f"r{i}.png {i} {i / 3!r} {-i}\n" for i in range(2000)]
+    if fault is not None:
+        lines[fault] = "r.png 1 x 2\n"
+    records = "".join(lines)
+    with mock.patch.object(textio, "_SLICE", 1 << 12):
+        record_slices = sum(1 for _ in textio._slices(records))
+    assert len(headers) > 3 << 12 and record_slices > 3
+    calls, line_by_line = [], []
+    with (mock.patch.object(np, "loadtxt", side_effect=lambda *a, **k: calls.append(1) or
+                            LOADTXT(*a, **k)),
+          mock.patch.object(textio, "_columns", side_effect=lambda text, tokens, *a:
+                            line_by_line.extend(tokens) or COLUMNS(text, tokens, *a))):
+        assert_table_matches_oracle(headers + records, (str, int, float, int), 1 << 12)
+    if fault is None:
+        assert len(calls) == record_slices and not line_by_line

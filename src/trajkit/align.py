@@ -85,6 +85,8 @@ class SimilarityTransform:
         cls, scale: float, yaw_deg: float, translation: Sequence[float]
     ) -> SimilarityTransform:
         """Similarity with a rotation about the z axis; handy for gauges."""
+        if not math.isfinite(yaw_deg):  # math.cos(inf) raises a bare "math domain error"
+            raise ValueError(f"yaw_deg must be finite, got {yaw_deg}")
         a = math.radians(yaw_deg)
         c, s = math.cos(a), math.sin(a)
         rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])

@@ -17,17 +17,17 @@ Every writer formats its rows with ``lines``; every format but the
 alignment report writes a float with six fractional digits (``FIXED``).
 A template of ``%d`` fields over int64 and ``%.6f`` fields over float64
 columns, led by at most one ``%s`` of names, is formatted a block at a time
-as one byte buffer, rounding as Python does: x * 1e6 near a half-integer
-is recomputed by Python's own ``%.6f``. A float of 2**42 / 1e6 or more, or
-one not finite, sends its block, and other templates every row, through ``%``.
+as one uint8 buffer, a byte per digit (NUL for a leading zero, dropped at the
+end), rounding as Python does: x * 1e6 near a half-integer is recomputed by
+Python's own ``%.6f``. A float of 2**42 / 1e6 or more, or one not finite,
+sends its block, and other templates every row, through ``%``.
 """
 
 from __future__ import annotations
 
 import re
 import warnings
-from functools import cache
-from itertools import chain, islice
+from itertools import accumulate, chain, islice
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -160,9 +160,9 @@ def error(text: str, line_no: int, j: int, message: str) -> ParseError:
     return ParseError(message, line=line_no, column=token.start() + 1)
 
 
-# lines() writes "%d" over int64 and FIXED over float64 as rows of little-endian
-# uint32 words, one word per three digits, padded with NUL bytes that are then
-# dropped.
+# lines() writes "%d" over int64 and FIXED over float64 into a uint8 buffer whose
+# row k is byte k of every line: a literal byte, "-" or NUL, or a decimal place of
+# a number (NUL for a leading zero). It is transposed once, and the NULs dropped.
 _BYTE_FIELDS = {"%d": np.int64, FIXED: np.float64}
 _FIELD = r"(%d|%\.6f)"  # compiled by re on first use, not at import
 # x * 1e6 is rounded once, so it is off from the exact product by at most
@@ -171,24 +171,7 @@ _FIELD = r"(%d|%\.6f)"  # compiled by re on first use, not at import
 # formats those few values itself. A block holding a float of magnitude
 # _FIXED_LIMIT or more, or one not finite, goes row by row.
 _FIXED_LIMIT = 2.0 ** 42 / 1e6
-_LEAD, _ONLY, _POINT = 1000, 2000, 3000
-
-
-@cache  # built on first use: a process that writes no numbers never builds it
-def _group_words() -> np.ndarray:
-    """The word of each group g of three digits: ``[g]`` inside a number,
-    ``[_LEAD + g]`` as its leading group (no leading zeros, so 0 is empty),
-    ``[_ONLY + g]`` as its only group (0 is "0") and ``[_POINT + g]`` after a
-    decimal point. Byte k of a word is its bits 8k to 8k + 7."""
-    g = np.arange(1000, dtype=np.uint32)
-    d0, d1, d2 = g // 100 + 48, g // 10 % 10 + 48, g % 10 + 48
-    shown0, shown1 = (g >= 100) * d0, (g >= 10) * d1
-    return np.concatenate([
-        d0 | d1 << 8 | d2 << 16,
-        shown0 | shown1 << 8 | (g > 0) * d2 << 16,
-        shown0 | shown1 << 8 | d2 << 16,
-        ord(".") | d0 << 8 | d1 << 16 | d2 << 24,
-    ]).astype("<u4")
+_DOT = np.frombuffer(b".", np.uint8)[:, None]
 
 
 def lines(template: str, columns: Sequence[np.ndarray | Sequence[str]]) -> str:
@@ -222,16 +205,16 @@ def lines(template: str, columns: Sequence[np.ndarray | Sequence[str]]) -> str:
 def _format(pieces: list[str], cuts: list[np.ndarray]) -> str | None:
     """The rows of ``cuts`` as ``lines`` writes them, or None if a float is out of range.
 
-    A row is a run of words: four bytes of a literal to a word; for a
-    number a "-" word (if the block holds a negative), its integer digits
-    and, for FIXED, its ".ddd" and "ddd" words.
+    A line is its literals' bytes and, for each number, a "-" byte (if the block
+    holds a negative) and its digits, with FIXED's "." before the last six.
     """
-    words = []  # a literal word or a column of words, in row order
-    for literal, field, cut in zip(pieces[::2], pieces[1::2], cuts):
-        words += _literal(literal)
+    literals = [np.frombuffer(piece.encode(), np.uint8)[:, None] for piece in pieces[::2]]
+    parts = []  # (bytes, rows) arrays, or (bytes, 1) for the same bytes on every line
+    for literal, field, cut in zip(literals, pieces[1::2], cuts):
+        parts.append(literal)
         if field == "%d":
             negative = cut < 0
-            magnitude = np.abs(cut).view(np.uint64)  # the view makes abs(-2**63) 2**63
+            digits = _digits(np.abs(cut).view(np.uint64), 1)  # the view makes abs(-2**63) 2**63
         else:
             scaled = np.abs(cut)
             if not (scaled < _FIXED_LIMIT).all():  # also false for nan
@@ -242,34 +225,30 @@ def _format(pieces: list[str], cuts: list[np.ndarray]) -> str | None:
             for i in np.flatnonzero(np.abs(scaled - rounded) > 0.5 - scaled * 2.0 ** -50).tolist():
                 magnitude[i] = int((FIXED % abs(cut[i])).replace(".", ""))
             negative = np.signbit(cut)  # Python writes -0.000000 too
-            magnitude, low = np.divmod(magnitude, np.uint64(1000))
-            magnitude, high = np.divmod(magnitude, np.uint64(1000))
+            digits = _digits(magnitude, 7)
         if negative.any():
-            words.append(negative * np.uint32(ord("-")))
-        words += _integer(magnitude)
-        if field == FIXED:
-            words += [_group_words().take(high + _POINT), _group_words().take(low)]
-    words += _literal(pieces[-1])
-    buf = np.empty((len(cuts[0]), len(words)), "<u4")
-    for j, column in enumerate(words):
-        buf[:, j] = column
-    return buf.tobytes().translate(None, b"\0").decode()
+            parts.append(negative.view(np.uint8)[None] * np.uint8(ord("-")))
+        parts += [digits] if field == "%d" else [digits[:-6], _DOT, digits[-6:]]
+    parts.append(literals[-1])
+    buf = np.empty((sum(map(len, parts)), len(cuts[0])), np.uint8)
+    for part, stop in zip(parts, accumulate(map(len, parts))):
+        buf[stop - len(part):stop] = part
+    return buf.T.tobytes().translate(None, b"\0").decode()
 
 
-def _literal(text: str) -> list[int]:
-    data = text.encode()
-    return [int.from_bytes(data[k:k + 4].ljust(4, b"\0"), "little") for k in range(0, len(data), 4)]
-
-
-def _integer(magnitude: np.ndarray) -> list[np.ndarray]:
-    """The words of the digits of each uint64 of ``magnitude``, most significant first."""
-    least, words = int(magnitude.min()), []
-    for k in range(-(-len(str(int(magnitude.max()))) // 3)):
-        magnitude, group = np.divmod(magnitude, np.uint64(1000))
-        if least < 1000 ** (k + 1):  # the group leads some number
-            group += (magnitude == 0) * np.uint64(_ONLY if k == 0 else _LEAD)
-        words.append(_group_words().take(group))
-    return words[::-1]
+def _digits(magnitude: np.ndarray, shown: int) -> np.ndarray:
+    """The ASCII digits of uint64 ``magnitude``, a row per place, most significant first:
+    a leading zero is NUL unless it is in the lowest ``shown`` places."""
+    top = int(magnitude.max())
+    kind = np.uint32 if top < 2 ** 32 else np.uint64  # uint32 division is about twice as fast
+    places = max(len(str(top)), shown)
+    shifted = np.empty((places + 1, len(magnitude)), kind)  # row i: magnitude // 10 ** (places - i)
+    shifted[0], shifted[places] = 0, magnitude
+    for i in range(places - 1, 0, -1):  # by a scalar, floor_divide is far faster than np.divmod
+        np.floor_divide(shifted[i + 1], kind(10), out=shifted[i])
+    digits = (shifted[1:] - shifted[:-1] * kind(10)).astype(np.uint8) + np.uint8(ord("0"))
+    digits[:places - shown] *= shifted[1:places - shown + 1] > 0
+    return digits
 
 
 def _numbers(cells: Sequence[str], kind: type) -> np.ndarray:

@@ -306,6 +306,8 @@ NON_FINITE_FLAGS = [
     ("simrecon", ["--gauge-scale", "inf"]),
     ("simrecon", ["--gauge-scale", "1e308"]),
     ("simrecon", ["--gauge-yaw", "nan"]),
+    ("simrecon", ["--gauge-yaw", "inf"]),
+    ("simrecon", ["--gauge-yaw=-inf"]),  # "--gauge-yaw -inf" would read -inf as an option
     ("simrecon", ["--gauge-translate", "nan", "0", "0"]),
     ("simrecon", ["--noise-sigma", "nan"]),
     ("simrecon", ["--noise-sigma", "inf"]),
@@ -347,6 +349,13 @@ class TestNumericFlags:
         assert captured.err.startswith("error: ")
         assert "Traceback" not in captured.err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("yaw", ["nan", "inf", "-inf"])
+    def test_non_finite_gauge_yaw_is_named(self, walkthrough, tmp_path, capsys, yaw):
+        manifest = walkthrough / "capture" / "6dpose_list.txt"
+        assert run(["simrecon", "--manifest", manifest, "--out", tmp_path / "out",
+                    f"--gauge-yaw={yaw}"]) == 1
+        assert capsys.readouterr().err == f"error: yaw_deg must be finite, got {yaw}\n"
 
     def test_landmark_count_over_budget_exit_2(self, walkthrough, tmp_path, capsys):
         assert run([

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trajkit import conditions, poseio, simworld, textio
+from trajkit import align, conditions, poseio, simworld, textio, trajectory
 from trajkit.errors import ParseError, TrajkitError
 
 from conftest import exactly
@@ -498,13 +498,18 @@ EDGES = st.sampled_from([
     -999999.9999995, LIMIT, -LIMIT, np.nextafter(LIMIT, 0), np.nextafter(-LIMIT, 0),
     np.nextafter(LIMIT, np.inf), 2.0 ** 42, -2.0 ** 42, 2.0 ** 42 + 1, 2.0 ** 53, 1e300,
     float("nan"), float("inf"), float("-inf"),
+    # x * 1e6 at 2**32 - 1 and 2**32, and on either side of each power of ten.
+    4294.967295, 4294.967296, -4294.967295, -4294.967296,
+    *(sign * (10 ** k + d) / 1e6 for k in range(13) for d in (-1, 0) for sign in (1, -1)),
 ])
 ADVERSARIAL_FLOATS = st.one_of(
     TIES, NEAR_TIES, EDGES, st.floats(-1e7, 1e7), st.floats(-1e-5, 1e-5),
     st.floats(allow_nan=True, allow_infinity=True),
 )
 INT64 = st.one_of(st.integers(-2**63, 2**63 - 1), st.integers(-1001, 1001),
-                  st.sampled_from([-2**63, 2**63 - 1, -1, 0, 999, 1000, -10**18, 10**18]))
+                  st.sampled_from([-2**63, 2**63 - 1, -1, 0, 999, 1000, -10**18, 10**18,
+                                   2**32 - 1, 2**32, -(2**32), -(2**32 - 1),
+                                   *(10**k + d for k in range(1, 19) for d in (-1, 0))]))
 
 
 @given(data=st.data(), block=st.integers(1, 9))
@@ -536,8 +541,9 @@ def test_lines_rounds_every_tie_as_python():
     assert textio.lines(template, [ids, values]) == fixed_oracle(template, [ids, values])
 
 
-def test_lines_other_templates_go_row_by_row():
-    # "%s", "%.12g" and columns of other dtypes keep Python's own formatting.
+def test_lines_other_templates_match_percent_formatting():
+    # A "%s" of names heads lines whose "%.6f" takes the byte path; "%.12g" and
+    # columns of other dtypes go row by row. All write what "%" writes.
     names, values = ("a", "b"), np.array([0.1, -2.5e-7])
     assert textio.lines("%s %.6f\n", [names, values]) == "a 0.100000\nb -0.000000\n"
     assert textio.lines("%.12g\n", [values]) == "0.1\n-2.5e-07\n"
@@ -576,6 +582,39 @@ def test_names_head_the_byte_path():
     with mock.patch.object(textio, "_format", wraps=textio._format) as formatted:
         assert textio.lines("%s %.6f\n", [names, values]) == "a.png 0.100000\nb\nc.png -0.000000\n"
     assert formatted.call_count == 1
+
+
+FORMAT = textio._format
+
+
+def test_benchmark_writers_take_the_byte_path(worked_sparse):
+    # The README walkthrough (capture and simrecon with --seed 7), written in
+    # blocks of 128 rows: every block of every writer the benchmark times is
+    # formatted by _format, and none falls back to "%".
+    dense = poseio.read_dense(poseio.write_dense(trajectory.densify(worked_sparse)))
+    xy = dense.protagonist[:, :2]
+    box = simworld.Box((*(xy.min(axis=0) - 25.0), 0.0), (*(xy.max(axis=0) + 25.0), 15.0))
+    world = simworld.generate_world(7, 500, box)
+    manifest, obs = simworld.retrace(dense, world, simworld.default_intrinsics(),
+                                     conditions.ConditionSet(), 1.0, 7)
+    gauge = align.SimilarityTransform.from_z_rotation(0.5, 45, (10, -3, 2))
+    recon = simworld.simulate_reconstruction(manifest, gauge, 0.05, 0.2, 5, 7)
+    writers = [
+        (poseio.write_dense, dense, len(dense)),
+        (poseio.write_manifest, manifest, len(manifest.names)),
+        (simworld.write_observations, obs, obs.total_observations()),
+        (simworld.write_world, world, len(world.landmarks)),
+        (poseio.write_reconstruction, recon, len(recon.names)),
+        (simworld.points_to_ply, world.landmarks, len(world.landmarks)),
+    ]
+    for writer, value, rows in writers:
+        blocks = []
+        with (mock.patch.object(textio, "_WRITE_BLOCK", 128),
+              mock.patch.object(textio, "_format", side_effect=lambda *a: blocks.append(FORMAT(*a))
+                                or blocks[-1])):
+            writer(value)
+        assert len(blocks) == -(-rows // 128) > 1, writer.__name__
+        assert None not in blocks, writer.__name__
 
 
 COLUMNS = textio._columns

@@ -6,20 +6,21 @@ estimator recovers that similarity from corresponded point sets via the
 SVD of their cross-covariance with the determinant-sign correction,
 fitted on stacks of point sets at once (fit_similarities). A RANSAC loop
 around it makes the fit robust to badly reconstructed cameras; it fits
-and scores its hypotheses a sub-block of iterations at a time and picks
-the same winner as a loop over single iterations. On more than 2048
-points a bail-out pre-test scores each hypothesis on a keyed subset of
-512 points first, and on all of them only if it can still win. It drops
-a hypothesis that could win with probability at most 1e-9; short of that,
-it never runs more iterations than the loop without it.
-Errors are reported in meters over all matched points, using a
-stride-calibrated unit scale.
+its hypotheses a block of 64 iterations per call, scores them 8 at a time
+and picks the same winner as a loop over single iterations. On more than
+2048 points a bail-out pre-test scores each hypothesis on a keyed subset
+of 512 points first, and on all of them only if it can still win. It
+drops a hypothesis that could win with probability at most 1e-9; short
+of that, it never runs more iterations than the loop without it. Errors
+are reported in meters over all matched points, using a stride-calibrated
+unit scale.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress, repeat
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -39,10 +40,11 @@ DEFAULT_METERS_PER_UNIT = DEFAULT_STRIDE_M / 0.9
 _ORTHO_TOL = 1e-9
 # Points in a minimal RANSAC sample: three non-collinear points fix a similarity.
 MIN_SAMPLE = 3
-# RANSAC iterations whose samples are drawn in one call.
-_BLOCK = 256
-# RANSAC iterations fitted and scored in one call; must divide _BLOCK. On
-# 20,750 points 8 beat 4 and 16, and its two (8, N) float buffers take 2.7 MB.
+# RANSAC iterations whose samples are drawn and fitted in one call: a stack of
+# 64 fits costs about 3 times one of 8, not 8 times.
+_BLOCK = 64
+# RANSAC iterations scored in one call; must divide _BLOCK. On 20,750 points
+# 8 beat 4 and 16, and its two (8, N) float buffers take 2.7 MB.
 _SUB_BLOCK = 8
 # Bail-out pre-test (Capel, "An effective bail-out test for RANSAC consensus
 # scoring", BMVC 2005): above 4 * _PRE points, a hypothesis is scored on all
@@ -292,12 +294,12 @@ def _score(scaled, translation, src_t, dst_t, res, term):
 def _consensus(src: np.ndarray, dst: np.ndarray, params: RansacParams):
     """(iteration, residuals, inlier mask, inlier count) of each RANSAC hypothesis, in order.
 
-    Fits and scores _SUB_BLOCK minimal samples per step. Degenerate samples
-    and hypotheses without a single inlier are left out. Above 4 * _PRE
-    points, a hypothesis that the pre-test rejects against the best count
-    yielded before its sub-block is yielded with count 0 and no residuals:
-    it takes part in the stop test but never wins. The arrays yielded are
-    overwritten when the next sub-block is scored.
+    Fits _BLOCK minimal samples per call and scores them _SUB_BLOCK at a time,
+    leaving out degenerate samples and hypotheses without a single inlier.
+    Above 4 * _PRE points, a hypothesis that the pre-test rejects against the
+    best count yielded before its sub-block is yielded with count 0 and no
+    residuals: it takes part in the stop test but never wins. The arrays
+    yielded are overwritten when the next sub-block is scored.
     """
     n = len(src)
     src_t, dst_t = np.ascontiguousarray(src.T), np.ascontiguousarray(dst.T)
@@ -308,35 +310,36 @@ def _consensus(src: np.ndarray, dst: np.ndarray, params: RansacParams):
         sub_src, sub_dst = src_t[:, subset], dst_t[:, subset]
         sub_res, sub_term = np.empty((2, _SUB_BLOCK, _PRE))
     best = 0
-    for start in range(0, params.max_iterations, _SUB_BLOCK):
-        if start % _BLOCK == 0:
-            stop = min(start + _BLOCK, params.max_iterations)
-            samples = minimal_samples(n, params.seed, start, stop)
-        sample = samples[start % _BLOCK:][:_SUB_BLOCK]
+    for start in range(0, params.max_iterations, _BLOCK):
+        sample = minimal_samples(n, params.seed, start, min(start + _BLOCK, params.max_iterations))
         scale, rotation, translation, fault = fit_similarities(src[sample], dst[sample])
-        rows = np.flatnonzero(fault == 0)
-        scaled, translation = scale[rows, None, None] * rotation[rows], translation[rows]
-        rejected = np.zeros(len(rows), dtype=bool)
-        if pretest and best:
-            sub = _score(scaled, translation, sub_src, sub_dst,
-                         sub_res[:len(rows)], sub_term[:len(rows)])
-            rejected = _pretest_rejects((sub < params.threshold).sum(axis=1), best, n)
-        kept = np.flatnonzero(~rejected)
-        # BLAS rounds a product of one row (gemv) unlike one of several (gemm):
-        # a kept row is scored as it is when all of its sub-block is.
-        scored = np.repeat(kept, 2) if len(kept) == 1 < len(rows) else kept
-        res = _score(scaled[scored], translation[scored], src_t, dst_t,
-                     res_buf[:len(scored)], term_buf[:len(scored)])
-        inliers = res < params.threshold
-        scores = zip(res, inliers, inliers.sum(axis=1).tolist())
-        for row, reject in zip(rows.tolist(), rejected.tolist()):
-            if reject:
-                yield start + row, None, None, 0
-                continue
-            row_res, row_inliers, count = next(scores)
-            if count:
-                best = max(best, count)
-                yield start + row, row_res, row_inliers, count
+        with np.errstate(all="ignore"):  # a faulty row's values are meaningless
+            scaled = scale[:, None, None] * rotation
+        for first in range(0, len(sample), _SUB_BLOCK):
+            rows = first + np.flatnonzero(fault[first:first + _SUB_BLOCK] == 0)
+            rejected = np.zeros(len(rows), dtype=bool)
+            # While mu = _PRE * best / n <= 2 ln(1 / _PRE_MISS), _pretest_rejects rejects nothing.
+            if pretest and _PRE * best / n > 2.0 * -math.log(_PRE_MISS):
+                sub = _score(scaled[rows], translation[rows], sub_src, sub_dst,
+                             sub_res[:len(rows)], sub_term[:len(rows)])
+                rejected = _pretest_rejects((sub < params.threshold).sum(axis=1), best, n)
+            kept = rows[~rejected]
+            if len(kept):
+                # BLAS rounds a product of one row (gemv) unlike one of several (gemm):
+                # a kept row is scored as it is when all of its sub-block is.
+                scored = np.repeat(kept, 2) if len(kept) == 1 < len(rows) else kept
+                res = _score(scaled[scored], translation[scored], src_t, dst_t,
+                             res_buf[:len(scored)], term_buf[:len(scored)])
+                inliers = res < params.threshold
+                scores = zip(res, inliers, inliers.sum(axis=1).tolist())
+            for row, reject in zip(rows.tolist(), rejected.tolist()):
+                if reject:
+                    yield start + row, None, None, 0
+                    continue
+                row_res, row_inliers, count = next(scores)
+                if count:
+                    best = max(best, count)
+                    yield start + row, row_res, row_inliers, count
 
 
 def ransac_align(
@@ -346,29 +349,29 @@ def ransac_align(
 
     Each iteration draws a minimal sample keyed by (seed, iteration), see
     minimal_samples, fits the closed-form similarity on it and counts points
-    with residual below the threshold. Hypotheses are fitted and scored a
-    sub-block of iterations at a time, then walked in iteration order, so
-    the winner is the one a loop over single iterations would pick. The
-    largest consensus wins; ties fall to the lower mean inlier residual,
-    then the earlier iteration. Degenerate samples (fit_similarities flags
-    them) are discarded but still count against the iteration budget. The
-    loop stops early once the chance that every completed iteration missed
-    an all-inlier sample drops below 1 - confidence. The winner is refit on
-    its full consensus set and the inlier mask recomputed once against the
-    refit transform.
+    with residual below the threshold. Hypotheses are fitted a block of
+    _BLOCK iterations per call and scored a sub-block of _SUB_BLOCK at a
+    time, then walked in iteration order, so the winner is the one a loop
+    over single iterations would pick. The largest consensus wins; ties
+    fall to the lower mean inlier residual, then the earlier iteration.
+    Degenerate samples (fit_similarities flags them) are discarded but still
+    count against the iteration budget. The loop stops early once the chance
+    that every completed iteration missed an all-inlier sample drops below
+    1 - confidence. The winner is refit on its full consensus set and the
+    inlier mask recomputed once against the refit transform.
 
-    On more than 4 * _PRE points, once a hypothesis has inliers, each later
-    sub-block is first scored on a fixed subset of _PRE points (the rows
-    with the smallest draws keyed by (seed, PREVERIFY, row)). A hypothesis
-    whose subset count says it cannot reach the best count held when its
-    sub-block began (see _pretest_rejects) is not scored on all points: it
-    runs the stop test, as a hypothesis with inliers does, but never wins.
-    One whose full count is at least that best is dropped with probability
-    at most _PRE_MISS = 1e-9. Short of such a loss, the pre-test runs no
-    more iterations than the loop without it, as it only adds stop tests;
-    it can change the winner only when it ends the loop at a hypothesis
-    without inliers, which that loop passes over, and a later one would
-    have won.
+    On more than 4 * _PRE points, once the best count is high enough for the
+    pre-test to reject anything, each later sub-block is first scored on a
+    fixed subset of _PRE points (the rows with the smallest draws keyed by
+    (seed, PREVERIFY, row)). A hypothesis whose subset count says it cannot
+    reach the best count held when its sub-block began (see _pretest_rejects)
+    is not scored on all points: it runs the stop test, as a hypothesis with
+    inliers does, but never wins. One whose full count is at least that best
+    is dropped with probability at most _PRE_MISS = 1e-9. Short of such a
+    loss, the pre-test runs no more iterations than the loop without it, as
+    it only adds stop tests; it can change the winner only when it ends the
+    loop at a hypothesis without inliers, which that loop passes over, and a
+    later one would have won.
     """
     src, dst = _point_pairs(src, dst)
     n = len(src)
@@ -416,12 +419,13 @@ def evaluate(
     """
     if not 0 < meters_per_unit < math.inf:
         raise ValueError(f"meters_per_unit must be positive and finite, got {meters_per_unit}")
-    recon_row = {name: i for i, name in enumerate(recon.names)}
-    rows = [k for k, name in enumerate(manifest.names) if name in recon_row]
+    recon_row = dict(zip(recon.names, range(len(recon.names))))
+    found = np.fromiter(map(recon_row.get, manifest.names, repeat(-1)), np.int64)
+    rows = np.flatnonzero(found >= 0)
     if len(rows) < MIN_SAMPLE:
         raise InvariantViolation(f"{len(rows)} shared image name(s); need at least {MIN_SAMPLE}")
-    names = tuple(manifest.names[k] for k in rows)
-    src = recon.positions[[recon_row[name] for name in names]]
+    names = tuple(compress(manifest.names, (found >= 0).tolist()))
+    src = recon.positions[found[rows]]
     dst = manifest.camera[rows]
     transform, mask = ransac_align(src, dst, params)
     with np.errstate(over="ignore"):

@@ -47,8 +47,14 @@ def keyed_uniform(seed: int, *key) -> np.ndarray:
 
 def keyed_subset(seed: int, stream: int, n: int, count: int) -> np.ndarray:
     """Sorted indices of the ``count`` rows in [0, n) with the smallest (stream, row) draws."""
+    if not 0 < count < n:
+        return np.arange(min(count, n))
     keys = keyed_uniform(seed, stream, np.arange(n))
-    return np.sort(np.argsort(keys, kind="stable")[:count])
+    cut = np.partition(keys, count - 1)[count - 1]
+    # Every row whose draw is below the count-th smallest, then the lowest rows that tie with it.
+    taken = keys < cut
+    taken[np.flatnonzero(keys == cut)[:count - np.count_nonzero(taken)]] = True
+    return np.flatnonzero(taken)
 
 
 def box_muller(u: np.ndarray, v: np.ndarray, sigma: float = 1.0) -> tuple[np.ndarray, np.ndarray]:

@@ -361,7 +361,7 @@ def assert_stops_mid_sub_block(monkeypatch, n: int) -> list[int]:
 
 
 class TestBlockedRansac:
-    @pytest.mark.parametrize("max_iterations", [1, 7, 8, 9, 255, 256, 257, 2000])
+    @pytest.mark.parametrize("max_iterations", [1, 7, 8, 9, 255, 256, 257, 2000, 63, 64, 65])
     @pytest.mark.parametrize("outlier_fraction", [0.0, 0.5, 0.8, 0.9])
     def test_matches_one_at_a_time(self, outlier_fraction, max_iterations):
         # Noise near the threshold: hypotheses tie on count with different
@@ -433,7 +433,7 @@ class TestPretest:
             assert not align._pretest_rejects(k, c, n).any(), c
         assert align._pretest_rejects(k, last + 1, n)[0]
 
-    @pytest.mark.parametrize("max_iterations", [1, 9, 257, 2000])
+    @pytest.mark.parametrize("max_iterations", [1, 9, 257, 2000, 63, 64, 65])
     @pytest.mark.parametrize("outlier_fraction", [0.5, 0.8, 0.9])
     def test_matches_pretested_reference(self, monkeypatch, outlier_fraction, max_iterations):
         # Noise well inside the threshold: at 90% outliers the best count is
@@ -497,6 +497,99 @@ class TestPretest:
 
     def test_confidence_stop_mid_sub_block(self, monkeypatch):
         assert assert_stops_mid_sub_block(monkeypatch, 3000)
+
+
+def traced_run(monkeypatch, src, dst, params):
+    """ransac_align's work in order, and the iterations its loop ran, whether or not it fails.
+
+    The log holds ("fit", rows) per fit_similarities call, ("score", points,
+    rows) per _score call and ("yield", iteration, count) per hypothesis
+    that _consensus yields.
+    """
+    log, exhausted = [], []
+    fit, score, consensus = align.fit_similarities, align._score, align._consensus
+
+    def fitting(src, dst):
+        log.append(("fit", len(src)))
+        return fit(src, dst)
+
+    def scoring(scaled, translation, src_t, dst_t, res, term):
+        log.append(("score", src_t.shape[1], len(scaled)))
+        return score(scaled, translation, src_t, dst_t, res, term)
+
+    def recording(*args):
+        for hypothesis in consensus(*args):
+            log.append(("yield", hypothesis[0], hypothesis[3]))
+            yield hypothesis
+        exhausted.append(True)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(align, "fit_similarities", fitting)
+        patch.setattr(align, "_score", scoring)
+        patch.setattr(align, "_consensus", recording)
+        outcome(lambda: tk.ransac_align(src, dst, params))
+    yields = [event[1] for event in log if event[0] == "yield"]
+    return log, params.max_iterations if exhausted else yields[-1] + 1
+
+
+class TestWorkCounts:
+    """ransac_align fits a block per call and skips scoring whose outcome is known."""
+
+    @pytest.mark.parametrize("n, outlier_fraction, max_iterations", [
+        (60, 0.0, 2000), (60, 0.5, 63), (60, 0.5, 64), (60, 0.5, 65), (60, 0.5, 300),
+        (3000, 0.8, 2000),
+    ])
+    def test_one_fit_call_per_block_and_one_refit(
+        self, monkeypatch, n, outlier_fraction, max_iterations
+    ):
+        src, dst = noisy_pairs(100, n, outlier_fraction, sigma=0.1)
+        params = tk.RansacParams(threshold=0.5, max_iterations=max_iterations,
+                                 confidence=1 - 1e-15, seed=1)
+        log, iterations = traced_run(monkeypatch, src, dst, params)
+        fits = [event[1] for event in log if event[0] == "fit"]
+        blocks = math.ceil(iterations / align._BLOCK)
+        assert len(fits) == blocks + 1
+        assert fits[:blocks] == [
+            min(align._BLOCK, max_iterations - start)
+            for start in range(0, blocks * align._BLOCK, align._BLOCK)
+        ]
+        assert fits[-1] == 1
+
+    def test_no_all_points_scoring_of_a_rejected_sub_block(self, monkeypatch):
+        # As in test_subset_is_the_rows_with_the_smallest_keyed_draws: the
+        # pre-test rejects every hypothesis after the first sub-block.
+        n, seed = 3000, 5
+        src, dst = noisy_pairs(82, n, 0.0, sigma=0.1)
+        subset = align.rng.keyed_subset(seed, PREVERIFY, n, align._PRE)
+        dst[subset] += np.random.default_rng(83).uniform(-30, 30, (align._PRE, 3))
+        params = tk.RansacParams(threshold=0.5, max_iterations=40, confidence=1 - 1e-15, seed=seed)
+        log, _ = traced_run(monkeypatch, src, dst, params)
+        rejects = [event[1] for event in log if event[0] == "yield" and event[2] == 0]
+        assert rejects == list(range(align._SUB_BLOCK, params.max_iterations))
+        assert [event for event in log if event[:2] == ("score", n)] == [
+            ("score", n, align._SUB_BLOCK)
+        ]
+        assert sum(event[:2] == ("score", align._PRE) for event in log) == 4
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_no_subset_scoring_while_the_pretest_cannot_reject(self, monkeypatch, seed):
+        # At n = 3000 the pre-test can reject once the best count exceeds 242.
+        # With 95% outliers 400 iterations find no more than a few inliers at once.
+        n = 3000
+        bound = 2 * n * math.log(1 / align._PRE_MISS) / align._PRE
+        for outlier_fraction, can_reject in ((0.95, False), (0.8, True)):
+            src, dst = noisy_pairs(110 + seed, n, outlier_fraction, sigma=0.1)
+            params = tk.RansacParams(threshold=0.5, max_iterations=400, seed=seed)
+            log, _ = traced_run(monkeypatch, src, dst, params)
+            best, subset_calls = 0, 0
+            for event in log:
+                if event[0] == "yield":
+                    best = max(best, event[2])
+                elif event[:2] == ("score", align._PRE):
+                    assert best > bound
+                    subset_calls += 1
+            assert 0 < best and (best > bound) == can_reject
+            assert (subset_calls > 0) == can_reject
 
 
 class TestRansacAlign:
@@ -601,6 +694,24 @@ class TestRansacAlign:
 
             _, mask = tk.ransac_align(src, dst, params)
             np.testing.assert_array_equal(mask, expected_mask)
+
+
+class TestKeyedSubset:
+    @pytest.mark.parametrize("n, levels", [(1, 1), (2, 1), (7, 2), (50, 4), (50, 1), (200, 9)])
+    def test_ties_at_the_cut_go_to_the_lowest_rows(self, monkeypatch, n, levels):
+        keys = np.random.default_rng(n + levels).integers(0, levels, n) / levels
+        monkeypatch.setattr(align.rng, "keyed_uniform", lambda seed, *key: keys)
+        for count in range(n + 1):
+            expected = np.sort(np.argsort(keys, kind="stable")[:count])
+            subset = align.rng.keyed_subset(0, PREVERIFY, n, count)
+            np.testing.assert_array_equal(subset, expected)
+            assert subset.dtype == expected.dtype
+
+    @pytest.mark.parametrize("n, count", [(20750, align._PRE), (20750, 16600), (3000, 0)])
+    def test_rows_with_the_smallest_keyed_draws(self, n, count):
+        draws = keyed_uniform(9, PREVERIFY, np.arange(n))
+        np.testing.assert_array_equal(align.rng.keyed_subset(9, PREVERIFY, n, count),
+                                      np.sort(np.argsort(draws, kind="stable")[:count]))
 
 
 class TestMinimalSamples:
@@ -709,6 +820,43 @@ class TestEvaluate:
         assert report.names == manifest.names
         np.testing.assert_array_equal(report.residuals_m, ordered.residuals_m)
         np.testing.assert_array_equal(report.inlier_mask, ordered.inlier_mask)
+
+    def test_matching_a_shuffled_strict_subset_matches_a_comprehension_reference(self):
+        rng = np.random.default_rng(34)
+        gt = rng.uniform(-30, 30, (40, 3))
+        gauge = tk.SimilarityTransform.from_z_rotation(0.5, 30.0, (2.0, 1.0, -4.0))
+        recon, manifest = build_pair(gt, gauge, noise_sigma=0.05, outlier_fraction=0.2,
+                                     outlier_radius=5.0, seed=35)
+        keep = rng.permutation(40)[:29]
+        partial = tk.ReconstructedSet(
+            ("zz_foreign.png", *(recon.names[i] for i in keep), "a_foreign.png"),
+            np.vstack([[(1e3, 0, 0)], recon.positions[keep], [(0, 1e3, 0)]]),
+        )
+        params = tk.RansacParams(seed=36)
+        recon_row = {name: i for i, name in enumerate(partial.names)}
+        rows = [k for k, name in enumerate(manifest.names) if name in recon_row]
+        names = tuple(manifest.names[k] for k in rows)
+        src = partial.positions[[recon_row[name] for name in names]]
+        dst = manifest.camera[rows]
+        transform, mask = tk.ransac_align(src, dst, params)
+        res_m = align.residuals(transform, src, dst) * align.DEFAULT_METERS_PER_UNIT
+        expected = align.AlignmentReport(transform, mask, res_m, *align.error_statistics(res_m),
+                                         align.DEFAULT_METERS_PER_UNIT, names)
+        report = tk.evaluate(partial, manifest, params)
+        assert report == expected
+        assert report.names == tuple(sorted(recon.names[i] for i in keep))
+        assert report.average_error_m == expected.average_error_m
+        assert report.median_error_m == expected.median_error_m
+
+    def test_two_shared_names_are_too_few(self):
+        rng = np.random.default_rng(37)
+        gt = rng.uniform(-30, 30, (10, 3))
+        recon, manifest = build_pair(gt, tk.SimilarityTransform.identity())
+        partial = tk.ReconstructedSet(("other.png", recon.names[7], recon.names[2]),
+                                      np.zeros((3, 3)))
+        message = "2 shared image name(s); need at least 3"
+        with pytest.raises(InvariantViolation, match=exactly(message)):
+            tk.evaluate(partial, manifest)
 
     def test_insufficient_overlap(self):
         rng = np.random.default_rng(30)

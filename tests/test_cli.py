@@ -307,7 +307,7 @@ NON_FINITE_FLAGS = [
     ("simrecon", ["--gauge-scale", "1e308"]),
     ("simrecon", ["--gauge-yaw", "nan"]),
     ("simrecon", ["--gauge-yaw", "inf"]),
-    ("simrecon", ["--gauge-yaw=-inf"]),  # "--gauge-yaw -inf" would read -inf as an option
+    ("simrecon", ["--gauge-yaw=-inf"]),
     ("simrecon", ["--gauge-translate", "nan", "0", "0"]),
     ("simrecon", ["--noise-sigma", "nan"]),
     ("simrecon", ["--noise-sigma", "inf"]),
@@ -356,6 +356,20 @@ class TestNumericFlags:
         assert run(["simrecon", "--manifest", manifest, "--out", tmp_path / "out",
                     f"--gauge-yaw={yaw}"]) == 1
         assert capsys.readouterr().err == f"error: yaw_deg must be finite, got {yaw}\n"
+
+    # argparse by itself reads only -digits and -digits.digits as negative numbers.
+    @pytest.mark.parametrize("flags, spelled", [
+        (["--gauge-yaw", "-1e1"], ["--gauge-yaw=-1e1"]),
+        (["--gauge-translate", "-1e5", "0", "0"], ["--gauge-translate", "-100000", "0", "0"]),
+    ], ids=["gauge-yaw", "gauge-translate"])
+    def test_negative_exponent_is_a_value(self, walkthrough, tmp_path, flags, spelled):
+        manifest = walkthrough / "capture" / "6dpose_list.txt"
+        outputs = []
+        for k, given in enumerate((flags, spelled)):
+            out = tmp_path / f"recon{k}.txt"
+            assert run(["simrecon", "--manifest", manifest, "--out", out, *given]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_landmark_count_over_budget_exit_2(self, walkthrough, tmp_path, capsys):
         assert run([
@@ -684,6 +698,9 @@ ERROR_CONTRACT = [
     ("path length overflow", ["densify", "--vertices", "v_huge.txt", "--orders", "two.txt",
                               "--out", "out"],
      1, "path length overflows the float range"),
+    ("negative infinite yaw", ["simrecon", "--manifest", "manifest.txt", "--out", "out",
+                               "--gauge-yaw", "-inf"],
+     1, "yaw_deg must be finite, got -inf"),
     ("zero iterations", ["align", "--recon", "foreign.txt", "--manifest", "manifest.txt",
                          "--out", "out", "--max-iterations", "0"],
      1, "max_iterations must be at least 1"),

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import rng
 from .errors import DegenerateConfiguration, InvariantViolation
-from .trajectory import equal_by_value, frozen_array
+from .trajectory import value_type
 
 if TYPE_CHECKING:
     from .poseio import CaptureManifest, ReconstructedSet
@@ -54,29 +54,24 @@ _PRE = 512
 _PRE_MISS = 1e-9
 
 
-@dataclass(frozen=True)
+@value_type(rotation=(3, 3), translation=(3,))
 class SimilarityTransform:
     """x -> scale * rotation @ x + translation, scale > 0, rotation in SO(3)."""
 
     scale: float
     rotation: np.ndarray
     translation: np.ndarray
-    __eq__ = equal_by_value
 
     def __post_init__(self):
-        rot = frozen_array(self.rotation, (3, 3), name="rotation")
-        tra = frozen_array(self.translation, (3,), name="translation")
         if not math.isfinite(self.scale):
             raise ValueError(f"scale must be finite, got {self.scale}")
         if not self.scale > 0:
             raise InvariantViolation(f"scale must be positive, got {self.scale}")
-        if np.abs(rot.T @ rot - np.eye(3)).max() > _ORTHO_TOL:
+        if np.abs(self.rotation.T @ self.rotation - np.eye(3)).max() > _ORTHO_TOL:
             raise InvariantViolation("rotation is not orthonormal within 1e-9")
-        if abs(np.linalg.det(rot) - 1.0) > _ORTHO_TOL:
+        if abs(np.linalg.det(self.rotation) - 1.0) > _ORTHO_TOL:
             raise InvariantViolation("rotation determinant is not +1 within 1e-9")
         object.__setattr__(self, "scale", float(self.scale))
-        object.__setattr__(self, "rotation", rot)
-        object.__setattr__(self, "translation", tra)
 
     @classmethod
     def identity(cls) -> SimilarityTransform:
@@ -122,7 +117,7 @@ class RansacParams:
             raise ValueError("max_iterations must be at least 1")
 
 
-@dataclass(frozen=True)
+@value_type("names", "inlier_mask", "residuals_m", inlier_mask=((-1,), bool), residuals_m=(-1,))
 class AlignmentReport:
     """Alignment result plus error statistics over all matched points."""
 
@@ -133,12 +128,6 @@ class AlignmentReport:
     median_error_m: float
     meters_per_unit: float
     names: tuple[str, ...]
-    __eq__ = equal_by_value
-
-    def __post_init__(self):
-        for name, dtype in (("inlier_mask", bool), ("residuals_m", float)):
-            column = frozen_array(getattr(self, name), (-1,), dtype, name=name)
-            object.__setattr__(self, name, column)
 
 
 def _point_pairs(src, dst) -> tuple[np.ndarray, np.ndarray]:

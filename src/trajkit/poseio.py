@@ -20,7 +20,7 @@ emit single spaces and LF.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Sequence
 
 import numpy as np
@@ -30,9 +30,7 @@ from .align import AlignmentReport, SimilarityTransform
 from .conditions import ConditionSet, TimeOfDay, Weather
 from .errors import InvariantViolation, ParseError
 from .textio import FIXED
-from .trajectory import (
-    DenseTrajectory, SparseTrajectory, equal_by_value, expand_visitation, frozen_array,
-)
+from .trajectory import DenseTrajectory, SparseTrajectory, expand_visitation, value_type
 
 # --------------------------------------------------------------------------
 # Sparse trajectory (vertex + visitation order files)
@@ -116,7 +114,7 @@ def _single_tokens(names: tuple[str, ...]) -> bool:
             and not joined.startswith("#") and " #" not in joined)
 
 
-@dataclass(frozen=True)
+@value_type("names", "camera", "rotation", camera=(-1, 3), rotation=(-1, 3))
 class CaptureManifest:
     """Frame-ordered camera poses tagged with their condition set.
 
@@ -128,14 +126,9 @@ class CaptureManifest:
     camera: np.ndarray
     rotation: np.ndarray
     conditions: ConditionSet = field(default_factory=ConditionSet)
-    __eq__ = equal_by_value
 
     def __post_init__(self):
         object.__setattr__(self, "names", _check_names(self.names))
-        for name in ("camera", "rotation"):
-            object.__setattr__(self, name, frozen_array(getattr(self, name), (-1, 3), name=name))
-        if not len(self.names) == len(self.camera) == len(self.rotation):
-            raise ValueError("names, camera and rotation must have equal length")
 
 
 def write_manifest(manifest: CaptureManifest) -> str:
@@ -175,7 +168,7 @@ def read_manifest(text: str) -> CaptureManifest:
 # Reconstructed camera positions
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@value_type("names", "positions", positions=(-1, 3))
 class ReconstructedSet:
     """Externally reconstructed camera positions, in reconstruction-frame units.
 
@@ -184,14 +177,9 @@ class ReconstructedSet:
 
     names: tuple[str, ...]
     positions: np.ndarray
-    __eq__ = equal_by_value
 
     def __post_init__(self):
         object.__setattr__(self, "names", _check_names(self.names))
-        positions = frozen_array(self.positions, (-1, 3), name="positions")
-        object.__setattr__(self, "positions", positions)
-        if len(self.names) != len(self.positions):
-            raise ValueError("names and positions must have equal length")
 
 
 def read_reconstruction(text: str) -> ReconstructedSet:
@@ -241,15 +229,15 @@ def read_report(text: str) -> AlignmentReport:
             meters.append(textio.numbers(text, line_no, fields[:3], float, start=2)[0])
             inliers.append(fields[3] == "1")
 
-    def value(key: str, count: int = 1) -> np.ndarray:
+    def value(key: str, count: int = 1, kind: type = float) -> np.ndarray:
         if key not in keyed:
             raise ParseError(f"report has no {key!r} line")
         line_no, fields = keyed[key]
         if len(fields) != count + 1:
             raise ParseError(f"expected {count + 1} fields, got {len(fields)}", line=line_no)
-        return textio.numbers(text, line_no, fields, float, start=1)
+        return textio.numbers(text, line_no, fields, kind, start=1)
 
-    return AlignmentReport(
+    report = AlignmentReport(
         transform=SimilarityTransform(
             value("scale")[0], value("rotation", 9).reshape(3, 3), value("translation", 3)
         ),
@@ -260,3 +248,10 @@ def read_report(text: str) -> AlignmentReport:
         meters_per_unit=float(value("meters_per_unit")[0]),
         names=tuple(names),
     )
+    # A count line is optional, but must match the residual lines.
+    for key, counted, what in (("inlier_count", sum(inliers), "inlier residual"),
+                               ("total_count", len(names), "residual")):
+        if key in keyed and (stated := value(key, kind=int)[0]) != counted:
+            raise InvariantViolation(f"{key} {stated} (line {keyed[key][0]}) does not match "
+                                     f"the {counted} {what} lines")
+    return report

@@ -22,7 +22,7 @@ from . import rng, textio
 from .errors import InvariantViolation, ParseError
 from .poseio import CaptureManifest, ReconstructedSet
 from .textio import FIXED
-from .trajectory import MAX_FRAMES, DenseTrajectory, equal_by_value, frozen_array
+from .trajectory import MAX_FRAMES, DenseTrajectory, value_type
 
 # Landmark budget of one world, checked by generate_world before it draws;
 # 10 times the largest world the tests build. retrace's chunk buffer
@@ -30,41 +30,35 @@ from .trajectory import MAX_FRAMES, DenseTrajectory, equal_by_value, frozen_arra
 MAX_LANDMARKS = 1_000_000
 
 
-@dataclass(frozen=True)
+@value_type(mins=(3,), maxs=(3,))
 class Box:
     """Axis-aligned box with positive extent on every axis."""
 
     mins: np.ndarray
     maxs: np.ndarray
-    __eq__ = equal_by_value
 
     def __post_init__(self):
-        mins, maxs = (frozen_array(b, (3,), name="bounds") for b in (self.mins, self.maxs))
         # Halving is exact, so this tests maxs - mins for overflow without overflowing.
-        if np.any(maxs / 2 - mins / 2 > np.finfo(float).max / 2):
+        if np.any(self.maxs / 2 - self.mins / 2 > np.finfo(float).max / 2):
             raise ValueError("bounds extent exceeds the float range")
-        if np.any(maxs <= mins):
-            raise InvariantViolation(f"bounds have non-positive extent: {mins} .. {maxs}")
-        object.__setattr__(self, "mins", mins)
-        object.__setattr__(self, "maxs", maxs)
+        if np.any(self.maxs <= self.mins):
+            raise InvariantViolation(f"bounds have non-positive extent: {self.mins} .. {self.maxs}")
 
 
-@dataclass(frozen=True)
+@value_type(landmarks=(-1, 3))
 class World:
     """Landmark cloud standing in for scene geometry; ids are row indices."""
 
     landmarks: np.ndarray
     seed: int
     bounds: Box
-    __eq__ = equal_by_value
 
     def __post_init__(self):
-        pts = frozen_array(self.landmarks, (-1, 3), name="landmarks")
+        pts = self.landmarks
         if len(pts) > MAX_LANDMARKS:
             raise InvariantViolation(f"{len(pts)} landmarks exceed the limit of {MAX_LANDMARKS}")
         if np.any(pts < self.bounds.mins) or np.any(pts > self.bounds.maxs):
             raise InvariantViolation("landmarks outside world bounds")
-        object.__setattr__(self, "landmarks", pts)
 
 
 @dataclass(frozen=True)
@@ -102,7 +96,7 @@ class FrameObservations(NamedTuple):
     uv: np.ndarray    # (K, 2) pixel coordinates
 
 
-@dataclass(frozen=True)
+@value_type("frame", "ids", "uv", frame=((-1,), np.int64), ids=((-1,), np.int64), uv=(-1, 2))
 class ObservationSet:
     """Every landmark projection of a capture, as flat columns sorted by frame.
 
@@ -115,16 +109,9 @@ class ObservationSet:
     ids: np.ndarray
     uv: np.ndarray
     n_frames: int
-    __eq__ = equal_by_value
 
     def __post_init__(self):
-        for name, shape, dtype in (("frame", (-1,), np.int64), ("ids", (-1,), np.int64),
-                                   ("uv", (-1, 2), float)):
-            column = frozen_array(getattr(self, name), shape, dtype, name=name)
-            object.__setattr__(self, name, column)
         frame, n_frames = self.frame, int(self.n_frames)
-        if not len(frame) == len(self.ids) == len(self.uv):
-            raise ValueError("frame, ids and uv must have equal length")
         if np.any(frame[1:] < frame[:-1]):
             raise ValueError("observations must be sorted by frame")
         if n_frames < 0 or len(frame) and not 0 <= frame[0] <= frame[-1] < n_frames:

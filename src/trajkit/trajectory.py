@@ -13,10 +13,10 @@ Angle and frame conventions used throughout the toolkit:
   the ground plane (rz = 90 looks along +y).
 
 All operations are pure functions of their inputs plus an explicit seed.
-Constructed values are immutable: every value type of the toolkit stores
-each array field through frozen_array, the one place that converts it,
-checks its shape and finiteness, copies it and makes it read-only, and
-compares by value through equal_by_value.
+Constructed values are immutable: every value type is declared through
+value_type, which stores each array field through frozen_array (convert,
+check shape and finiteness, copy, make read-only), checks that its rows
+align, and compares by value through equal_by_value.
 """
 
 from __future__ import annotations
@@ -57,7 +57,34 @@ def equal_by_value(a, b) -> bool:
     )
 
 
-@dataclass(frozen=True)
+def value_type(*rows: str, **arrays):
+    """Class decorator: a frozen dataclass compared by equal_by_value.
+
+    Each keyword declares an array field, ``name=shape`` or ``name=(shape, dtype)``,
+    stored through frozen_array before the class's own ``__post_init__`` checks
+    its domain rules; last, the fields named in ``rows`` must have equal length.
+    """
+    specs = {name: spec if isinstance(spec[0], tuple) else (spec, float)
+             for name, spec in arrays.items()}
+
+    def declare(cls):
+        domain_rules = cls.__dict__.get("__post_init__", lambda self: None)
+
+        def __post_init__(self):
+            for name, (shape, dtype) in specs.items():
+                value = frozen_array(getattr(self, name), shape, dtype, name=name)
+                object.__setattr__(self, name, value)
+            domain_rules(self)
+            if len({len(getattr(self, name)) for name in rows}) > 1:
+                raise ValueError(f"{', '.join(rows[:-1])} and {rows[-1]} must have equal length")
+
+        cls.__post_init__, cls.__eq__ = __post_init__, equal_by_value
+        return dataclass(frozen=True)(cls)
+
+    return declare
+
+
+@value_type(vertices=(-1, 2))
 class SparseTrajectory:
     """User-authored waypoints plus their visitation steps.
 
@@ -69,16 +96,15 @@ class SparseTrajectory:
 
     vertices: np.ndarray
     orders: tuple[tuple[int, ...], ...]
-    __eq__ = equal_by_value
 
     def __post_init__(self):
-        object.__setattr__(self, "vertices", frozen_array(self.vertices, (-1, 2), name="vertices"))
         object.__setattr__(
             self, "orders", tuple(tuple(int(s) for s in steps) for steps in self.orders)
         )
 
 
-@dataclass(frozen=True)
+@value_type("protagonist", "camera", "rotation",
+            protagonist=(-1, 3), camera=(-1, 3), rotation=(-1, 3))
 class DenseTrajectory:
     """Fixed-rate 6DOF pose stream.
 
@@ -89,13 +115,8 @@ class DenseTrajectory:
     protagonist: np.ndarray
     camera: np.ndarray
     rotation: np.ndarray
-    __eq__ = equal_by_value
 
     def __post_init__(self):
-        for name in ("protagonist", "camera", "rotation"):
-            object.__setattr__(self, name, frozen_array(getattr(self, name), (-1, 3), name=name))
-        if not (len(self.protagonist) == len(self.camera) == len(self.rotation)):
-            raise ValueError("protagonist, camera and rotation must have equal length")
         if len(self.protagonist) == 0:
             raise ValueError("a dense trajectory must contain at least one sample")
 

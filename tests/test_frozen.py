@@ -3,10 +3,15 @@ finite copy of a fixed shape, made by trajectory.frozen_array."""
 
 from __future__ import annotations
 
+import importlib
+import pkgutil
+import re
+
 import numpy as np
 import pytest
 
 import trajkit as tk
+from trajkit.trajectory import equal_by_value
 
 TRANSFORM = tk.SimilarityTransform.from_z_rotation(2.0, 30.0, (1.0, 2.0, 3.0))
 
@@ -72,6 +77,38 @@ def test_every_value_type_is_covered():
     assert len(VALUES) == 9
     for cls, (kwargs, _) in VALUES.items():
         cls(**kwargs)
+
+
+def test_every_class_compared_by_value_is_listed():
+    modules = [importlib.import_module(f"trajkit.{module.name}")
+               for module in pkgutil.iter_modules(tk.__path__)]
+    by_value = {cls for module in modules for cls in vars(module).values()
+                if isinstance(cls, type) and cls.__eq__ is equal_by_value}
+    assert by_value == set(VALUES)
+
+
+@pytest.mark.parametrize("cls", VALUES, ids=[cls.__name__ for cls in VALUES])
+def test_listed_fields_are_the_array_fields(cls):
+    kwargs, fields = VALUES[cls]
+    assert [name for name, v in vars(cls(**kwargs)).items() if isinstance(v, np.ndarray)] == fields
+
+
+# Per value type whose columns are the rows of one table: the fields that must align.
+ROWS = {
+    tk.DenseTrajectory: "protagonist, camera and rotation",
+    tk.CaptureManifest: "names, camera and rotation",
+    tk.ReconstructedSet: "names and positions",
+    tk.ObservationSet: "frame, ids and uv",
+    tk.AlignmentReport: "names, inlier_mask and residuals_m",
+}
+ROW_FIELDS = [(cls, field) for cls, rows in ROWS.items() for field in re.split(", | and ", rows)]
+
+
+@pytest.mark.parametrize("cls, field", ROW_FIELDS,
+                         ids=[f"{cls.__name__}.{field}" for cls, field in ROW_FIELDS])
+def test_rows_of_unequal_length_rejected(cls, field):
+    with pytest.raises(ValueError, match=f"^{ROWS[cls]} must have equal length$"):
+        build(cls, field, VALUES[cls][0][field][:1])
 
 
 @pytest.mark.parametrize("cls, field", FLOAT_FIELDS, ids=FLOAT_IDS)

@@ -377,6 +377,35 @@ class TestReport:
         assert "total_count 10" in text
         assert text.count("residual ") == 10
 
+    def test_columns_of_unequal_length_rejected(self):
+        # Written out, such a report would state total_count 2 above one residual line.
+        message = "names, inlier_mask and residuals_m must have equal length"
+        with pytest.raises(ValueError, match=exactly(message)):
+            tk.AlignmentReport(self._report().transform, [True, False, True], [0.1, 0.2],
+                               0.15, 0.15, 1.0, names=("a.png",))
+
+    @pytest.mark.parametrize("line_no, line, message", [
+        (8, "total_count 9", "total_count 9 (line 8) does not match the 10 residual lines"),
+        (8, "total_count 11", "total_count 11 (line 8) does not match the 10 residual lines"),
+        (7, "inlier_count 10",
+         "inlier_count 10 (line 7) does not match the 6 inlier residual lines"),
+    ])
+    def test_count_line_must_match_residual_lines(self, line_no, line, message):
+        lines = tk.write_report(self._report()).splitlines()
+        assert lines[6] == "inlier_count 6"
+        lines[line_no - 1] = line
+        with pytest.raises(InvariantViolation, match=exactly(message)):
+            poseio.read_report("\n".join(lines))
+
+    def test_count_lines_optional_and_integer(self):
+        lines = tk.write_report(self._report()).splitlines()
+        without = poseio.read_report("\n".join(lines[:6] + lines[8:]))
+        assert without == poseio.read_report("\n".join(lines))
+        lines[7] = "total_count 10.0"
+        with pytest.raises(ParseError, match=exactly(
+                "expected a 64-bit integer, got '10.0' (line 8, column 13)")):
+            poseio.read_report("\n".join(lines))
+
 
 # The writers before they shared textio.lines: each value formatted on its own.
 def fixed(value) -> str:

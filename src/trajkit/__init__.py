@@ -5,7 +5,7 @@ Pipeline stages, each a standalone module:
 * :mod:`trajkit.trajectory` — sparse waypoint plans, dense 6DOF pose streams;
 * :mod:`trajkit.textio` — the record grammar shared by every text reader;
 * :mod:`trajkit.poseio` — plain-text pose file formats;
-* :mod:`trajkit.conditions` — condition sets and the degradation table;
+* :mod:`trajkit.conditions` — condition sets and their fixed degradation model;
 * :mod:`trajkit.simworld` — synthetic capture backend and fake reconstruction;
 * :mod:`trajkit.align` — robust similarity alignment and metric error reports;
 * :mod:`trajkit.cli` — the ``trajkit`` command line.

@@ -129,6 +129,9 @@ class AlignmentReport:
     meters_per_unit: float
     names: tuple[str, ...]
 
+    def __post_init__(self):
+        object.__setattr__(self, "names", tuple(self.names))
+
 
 def _point_pairs(src, dst) -> tuple[np.ndarray, np.ndarray]:
     """``src`` and ``dst`` as float (N, 3) arrays of equal length."""

@@ -80,9 +80,13 @@ def cmd_densify(args) -> int:
         fps=args.fps,
         eye_offset_z=args.eye_offset_z,
         ground_z=args.ground_z,
-        orientations=orientations,
     )
     dense = trajectory.densify(sparse, params)
+    if orientations is not None:
+        if len(orientations) != len(dense):
+            raise InvariantViolation(f"supplied orientation list has {len(orientations)} entries, "
+                                     f"trajectory has {len(dense)} frames")
+        dense = trajectory.DenseTrajectory(dense.protagonist, dense.camera, orientations)
     _write_text(args.out, poseio.write_dense(dense))
     print(f"wrote {len(dense)} frames to {args.out}")
     return 0
@@ -115,13 +119,8 @@ def cmd_capture(args) -> int:
 
     intr = simworld.Intrinsics(args.focal, args.width, args.height, args.max_range)
     cond = _conditions_from(args)
-    table = (
-        conditions.read_degradation_table(_read_text(args.degradation_table))
-        if args.degradation_table
-        else conditions.DEFAULT_DEGRADATION
-    )
     manifest, observations = simworld.retrace(
-        dense, world, intr, cond, base_pixel_sigma=args.pixel_sigma, seed=args.seed, table=table
+        dense, world, intr, cond, base_pixel_sigma=args.pixel_sigma, seed=args.seed
     )
 
     out_dir = Path(args.out_dir)
@@ -266,7 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--time", choices=[t.value for t in conditions.TimeOfDay], default="day")
     p.add_argument("--vehicle-density", type=float, default=0.0)
     p.add_argument("--pedestrian-density", type=float, default=0.0)
-    p.add_argument("--degradation-table", help="custom 'name value' degradation table file")
     p.set_defaults(func=cmd_capture)
 
     p = sub.add_parser("simrecon", parents=[seeded],

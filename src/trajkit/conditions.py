@@ -1,11 +1,10 @@
-"""Environmental condition controls and the degradation table.
+"""Environmental condition controls and the fixed degradation model.
 
 Conditions (weather, time of day, traffic densities) never touch camera
 poses; they only degrade what the synthetic capture backend observes.
-The table maps each weather to a pixel-noise multiplier (finite, >= 0)
-and each time of day to an observation-dropout rate (in [0, 1]); the
-rate gets a fixed density coupling on top. :func:`degradation` alone
-checks those rules.
+Each weather sets a pixel-noise multiplier and each time of day an
+observation-dropout rate, which the busier of the two traffic densities
+raises by a fixed gain.
 """
 
 from __future__ import annotations
@@ -16,8 +15,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping
 
-from . import textio
-from .errors import InputError, InvariantViolation
+from .errors import InvariantViolation
 
 
 class Weather(enum.Enum):
@@ -62,47 +60,13 @@ DEFAULT_DEGRADATION: Mapping[Weather | TimeOfDay, float] = MappingProxyType({
 DENSITY_DROPOUT_GAIN = 0.2
 
 
-def degradation(
-    cond: ConditionSet, table: Mapping[Weather | TimeOfDay, float] = DEFAULT_DEGRADATION
-) -> tuple[float, float]:
-    """Check ``table``, then return (pixel-noise multiplier, dropout rate) for ``cond``.
+def degradation(cond: ConditionSet) -> tuple[float, float]:
+    """(pixel-noise multiplier, dropout rate) for ``cond``.
 
-    dropout = min(time dropout + 0.2 * max(vehicle, pedestrian), 1).
-    An entry outside its range, used by ``cond`` or not, raises
-    InvariantViolation; a missing entry that ``cond`` needs, InputError.
+    noise = DEFAULT_DEGRADATION[weather]; dropout =
+    DEFAULT_DEGRADATION[time of day] + 0.2 * max(vehicle, pedestrian),
+    at most 0.3 + 0.2 = 0.5.
     """
-    for key, value in table.items():
-        if isinstance(key, Weather) and not 0 <= value < math.inf:
-            raise InvariantViolation(
-                f"noise multiplier for {key.value} must be finite and >= 0, got {value}"
-            )
-        if isinstance(key, TimeOfDay) and not 0 <= value <= 1:
-            raise InvariantViolation(
-                f"dropout rate for {key.value} must be within [0, 1], got {value}"
-            )
-    if cond.weather not in table:
-        raise InputError(f"no noise multiplier for weather {cond.weather.value!r}")
-    if cond.time_of_day not in table:
-        raise InputError(f"no dropout rate for time {cond.time_of_day.value!r}")
     density = max(cond.vehicle_density, cond.pedestrian_density)
-    dropout = table[cond.time_of_day] + DENSITY_DROPOUT_GAIN * density
-    return table[cond.weather], min(dropout, 1.0)
-
-
-def read_degradation_table(text: str) -> dict[Weather | TimeOfDay, float]:
-    """Parse a key/value degradation table.
-
-    One ``name value`` pair per line, where name is a weather
-    (clear/rain/snow) or time of day (day/night); ``#`` lines and blank
-    lines are skipped. Entries may be left out; degradation() checks the
-    values and raises InputError for an absent entry it needs.
-    """
-    members = {member.value: member for member in (*Weather, *TimeOfDay)}
-    (names, values), _ = textio.table(text, (str, float))
-    table = {}
-    for i, (token, value) in enumerate(zip(names, values.tolist())):
-        member = members.get(token.lower())
-        if member is None:
-            raise textio.error(text, textio.record_line(text, i), 0, f"unknown table key {token!r}")
-        table[member] = value
-    return table
+    dropout = DEFAULT_DEGRADATION[cond.time_of_day] + DENSITY_DROPOUT_GAIN * density
+    return DEFAULT_DEGRADATION[cond.weather], dropout

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from .align import SimilarityTransform
-from .conditions import DEFAULT_DEGRADATION, ConditionSet, TimeOfDay, Weather, degradation
+from .conditions import ConditionSet, degradation
 from . import rng, textio
 from .errors import InvariantViolation, ParseError
 from .poseio import CaptureManifest, ReconstructedSet
@@ -180,7 +180,6 @@ def retrace(
     cond: ConditionSet,
     base_pixel_sigma: float = 1.0,
     seed: int = 0,
-    table: Mapping[Weather | TimeOfDay, float] = DEFAULT_DEGRADATION,
 ) -> tuple[CaptureManifest, ObservationSet]:
     """Replay a dense trajectory, capturing one synthetic frame per pose.
 
@@ -190,14 +189,15 @@ def retrace(
     camera, within ``max_range``, and its pinhole projection falls inside
     the image (bounds inclusive). Observations get Gaussian pixel noise
     with sigma ``base_pixel_sigma`` times the weather noise multiplier,
-    are dropped independently with the condition's dropout rate, and are
+    are dropped independently with the condition's dropout rate (both
+    from the fixed model of :func:`conditions.degradation`), and are
     discarded if noise pushes them out of the image. The dropout and noise
     draws of an observation are keyed on (seed, frame, landmark), so they
     depend neither on what else is visible nor on how frames are batched.
     """
     if not 0 <= base_pixel_sigma < math.inf:
         raise ValueError(f"base_pixel_sigma must be finite and >= 0, got {base_pixel_sigma}")
-    noise, drop = degradation(cond, table)
+    noise, drop = degradation(cond)
     sigma = base_pixel_sigma * noise
     if not math.isfinite(sigma * rng.MAX_NORMAL):
         raise ValueError(f"pixel sigma {sigma} makes the largest noise radius overflow")

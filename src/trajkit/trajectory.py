@@ -126,18 +126,12 @@ class DenseTrajectory:
 
 @dataclass(frozen=True)
 class DensifyParams:
-    """Densification controls.
-
-    ``orientations`` of None selects forward mode (the view follows the
-    local path tangent); otherwise it is an (N, 3) array of rx, ry, rz
-    degrees with one row per output frame, taken verbatim.
-    """
+    """Densification controls."""
 
     speed: float = 1.6
     fps: float = 60.0
     eye_offset_z: float = 0.75
     ground_z: float = 0.0
-    orientations: np.ndarray | None = None
 
     def __post_init__(self):
         for name in ("speed", "fps"):
@@ -207,10 +201,10 @@ def densify(sparse: SparseTrajectory, params: DensifyParams = DensifyParams()) -
     Sample k sits at arclength min(k * speed/fps, L); the frame count is
     floor(L / (speed/fps)) + 1, so the terminal sample is never duplicated
     when L divides evenly. The protagonist moves in the ground plane at
-    ``ground_z``; the camera rides ``eye_offset_z`` above it. In forward
-    mode the yaw follows the tangent of the segment being traversed, with
-    the outgoing segment taking over exactly at each joint and the final
-    segment's tangent held through the last frame.
+    ``ground_z``; the camera rides ``eye_offset_z`` above it. The yaw
+    follows the tangent of the segment being traversed, with the outgoing
+    segment taking over exactly at each joint and the final segment's
+    tangent held through the last frame.
     """
     points, cumlen = path_polyline(sparse)
     total = float(cumlen[-1])
@@ -240,19 +234,9 @@ def densify(sparse: SparseTrajectory, params: DensifyParams = DensifyParams()) -
     protagonist = np.column_stack([xy, np.full(n, params.ground_z)])
     camera = protagonist + np.array([0.0, 0.0, params.eye_offset_z])
 
-    if params.orientations is None:
-        yaw = np.degrees(np.arctan2(deltas[:, 1], deltas[:, 0]))
-        rotation = np.zeros((n, 3))
-        rotation[:, 2] = yaw[seg]
-    else:
-        rotation = np.asarray(params.orientations, dtype=float)
-        if rotation.ndim != 2 or rotation.shape[1] != 3:
-            raise ValueError(f"orientation array must be (N, 3), got {rotation.shape}")
-        if len(rotation) != n:
-            raise InvariantViolation(
-                f"supplied orientation list has {len(rotation)} entries, trajectory has {n} frames"
-            )
-
+    yaw = np.degrees(np.arctan2(deltas[:, 1], deltas[:, 0]))
+    rotation = np.zeros((n, 3))
+    rotation[:, 2] = yaw[seg]
     return DenseTrajectory(protagonist, camera, rotation)
 
 

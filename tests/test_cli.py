@@ -79,16 +79,23 @@ class TestDensify:
         assert out.read_bytes() == first
 
     def test_supplied_orientations(self, worked_files, tmp_path):
+        # The rotation column is the file's, verbatim; positions are forward densify's.
         vertex, order = worked_files
+        i = np.arange(338)
+        supplied = np.column_stack([i % 11 - 5.0, 1.0 + i % 4 / 4, 2.125 * i])  # exact in text
         rots = tmp_path / "rots.txt"
-        rots.write_text("".join(f"0 0 {i % 360}\n" for i in range(338)))
-        out = tmp_path / "t.txt"
+        rots.write_text("".join(f"{rx} {ry} {rz}\n" for rx, ry, rz in supplied))
+        out, forward = tmp_path / "t.txt", tmp_path / "forward.txt"
         assert run([
             "densify", "--vertices", vertex, "--orders", order,
             "--out", out, "--orientations", rots,
         ]) == 0
+        assert run(["densify", "--vertices", vertex, "--orders", order, "--out", forward]) == 0
         dense = poseio.read_dense(out.read_text())
-        assert dense.rotation[5, 2] == 5.0
+        expected = poseio.read_dense(forward.read_text())
+        np.testing.assert_array_equal(dense.rotation, supplied)
+        np.testing.assert_array_equal(dense.protagonist, expected.protagonist)
+        np.testing.assert_array_equal(dense.camera, expected.camera)
 
     @pytest.mark.parametrize(
         "flags, rc, message",
@@ -571,8 +578,12 @@ PINNED_SHA256 = {
     "trajectory_dense.txt": "52375c13ad7783b8059d45cef72e737949107724ccc9212863ebd2acadcd562a",
     "capture/6dpose_list.txt": "ac27c2bb015f55e31bd83815ef434ad07d6f3b5bcdd5d59936eccf7b878cbca7",
     "capture/world.txt": "f8fe1395f0942d43587f3957ecfe8dba4cfb4e69f8f3b25465c1c9b53e0ff926",
+    "capture/observations.txt":
+        "bf3297cb54ba6d63fc7c1322a2dc001aa608bc7df42dc75303885727ad7ca7b6",
     "snow_night/6dpose_list.txt":
         "5f5da5c2e4c2cfe13de0633b4afa160977efb01cd4bd245863d0fe9d4b6bb260",
+    "snow_night/observations.txt":
+        "6118961e0fe77487859b8b147efd6b2b6a42dc88d971214a72b852f8315e5e9f",
     "subsample.txt": "ac8a1df21b0b2833a505a53a941b3a2db389454a7c76fecfdeca1286e8553c80",
     "perturbed.txt": "78819a35be6471ecf58ab2791529d7531ceebad489d8cb9e71e294357657f088",
     "world.ply": "b91ae6e39d370a34d187524b0214fe4797abcfe80bce306b56c73f425d3b2c6f",
@@ -595,10 +606,6 @@ INPUTS = {
     "dense.txt": "0 0 0 0 0 0.75 0 0 0\n",
     "manifest.txt": "a.png 0 0 0 0 0 0\n",
     "dupman.txt": "a.png 0 0 0 0 0 0\na.png 1 1 1 0 0 0\n",
-    "no_snow.txt": "clear 1\nrain 1.5\nday 0\nnight 0.3\n",
-    "negative_noise.txt": "clear -2\nday 0\n",
-    "dropout_7.txt": "clear 1\nday 7\n",
-    "negative_snow.txt": "clear 1\nday 0\nsnow -1\n",
     "v_huge.txt": "1e308 0\n-1e308 0\n",
     "two.txt": "1\n2\n",
     "foreign.txt": "x 0 0 0\ny 1 0 0\nz 0 1 0\n",
@@ -651,6 +658,9 @@ ERROR_CONTRACT = [
     ("orientation count", ["densify", "--vertices", "vertex.txt", "--orders", "vertex_order.txt",
                            "--orientations", "rots.txt", "--out", "out"],
      2, "supplied orientation list has 2 entries, trajectory has 338 frames"),
+    ("orientation fields", ["densify", "--vertices", "vertex.txt", "--orders",
+                            "vertex_order.txt", "--orientations", "v2.txt", "--out", "out"],
+     1, "expected 3 fields, got 2 (line 1)"),
     ("vertex field count", ["expand", "--vertices", "v3.txt", "--orders", "one.txt"],
      1, "expected 2 fields, got 3 (line 1)"),
     ("duplicate name", ["subsample", "--manifest", "dupman.txt", "--stride", "1", "--out", "out"],
@@ -665,18 +675,6 @@ ERROR_CONTRACT = [
                             "--bounds", "-1" + "0" * 308, "-1" + "0" * 308, "0",
                             "1" + "0" * 308, "1" + "0" * 308, "15"],
      1, "bounds extent exceeds the float range"),
-    ("table entry", ["capture", "--trajectory", "dense.txt", "--out-dir", "out",
-                     "--weather", "snow", "--degradation-table", "no_snow.txt"],
-     1, "no noise multiplier for weather 'snow'"),
-    ("negative noise", ["capture", "--trajectory", "dense.txt", "--out-dir", "out",
-                        "--degradation-table", "negative_noise.txt"],
-     2, "noise multiplier for clear must be finite and >= 0, got -2.0"),
-    ("dropout above 1", ["capture", "--trajectory", "dense.txt", "--out-dir", "out",
-                         "--degradation-table", "dropout_7.txt"],
-     2, "dropout rate for day must be within [0, 1], got 7.0"),
-    ("unused bad entry", ["capture", "--trajectory", "dense.txt", "--out-dir", "out",
-                          "--degradation-table", "negative_snow.txt"],
-     2, "noise multiplier for snow must be finite and >= 0, got -1.0"),
     ("width overflow", ["capture", "--trajectory", "dense.txt", "--out-dir", "out",
                         "--width", "1" + "0" * 400],
      1, "int too large to convert to float"),
@@ -725,11 +723,13 @@ USAGE_ERRORS = [
     ["align", "--manifest", "manifest.txt", "--out", "out"],
     [],
     # Settings that the model fixes: the minimal sample, the world seed
-    # (--seed draws the world) and the principal point (the image centre).
+    # (--seed draws the world), the principal point (the image centre) and
+    # the degradation of each condition.
     ["align", "--recon", "foreign.txt", "--manifest", "manifest.txt", "--out", "out",
      "--min-sample", "3"],
     ["capture", "--trajectory", "dense.txt", "--out-dir", "out", "--world-seed", "1"],
     ["capture", "--trajectory", "dense.txt", "--out-dir", "out", "--cx", "960"],
+    ["capture", "--trajectory", "dense.txt", "--out-dir", "out", "--degradation-table", "t.txt"],
 ]
 
 

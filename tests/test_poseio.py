@@ -377,6 +377,15 @@ class TestReport:
         assert "total_count 10" in text
         assert text.count("residual ") == 10
 
+    def test_names_stored_as_a_tuple(self):
+        # A list of names writes the same bytes as their tuple, so it gives an equal report.
+        report = self._report()
+        listed = tk.AlignmentReport(report.transform, report.inlier_mask, report.residuals_m,
+                                    report.average_error_m, report.median_error_m,
+                                    report.meters_per_unit, names=list(report.names))
+        assert tk.write_report(listed) == tk.write_report(report)
+        assert listed == report
+
     def test_columns_of_unequal_length_rejected(self):
         # Written out, such a report would state total_count 2 above one residual line.
         message = "names, inlier_mask and residuals_m must have equal length"

@@ -443,9 +443,9 @@ class TestRetrace:
 # image, dropped or not. It is the oracle for retrace, bit for bit.
 # --------------------------------------------------------------------------
 
-def oracle_retrace(dense, world, intr, base_pixel_sigma, seed, table):
-    """The (frame, ids, uv) columns of a clear-day capture."""
-    noise, drop = degradation(CLEAR_DAY, table)
+def oracle_retrace(dense, world, intr, cond, base_pixel_sigma, seed):
+    """The (frame, ids, uv) columns of a capture under ``cond``."""
+    noise, drop = degradation(cond)
     sigma = base_pixel_sigma * noise
     extent = max(np.abs(world.landmarks).max(initial=0.0), np.abs(dense.camera).max())
     shift = max(0, math.frexp(extent)[1] - 500)
@@ -489,13 +489,18 @@ def oracle_retrace(dense, world, intr, base_pixel_sigma, seed, table):
     return [np.concatenate(column) for column in zip(*columns)]
 
 
+# Dropout rates 0.0, 0.3 and 0.5, the largest the model gives.
+NIGHT = tk.ConditionSet(time_of_day=tk.TimeOfDay.NIGHT)
+BUSY_NIGHT = tk.ConditionSet(time_of_day=tk.TimeOfDay.NIGHT, vehicle_density=1.0)
+
+
 @given(frames=st.sampled_from([1, 63, 64, 65, 129, 4097]), count=st.sampled_from([0, 1, 37]),
        scene=st.sampled_from(["plain", "tiny depth", "beyond 2**500"]),
-       sigma=st.sampled_from([0.0, 2.0]), dropout=st.sampled_from([0.0, 0.3, 1.0]),
+       sigma=st.sampled_from([0.0, 2.0]), cond=st.sampled_from([CLEAR_DAY, NIGHT, BUSY_NIGHT]),
        seed=st.integers(0, 2**32 - 1))
-@example(frames=4097, count=37, scene="plain", sigma=2.0, dropout=0.3, seed=1)
+@example(frames=4097, count=37, scene="plain", sigma=2.0, cond=NIGHT, seed=1)
 @settings(max_examples=60, deadline=None)
-def test_retrace_matches_its_oracle(frames, count, scene, sigma, dropout, seed):
+def test_retrace_matches_its_oracle(frames, count, scene, sigma, cond, seed):
     # 4097 frames cross the boundary of retrace's 4096-frame groups of camera blocks.
     g = np.random.default_rng(seed)
     camera = g.uniform(-20.0, 20.0, (frames, 3))
@@ -512,9 +517,8 @@ def test_retrace_matches_its_oracle(frames, count, scene, sigma, dropout, seed):
     bounds = tk.Box(np.ldexp([-30.0] * 3, shift), np.ldexp([30.0] * 3, shift))
     world = tk.World(np.ldexp(landmarks, shift), seed, bounds)
     intr = tk.default_intrinsics(max_range=math.ldexp(100.0, shift))
-    table = {tk.Weather.CLEAR: 1.0, tk.TimeOfDay.DAY: dropout}
-    _, obs = tk.retrace(dense, world, intr, CLEAR_DAY, sigma, seed, table)
-    expected = oracle_retrace(dense, world, intr, sigma, seed, table)
+    _, obs = tk.retrace(dense, world, intr, cond, sigma, seed)
+    expected = oracle_retrace(dense, world, intr, cond, sigma, seed)
     for column, oracle in zip((obs.frame, obs.ids, obs.uv), expected):
         assert (column.dtype, column.shape) == (oracle.dtype, oracle.shape)
         assert column.tobytes() == oracle.tobytes()

@@ -29,7 +29,6 @@ READERS = {
     "report": poseio.read_report,
     "world": simworld.read_world,
     "observations": simworld.read_observations,
-    "degradation table": conditions.read_degradation_table,
 }
 
 # One valid line of each format, with the index of a numeric field in it.
@@ -40,7 +39,6 @@ VALID_LINE = {
     "reconstruction": ("a.png 1 2 3", 2),
     "world": ("0 0.5 0.5 0.5", 2),
     "observations": ("0 0 1.0 2.0", 3),
-    "degradation table": ("rain 1.5", 1),
 }
 WORLD_HEADERS = "# seed 1\n# bounds 0 0 0 1 1 1\n"
 
@@ -183,7 +181,6 @@ LINES = {
     "report": REPORT.splitlines(),
     "world": ["# seed 1", "# bounds 0 0 0 9 9 9", "0 0.5 0.5 0.5", "1 0.5 0.5 0.5"],
     "observations": ["# frames 3", "0 0 1.0 2.0", "2 1 3.0 4.0"],
-    "degradation table": ["rain 1.5", "night 0.3"],
 }
 COMMENTS = ["#", "# note", "#x 1"]
 TOKENS = [

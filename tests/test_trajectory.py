@@ -147,37 +147,6 @@ class TestDensify:
         assert len(dense) == 5
         assert dense.rotation[:, 2].tolist() == [0.0, 0.0, 90.0, 90.0, 90.0]
 
-    def test_supplied_orientations_taken_verbatim(self, worked_sparse):
-        forward = tk.densify(worked_sparse)
-        supplied = np.column_stack(
-            [
-                np.linspace(-5, 5, len(forward)),
-                np.linspace(1, 2, len(forward)),
-                np.linspace(0, 720, len(forward)),
-            ]
-        )
-        dense = tk.densify(
-            worked_sparse,
-            tk.DensifyParams(orientations=supplied),
-        )
-        np.testing.assert_array_equal(dense.rotation, supplied)
-        np.testing.assert_array_equal(dense.protagonist, forward.protagonist)
-
-    def test_supplied_length_mismatch(self, worked_sparse):
-        with pytest.raises(InvariantViolation) as exc:
-            tk.densify(
-                worked_sparse,
-                tk.DensifyParams(orientations=np.zeros((3, 3))),
-            )
-        assert str(exc.value) == (
-            "supplied orientation list has 3 entries, trajectory has 338 frames"
-        )
-
-    @pytest.mark.parametrize("shape", [(338,), (338, 2), (338, 3, 1)])
-    def test_supplied_orientations_must_be_n_by_3(self, worked_sparse, shape):
-        with pytest.raises(ValueError, match=r"must be \(N, 3\)"):
-            tk.densify(worked_sparse, tk.DensifyParams(orientations=np.zeros(shape)))
-
     def test_same_ratio_same_samples(self, worked_sparse):
         base = tk.densify(worked_sparse, tk.DensifyParams(speed=1.6, fps=60.0))
         for k in (2.0, 4.0, 8.0):

@@ -10,10 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trajkit as tk
-from trajkit.errors import InvariantViolation
+from trajkit import cli, poseio
+from trajkit.errors import InputError, InvariantViolation
 
 from conftest import (
+    WORKED_ORDER_TEXT,
     WORKED_PATH,
+    WORKED_VERTEX_TEXT,
     brute_force_walk,
     euler_matrix,
     exactly,
@@ -23,6 +26,20 @@ from conftest import (
 
 def make_sparse(vertices, orders) -> tk.SparseTrajectory:
     return tk.SparseTrajectory(np.array(vertices, dtype=float), tuple(orders))
+
+
+def densify_worked_with_orientations(tmp_path, rows: np.ndarray) -> tk.DenseTrajectory:
+    """Densify the worked example with ``rows`` as its orientations file, as ``densify`` does."""
+    (tmp_path / "vertex.txt").write_text(WORKED_VERTEX_TEXT)
+    (tmp_path / "vertex_order.txt").write_text(WORKED_ORDER_TEXT)
+    (tmp_path / "rots.txt").write_text("".join(" ".join(repr(float(v)) for v in row) + "\n" for row in rows))
+    args = cli.build_parser().parse_args([
+        "densify", "--vertices", str(tmp_path / "vertex.txt"),
+        "--orders", str(tmp_path / "vertex_order.txt"),
+        "--orientations", str(tmp_path / "rots.txt"), "--out", str(tmp_path / "t.txt"),
+    ])
+    cli.cmd_densify(args)
+    return poseio.read_dense((tmp_path / "t.txt").read_text())
 
 
 class TestExpandVisitation:
@@ -146,6 +163,30 @@ class TestDensify:
         dense = tk.densify(sparse, tk.DensifyParams(speed=1.0, fps=2.0))
         assert len(dense) == 5
         assert dense.rotation[:, 2].tolist() == [0.0, 0.0, 90.0, 90.0, 90.0]
+
+    def test_supplied_orientations_taken_verbatim(self, worked_sparse, tmp_path):
+        # Positions are forward densify's, as its writer prints them.
+        forward = poseio.read_dense(poseio.write_dense(tk.densify(worked_sparse)))
+        i = np.arange(len(forward))
+        supplied = np.column_stack([i % 7 - 3.0, 1.0 + i % 8 / 8, 0.5 * i - 90.0])  # exact in text
+        dense = densify_worked_with_orientations(tmp_path, supplied)
+        np.testing.assert_array_equal(dense.rotation, supplied)
+        np.testing.assert_array_equal(dense.protagonist, forward.protagonist)
+        np.testing.assert_array_equal(dense.camera, forward.camera)
+
+    def test_supplied_length_mismatch(self, tmp_path):
+        with pytest.raises(InvariantViolation) as exc:
+            densify_worked_with_orientations(tmp_path, np.zeros((3, 3)))
+        assert str(exc.value) == (
+            "supplied orientation list has 3 entries, trajectory has 338 frames"
+        )
+        assert not (tmp_path / "t.txt").exists()
+
+    @pytest.mark.parametrize("shape", [(338, 1), (338, 2), (338, 4)])
+    def test_supplied_orientations_must_be_n_by_3(self, tmp_path, shape):
+        with pytest.raises(InputError, match=rf"expected 3 fields, got {shape[1]} \(line 1\)"):
+            densify_worked_with_orientations(tmp_path, np.zeros(shape))
+        assert not (tmp_path / "t.txt").exists()
 
     def test_same_ratio_same_samples(self, worked_sparse):
         base = tk.densify(worked_sparse, tk.DensifyParams(speed=1.6, fps=60.0))

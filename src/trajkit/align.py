@@ -265,11 +265,20 @@ def _pretest_rejects(k, best_count: int, n: int):
     return (k < mu) & ((mu - k) ** 2 > 2.0 * mu * -math.log(_PRE_MISS))
 
 
+def _square_bound(threshold: float) -> float:
+    """The least b with sqrt(b) >= ``threshold``: as sqrt rounds correctly and is monotone,
+    sqrt(x) < threshold exactly when x < b, and neither holds for a nan x."""
+    b = math.nextafter(threshold * threshold, math.inf)  # above threshold**2, or inf
+    while math.sqrt(below := math.nextafter(b, 0.0)) >= threshold:
+        b = below
+    return b
+
+
 def _score(scaled, translation, src_t, dst_t, res, term):
-    """res[k, i] = ||scaled[k] @ src_t[:, i] + translation[k] - dst_t[:, i]||.
+    """res[k, i] = ||scaled[k] @ src_t[:, i] + translation[k] - dst_t[:, i]||**2.
 
     One coordinate at a time into the (len(scaled), m) buffers ``res`` and
-    ``term``; a residual that overflows is never below a threshold.
+    ``term``; a square that overflows is never below a _square_bound.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         for axis, out in enumerate((res, term, term)):
@@ -279,12 +288,11 @@ def _score(scaled, translation, src_t, dst_t, res, term):
             out *= out
             if axis:
                 res += term
-        np.sqrt(res, out=res)
     return res
 
 
 def _consensus(src: np.ndarray, dst: np.ndarray, params: RansacParams):
-    """(iteration, residuals, inlier mask, inlier count) of each RANSAC hypothesis, in order.
+    """(iteration, squared residuals, inlier mask, inlier count) of each hypothesis, in order.
 
     Fits _BLOCK minimal samples per call and scores them _SUB_BLOCK at a time,
     leaving out degenerate samples and hypotheses without a single inlier.
@@ -301,7 +309,7 @@ def _consensus(src: np.ndarray, dst: np.ndarray, params: RansacParams):
         subset = rng.keyed_subset(params.seed, rng.PREVERIFY, n, _PRE)
         sub_src, sub_dst = src_t[:, subset], dst_t[:, subset]
         sub_res, sub_term = np.empty((2, _SUB_BLOCK, _PRE))
-    best = 0
+    best, bound = 0, _square_bound(params.threshold)
     for start in range(0, params.max_iterations, _BLOCK):
         sample = minimal_samples(n, params.seed, start, min(start + _BLOCK, params.max_iterations))
         scale, rotation, translation, fault = fit_similarities(src[sample], dst[sample])
@@ -314,7 +322,7 @@ def _consensus(src: np.ndarray, dst: np.ndarray, params: RansacParams):
             if pretest and _PRE * best / n > 2.0 * -math.log(_PRE_MISS):
                 sub = _score(scaled[rows], translation[rows], sub_src, sub_dst,
                              sub_res[:len(rows)], sub_term[:len(rows)])
-                rejected = _pretest_rejects((sub < params.threshold).sum(axis=1), best, n)
+                rejected = _pretest_rejects((sub < bound).sum(axis=1), best, n)
             kept = rows[~rejected]
             if len(kept):
                 # BLAS rounds a product of one row (gemv) unlike one of several (gemm):
@@ -322,7 +330,7 @@ def _consensus(src: np.ndarray, dst: np.ndarray, params: RansacParams):
                 scored = np.repeat(kept, 2) if len(kept) == 1 < len(rows) else kept
                 res = _score(scaled[scored], translation[scored], src_t, dst_t,
                              res_buf[:len(scored)], term_buf[:len(scored)])
-                inliers = res < params.threshold
+                inliers = res < bound
                 scores = zip(res, inliers, inliers.sum(axis=1).tolist())
             for row, reject in zip(rows.tolist(), rejected.tolist()):
                 if reject:
@@ -373,7 +381,7 @@ def ransac_align(
     best_count, best_mean, best_mask = 0, math.inf, None
     for iteration, res, mask, count in _consensus(src, dst, params):
         if count >= best_count:
-            mean_res = float(res[mask].mean())
+            mean_res = float(np.sqrt(res[mask]).mean())
             if count > best_count or mean_res < best_mean:
                 best_count, best_mean, best_mask = count, mean_res, mask.copy()
         miss_prob = (1.0 - (best_count / n) ** MIN_SAMPLE) ** (iteration + 1)
@@ -411,14 +419,16 @@ def evaluate(
     """
     if not 0 < meters_per_unit < math.inf:
         raise ValueError(f"meters_per_unit must be positive and finite, got {meters_per_unit}")
-    recon_row = dict(zip(recon.names, range(len(recon.names))))
-    found = np.fromiter(map(recon_row.get, manifest.names, repeat(-1)), np.int64)
-    rows = np.flatnonzero(found >= 0)
-    if len(rows) < MIN_SAMPLE:
-        raise InvariantViolation(f"{len(rows)} shared image name(s); need at least {MIN_SAMPLE}")
-    names = tuple(compress(manifest.names, (found >= 0).tolist()))
-    src = recon.positions[found[rows]]
-    dst = manifest.camera[rows]
+    if recon.names == manifest.names:  # as simrecon writes them: row k matches row k
+        names, src, dst = manifest.names, recon.positions, manifest.camera
+    else:
+        recon_row = dict(zip(recon.names, range(len(recon.names))))
+        found = np.fromiter(map(recon_row.get, manifest.names, repeat(-1)), np.int64)
+        rows = np.flatnonzero(found >= 0)
+        names = tuple(compress(manifest.names, (found >= 0).tolist()))
+        src, dst = recon.positions[found[rows]], manifest.camera[rows]
+    if len(names) < MIN_SAMPLE:
+        raise InvariantViolation(f"{len(names)} shared image name(s); need at least {MIN_SAMPLE}")
     transform, mask = ransac_align(src, dst, params)
     with np.errstate(over="ignore"):
         res_m = residuals(transform, src, dst) * meters_per_unit

@@ -201,7 +201,7 @@ def write_reconstruction(recon: ReconstructedSet) -> str:
 # --------------------------------------------------------------------------
 
 def write_report(report: AlignmentReport) -> str:
-    t, g = report.transform, "%.12g"  # the report writes twelve significant digits
+    t, g = report.transform, "%.12g"  # twelve significant digits; int64 flags take "%d"
     header = (
         f"scale {g}\nrotation{f' {g}' * 9}\ntranslation{f' {g}' * 3}\n"
         f"meters_per_unit {g}\naverage_error_m {g}\nmedian_error_m {g}\n"
@@ -211,7 +211,7 @@ def write_report(report: AlignmentReport) -> str:
         report.average_error_m, report.median_error_m, report.inlier_mask.sum(),
         len(report.residuals_m),
     )
-    columns = (report.names, report.residuals_m, report.inlier_mask)
+    columns = (report.names, report.residuals_m, report.inlier_mask.astype(np.int64))
     return header + textio.lines(f"residual %s {g} %d\n", columns)
 
 

@@ -15,12 +15,12 @@ lines to name the line and column of the first bad token.
 
 Every writer formats its rows with ``lines``; every format but the
 alignment report writes a float with six fractional digits (``FIXED``).
-A template of ``%d`` fields over int64 and ``%.6f`` fields over float64
-columns, led by at most one ``%s`` of names, is formatted a block at a time
-as one uint8 buffer, a byte per digit (NUL for a leading zero, dropped at the
-end), rounding as Python does: x * 1e6 near a half-integer is recomputed by
-Python's own ``%.6f``. A float of 2**42 / 1e6 or more, or one not finite,
-sends its block, and other templates every row, through ``%``.
+A template of ``%d`` (int64), ``%.6f`` and ``%.12g`` (float64) and ``%s``
+(names) fields is formatted a block at a time as one uint8 buffer, a byte per
+character (NUL for padding, dropped at the end), rounding as Python does: a
+scaled float near a half-integer goes through Python's own format. A block
+with a non-ASCII name or a NUL, a nan or inf, a ``%.6f`` float of 2**42 / 1e6
+or more, or a ``%.12g`` one with |x| < 1e-4 or rounding to 1e12 uses ``%``.
 """
 
 from __future__ import annotations
@@ -160,35 +160,35 @@ def error(text: str, line_no: int, j: int, message: str) -> ParseError:
     return ParseError(message, line=line_no, column=token.start() + 1)
 
 
-# lines() writes "%d" over int64 and FIXED over float64 into a uint8 buffer whose
-# row k is byte k of every line: a literal byte, "-" or NUL, or a decimal place of
-# a number (NUL for a leading zero). It is transposed once, and the NULs dropped.
-_BYTE_FIELDS = {"%d": np.int64, FIXED: np.float64}
-_FIELD = r"(%d|%\.6f)"  # compiled by re on first use, not at import
+# lines() writes "%d" over int64, FIXED and "%.12g" over float64 and "%s" over names
+# into a uint8 buffer whose row k is byte k of every line: a literal byte, "-" or NUL,
+# a byte of a NUL-padded name, or a decimal place of a number (NUL for a leading zero
+# or a dropped trailing one). It is transposed once, and the NULs dropped.
+_BYTE_FIELDS = {"%d": np.int64, FIXED: np.float64, "%.12g": np.float64, "%s": object}
+_FIELD = r"(%d|%\.6f|%\.12g|%s)"  # compiled by re on first use, not at import
 # x * 1e6 is rounded once, so it is off from the exact product by at most
 # 2**-53 of its size: rint of it rounds as "%.6f" rounds x unless it lies
 # within 2**-50 of its size (2**-8 at the limit) of a half-integer, and Python
 # formats those few values itself. A block holding a float of magnitude
-# _FIXED_LIMIT or more, or one not finite, goes row by row.
+# _FIXED_LIMIT or more, or one not finite, goes row by row. "%.12g" rounds
+# x * 10**(11 - e) the same way, e = floor(log10|x|) in [-4, 11].
 _FIXED_LIMIT = 2.0 ** 42 / 1e6
+_POW10 = np.array([float(10 ** k) for k in range(16)])  # exact: each is below 2**53
 _DOT = np.frombuffer(b".", np.uint8)[:, None]
 
 
 def lines(template: str, columns: Sequence[np.ndarray | Sequence[str]]) -> str:
     """``template % row`` for each row of the equal-length ``columns``, concatenated.
 
-    A column is an array or a sequence of strings, such as a names tuple.
+    A column is an array or a sequence of strings, such as a names tuple. The
+    module docstring says which blocks are written as bytes, and which by ``%``.
     """
-    rest = template[2:]  # a leading name field heads each line of the rest, formatted alone
-    if (template[:2] == "%s" and len(columns) > 1 and not isinstance(columns[0], np.ndarray)
-            and "%s" not in rest and rest[-1:] == "\n" and rest.splitlines(True) == [rest]):
-        return "".join(map(str.__add__, columns[0], lines(rest, columns[1:]).splitlines(True)))
     pieces = re.split(_FIELD, template)  # literal, field, literal, ..., literal
     as_bytes = (
         "%" not in "".join(pieces[::2]) and "\0" not in template  # NUL bytes are dropped
         and len(columns) == len(pieces) // 2
-        and all(isinstance(column, np.ndarray) and column.ndim == 1
-                and column.dtype == _BYTE_FIELDS[field]
+        and all((column.ndim == 1 and column.dtype == _BYTE_FIELDS[field])
+                if isinstance(column, np.ndarray) else field == "%s"
                 for field, column in zip(pieces[1::2], columns))
     )
     blocks = []
@@ -202,33 +202,63 @@ def lines(template: str, columns: Sequence[np.ndarray | Sequence[str]]) -> str:
     return "".join(blocks)
 
 
-def _format(pieces: list[str], cuts: list[np.ndarray]) -> str | None:
-    """The rows of ``cuts`` as ``lines`` writes them, or None if a float is out of range.
+def _format(pieces: list[str], cuts: list) -> str | None:
+    """The rows of ``cuts`` as ``lines`` writes them, or None if ``%`` must write them.
 
-    A line is its literals' bytes and, for each number, a "-" byte (if the block
-    holds a negative) and its digits, with FIXED's "." before the last six.
+    A line is its literals' bytes, each name's bytes and, for each number, a "-"
+    byte (if the block holds a negative) and its digits, a "." before any fraction.
     """
     literals = [np.frombuffer(piece.encode(), np.uint8)[:, None] for piece in pieces[::2]]
     parts = []  # (bytes, rows) arrays, or (bytes, 1) for the same bytes on every line
     for literal, field, cut in zip(literals, pieces[1::2], cuts):
         parts.append(literal)
-        if field == "%d":
-            negative = cut < 0
-            digits = _digits(np.abs(cut).view(np.uint64), 1)  # the view makes abs(-2**63) 2**63
-        else:
-            scaled = np.abs(cut)
-            if not (scaled < _FIXED_LIMIT).all():  # also false for nan
+        if field == "%s":  # joined by NULs, which no name may hold, and padded with them
+            try:
+                flat = np.frombuffer(("\0".join(cut) + "\0").encode("ascii"), np.uint8)
+            except (TypeError, UnicodeEncodeError):  # "%" writes str() of a non-str
                 return None
-            scaled *= 1e6
+            ends = np.flatnonzero(flat == 0)
+            if len(ends) != len(cut):  # a name holds a NUL
+                return None
+            starts = np.concatenate([[0], ends[:-1] + 1])
+            index = np.add.outer(np.arange((ends - starts).max()), starts)
+            parts.append(flat[np.minimum(index, ends, out=index)])
+            continue
+        magnitude, negative = np.abs(cut), np.signbit(cut)  # Python writes -0.000000 too
+        if field == "%d":
+            digits = [_digits(magnitude.view(np.uint64), 1)]  # abs(-2**63) viewed is 2**63
+        elif field == FIXED:
+            if not (magnitude < _FIXED_LIMIT).all():  # also false for nan
+                return None
+            scaled = magnitude * 1e6
             rounded = np.rint(scaled)
-            magnitude = rounded.astype(np.uint64)
             for i in np.flatnonzero(np.abs(scaled - rounded) > 0.5 - scaled * 2.0 ** -50).tolist():
-                magnitude[i] = int((FIXED % abs(cut[i])).replace(".", ""))
-            negative = np.signbit(cut)  # Python writes -0.000000 too
-            digits = _digits(magnitude, 7)
+                rounded[i] = int((FIXED % magnitude[i]).replace(".", ""))
+            digits = _digits(rounded, 7)
+            digits = [digits[:-6], _DOT, digits[-6:]]
+        else:
+            # Outside this range "%.12g" writes an exponent: 999999999999.5 rounds to 1e+12.
+            if not ((magnitude >= 1e-4) & (magnitude < 999999999999.5)).all():
+                return None
+            # Should log10 round across a power of ten, e is one off: m leaves [1e11, 1e12).
+            e = np.clip(np.floor(np.log10(magnitude)), -4, 11).astype(np.int64)
+            scaled = magnitude * _POW10[11 - e]
+            m = np.rint(scaled)
+            redo = (np.abs(scaled - m) > 0.5 - scaled * 2.0 ** -50) | (m < 1e11) | (m >= 1e12)
+            for i in np.flatnonzero(redo).tolist():
+                mantissa, exponent = ("%.11e" % magnitude[i]).split("e")
+                m[i], e[i] = int(mantissa.replace(".", "")), int(exponent)
+            whole = np.floor(m / _POW10[11 - e])  # integers below 2**53: each step is exact
+            fraction = (m - whole * _POW10[11 - e]) * _POW10[4 + e]  # 15 places
+            high = np.floor(fraction / 1e8)
+            fraction = np.concatenate([_digits(high, 7), _digits(fraction - high * 1e8, 8)])
+            kept = fraction != ord("0")  # then: a place at or before a non-zero one
+            for k in range(13, -1, -1):
+                kept[k] |= kept[k + 1]
+            digits = [_digits(whole, 1), _DOT * kept[0], fraction * kept]
         if negative.any():
             parts.append(negative.view(np.uint8)[None] * np.uint8(ord("-")))
-        parts += [digits] if field == "%d" else [digits[:-6], _DOT, digits[-6:]]
+        parts += digits
     parts.append(literals[-1])
     buf = np.empty((sum(map(len, parts)), len(cuts[0])), np.uint8)
     for part, stop in zip(parts, accumulate(map(len, parts))):
@@ -237,8 +267,8 @@ def _format(pieces: list[str], cuts: list[np.ndarray]) -> str | None:
 
 
 def _digits(magnitude: np.ndarray, shown: int) -> np.ndarray:
-    """The ASCII digits of uint64 ``magnitude``, a row per place, most significant first:
-    a leading zero is NUL unless it is in the lowest ``shown`` places."""
+    """The ASCII digits of whole numbers ``magnitude`` below 2**64, a row per place, most
+    significant first: a leading zero is NUL unless it is in the lowest ``shown`` places."""
     top = int(magnitude.max())
     kind = np.uint32 if top < 2 ** 32 else np.uint64  # uint32 division is about twice as fast
     places = max(len(str(top)), shown)

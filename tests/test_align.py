@@ -592,6 +592,29 @@ class TestWorkCounts:
             assert (subset_calls > 0) == can_reject
 
 
+class TestSquareBound:
+    @pytest.mark.parametrize("threshold", [
+        0.5, 0.1, 1 / 3, math.pi, 1e-3, 1e200, 1.5e154, 1e-160, 1e-162, 2e-308, 5e-324,
+    ])
+    def test_least_square_whose_root_reaches_the_threshold(self, threshold):
+        # 0.1, 1/3 and pi square inexactly; 1e200 squares to inf; 1e-160 and
+        # below square into the subnormals or to 0.
+        b = align._square_bound(threshold)
+        assert math.sqrt(b) >= threshold > math.sqrt(math.nextafter(b, 0.0))
+        # sqrt(x) < threshold exactly when x < b, over the floats around b.
+        around = [b]
+        for _ in range(8):
+            around = [math.nextafter(around[0], 0.0), *around, math.nextafter(around[-1], math.inf)]
+        for x in around:
+            assert (math.sqrt(x) < threshold) == (x < b)
+
+    def test_overflow_and_nan(self):
+        assert align._square_bound(1e200) == math.inf
+        squares = np.array([np.finfo(float).max, np.inf, np.nan])
+        assert ((squares < align._square_bound(1e200)) == [True, False, False]).all()
+        assert not (np.nan < align._square_bound(0.5))
+
+
 class TestRansacAlign:
     def _clean_instance(self, seed=0, n=60):
         rng = np.random.default_rng(seed)
@@ -748,6 +771,19 @@ def build_pair(gt, gauge, **sim_kwargs):
     return recon, manifest
 
 
+def dict_reference_report(recon, manifest, params):
+    """evaluate's report, its names matched through a comprehension over a dict."""
+    recon_row = {name: i for i, name in enumerate(recon.names)}
+    rows = [k for k, name in enumerate(manifest.names) if name in recon_row]
+    names = tuple(manifest.names[k] for k in rows)
+    src = recon.positions[[recon_row[name] for name in names]]
+    dst = manifest.camera[rows]
+    transform, mask = tk.ransac_align(src, dst, params)
+    res_m = align.residuals(transform, src, dst) * align.DEFAULT_METERS_PER_UNIT
+    return align.AlignmentReport(transform, mask, res_m, *align.error_statistics(res_m),
+                                 align.DEFAULT_METERS_PER_UNIT, names)
+
+
 class TestEvaluate:
     def test_exact_recovery_reports_zero(self):
         rng = np.random.default_rng(20)
@@ -833,20 +869,36 @@ class TestEvaluate:
             np.vstack([[(1e3, 0, 0)], recon.positions[keep], [(0, 1e3, 0)]]),
         )
         params = tk.RansacParams(seed=36)
-        recon_row = {name: i for i, name in enumerate(partial.names)}
-        rows = [k for k, name in enumerate(manifest.names) if name in recon_row]
-        names = tuple(manifest.names[k] for k in rows)
-        src = partial.positions[[recon_row[name] for name in names]]
-        dst = manifest.camera[rows]
-        transform, mask = tk.ransac_align(src, dst, params)
-        res_m = align.residuals(transform, src, dst) * align.DEFAULT_METERS_PER_UNIT
-        expected = align.AlignmentReport(transform, mask, res_m, *align.error_statistics(res_m),
-                                         align.DEFAULT_METERS_PER_UNIT, names)
+        expected = dict_reference_report(partial, manifest, params)
         report = tk.evaluate(partial, manifest, params)
         assert report == expected
         assert report.names == tuple(sorted(recon.names[i] for i in keep))
         assert report.average_error_m == expected.average_error_m
         assert report.median_error_m == expected.median_error_m
+
+    @pytest.mark.parametrize("variant", ["same order", "permuted", "subset", "superset"])
+    def test_name_matching_matches_a_dict_reference(self, variant):
+        # The same order takes evaluate's shortcut (row k matches row k); the
+        # others match by name. Each gives the report of matching by a dict.
+        rng = np.random.default_rng(38)
+        gt = rng.uniform(-30, 30, (60, 3))
+        gauge = tk.SimilarityTransform.from_z_rotation(2.0, -40.0, (1.0, 5.0, -2.0))
+        recon, manifest = build_pair(gt, gauge, noise_sigma=0.05, outlier_fraction=0.2,
+                                     outlier_radius=5.0, seed=39)
+        rows = {"same order": np.arange(60), "permuted": rng.permutation(60),
+                "subset": np.sort(rng.permutation(60)[:41]), "superset": np.arange(60)}[variant]
+        names, positions = [recon.names[i] for i in rows], recon.positions[rows]
+        if variant == "superset":
+            names, positions = names + ["foreign.png"], np.vstack([positions, [(1e3, 0, 0)]])
+        variant_recon = tk.ReconstructedSet(names, positions)
+        params = tk.RansacParams(seed=40)
+        expected = dict_reference_report(variant_recon, manifest, params)
+        report = tk.evaluate(variant_recon, manifest, params)
+        assert report == expected
+        assert (report.average_error_m, report.median_error_m) == (
+            expected.average_error_m, expected.median_error_m)
+        if variant != "subset":
+            assert report == tk.evaluate(recon, manifest, params)
 
     def test_two_shared_names_are_too_few(self):
         rng = np.random.default_rng(37)

@@ -572,8 +572,10 @@ class TestCalibrate:
 
 
 # sha256 of the README walkthrough outputs that pass through no BLAS or
-# LAPACK kernel, so that every CPU writes the same bytes. A change to any
-# of them must be deliberate and stated.
+# LAPACK kernel, so that every CPU writes the same bytes. recon.txt takes
+# one (N, 3) x (3, 3) product for the gauge; written at six decimals it is
+# the same under OPENBLAS_CORETYPE Prescott, Haswell and SkylakeX. A change
+# to any of them must be deliberate and stated.
 PINNED_SHA256 = {
     "trajectory_dense.txt": "52375c13ad7783b8059d45cef72e737949107724ccc9212863ebd2acadcd562a",
     "capture/6dpose_list.txt": "ac27c2bb015f55e31bd83815ef434ad07d6f3b5bcdd5d59936eccf7b878cbca7",
@@ -584,6 +586,7 @@ PINNED_SHA256 = {
         "5f5da5c2e4c2cfe13de0633b4afa160977efb01cd4bd245863d0fe9d4b6bb260",
     "snow_night/observations.txt":
         "6118961e0fe77487859b8b147efd6b2b6a42dc88d971214a72b852f8315e5e9f",
+    "recon.txt": "3f894a686e4148da6f981cc47148fdb16a975d87676b24278e79d4cfd2398e17",
     "subsample.txt": "ac8a1df21b0b2833a505a53a941b3a2db389454a7c76fecfdeca1286e8553c80",
     "perturbed.txt": "78819a35be6471ecf58ab2791529d7531ceebad489d8cb9e71e294357657f088",
     "world.ply": "b91ae6e39d370a34d187524b0214fe4797abcfe80bce306b56c73f425d3b2c6f",
@@ -773,6 +776,9 @@ class TestPinnedBytes:
              "--seed", 7],
             ["capture", "--trajectory", d / "trajectory_dense.txt", "--out-dir", d / "snow_night",
              "--seed", 7, "--weather", "snow", "--time", "night"],
+            ["simrecon", "--manifest", d / "capture" / "6dpose_list.txt", "--out", d / "recon.txt",
+             "--gauge-scale", 0.5, "--gauge-yaw", 45, "--gauge-translate", 10, -3, 2,
+             "--noise-sigma", 0.05, "--outlier-fraction", 0.2, "--outlier-radius", 5, "--seed", 7],
             ["subsample", "--manifest", d / "capture" / "6dpose_list.txt", "--stride", 7,
              "--out", d / "subsample.txt"],
             ["perturb", "--trajectory", d / "trajectory_dense.txt", "--out", d / "perturbed.txt",

@@ -539,8 +539,9 @@ def test_lines_rounds_every_tie_as_python():
 
 
 def test_lines_other_templates_match_percent_formatting():
-    # A "%s" of names heads lines whose "%.6f" takes the byte path; "%.12g" and
-    # columns of other dtypes go row by row. All write what "%" writes.
+    # Names and "%.6f" take the byte path; "%.12g" does too, but not for a block
+    # holding a value below 1e-4 (-2.5e-7 here), and columns of other dtypes go
+    # row by row. All write what "%" writes.
     names, values = ("a", "b"), np.array([0.1, -2.5e-7])
     assert textio.lines("%s %.6f\n", [names, values]) == "a 0.100000\nb -0.000000\n"
     assert textio.lines("%.12g\n", [values]) == "0.1\n-2.5e-07\n"
@@ -556,9 +557,9 @@ NAMED_ROW_FIELDS = {"%d": (INT64, np.int64), "%.6f": (ADVERSARIAL_FLOATS, np.flo
 @given(data=st.data(), block=st.integers(1, 9))
 @settings(max_examples=200, deadline=None)
 def test_lines_with_a_name_column_matches_percent_formatting(data, block):
-    # A leading "%s" over names heads the lines of the rest, which take the byte
-    # path unless their block holds a float of 2**42 / 1e6 or more, or a nan. A
-    # rest with a line break or another "%s" goes row by row.
+    # A leading "%s" over names takes the byte path with the rest of the line,
+    # unless its block holds a non-ASCII name, a NUL, or a float of 2**42 / 1e6
+    # or more, or a nan. A line break in the template or a name changes nothing.
     n = data.draw(st.integers(1, 40))
     fields = data.draw(st.lists(st.sampled_from(list(NAMED_ROW_FIELDS)), min_size=1, max_size=4))
     seps = data.draw(st.lists(st.sampled_from([" ", "", "\t", " | ", "\u2192 ", "\x0c", "\r"]),
@@ -581,11 +582,88 @@ def test_names_head_the_byte_path():
     assert formatted.call_count == 1
 
 
+# Floats for "%.12g": exact ties at the 12th significant digit (an integer of
+# 13 - j digits plus an odd multiple of 2**-j, exact in binary), floats near
+# a tie, powers of ten and their neighbours, [1e-4, 1e12) by decade and its
+# edges, and values the byte path leaves to "%".
+G12_TIES = st.integers(1, 12).flatmap(lambda j: st.builds(
+    lambda k, f: k + (2 * f + 1) / 2 ** j,
+    st.integers(10 ** (12 - j), 10 ** (13 - j) - 1), st.integers(0, 2 ** (j - 1) - 1)))
+G12_NEAR_TIES = st.builds(lambda m, e: (m + 0.5) * 10.0 ** (e - 11),
+                          st.integers(10 ** 11, 10 ** 12 - 1), st.integers(-4, 11))
+POWERS = [10.0 ** k for k in range(-6, 14)]
+G12_EDGES = st.sampled_from([
+    *POWERS, *np.nextafter(POWERS, 0).tolist(), *np.nextafter(POWERS, np.inf).tolist(),
+    1e-4, np.nextafter(1e-4, 0), 9.99999999999995e-05, np.nextafter(1e12, 0),
+    999999999999.9999, 999999999999.5, np.nextafter(999999999999.5, 0), 0.0, -0.0, 5e-324, 2.2e-308,
+    1e-310, float("nan"), float("inf"), float("-inf"),
+])
+G12_FLOATS = st.builds(
+    lambda x, sign: sign * x,
+    st.one_of(G12_TIES, G12_NEAR_TIES, G12_EDGES, st.floats(1e-4, 1e12),
+              st.integers(-4, 11).flatmap(lambda e: st.floats(10.0 ** e, 10.0 ** (e + 1)))),
+    st.sampled_from([1.0, -1.0]))
+# Names: mostly ones the byte path takes (ASCII without NUL, line breaks
+# included), and some that send their block to "%".
+NAMES = st.one_of(
+    st.text(st.characters(min_codepoint=1, max_codepoint=127), max_size=8),
+    st.text(max_size=6), st.text(max_size=5).map(lambda name: name + "\0"),
+)
+BYTE_FIELD_CELLS = {"%d": (INT64, np.int64), "%.6f": (ADVERSARIAL_FLOATS, np.float64),
+                    "%.12g": (G12_FLOATS, np.float64), "%s": (NAMES, None)}
+
+
+@given(data=st.data(), block=st.integers(1, 9))
+@settings(max_examples=300, deadline=None)
+def test_lines_with_g12_and_inner_names_matches_percent_formatting(data, block):
+    # "%.12g" and a "%s" that does not lead the line, among other byte fields.
+    n = data.draw(st.integers(1, 40))
+    others = data.draw(st.lists(st.sampled_from(list(BYTE_FIELD_CELLS)), max_size=3))
+    fields = data.draw(st.permutations(["%.12g", "%s", *others]))
+    seps = data.draw(st.lists(st.sampled_from([" ", "", "\t", " | ", "\u2192 ", "%% "]),
+                              min_size=len(fields), max_size=len(fields)))
+    template = "residual " + "".join(f + sep for f, sep in zip(fields, seps)) + "\n"
+    columns = []
+    for field in fields:
+        cells, dtype = BYTE_FIELD_CELLS[field]
+        cells = data.draw(st.lists(cells, min_size=n, max_size=n))
+        columns.append(tuple(cells) if dtype is None else np.array(cells, dtype))
+    rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns))
+    with mock.patch.object(textio, "_WRITE_BLOCK", block):
+        assert textio.lines(template, columns) == "".join(template % row for row in rows)
+
+
+def test_g12_byte_path_at_decade_edges():
+    # Each power of ten in [1e-4, 1e12), its neighbours one and two ulps away and
+    # values near its 12-digit ties, of either sign: one block, all by _format.
+    powers = 10.0 ** np.arange(-4, 13)
+    values = np.concatenate([np.nextafter(np.nextafter(powers, 0), 0), np.nextafter(powers, 0),
+                             powers, np.nextafter(powers, np.inf), powers * (1 + 5e-12),
+                             powers * (1 - 5e-13), powers * (1 - 5e-12)])
+    values = values[(values >= 1e-4) & (values < 999999999999.5)]  # below "1e+12"
+    values = np.concatenate([values, -values])
+    expected = "".join("%.12g\n" % v for v in values.tolist())
+    assert textio._format(["", "%.12g", "\n"], [values]) == expected
+    assert textio.lines("%.12g\n", [values]) == expected
+
+
+def test_g12_exponent_off_by_one_is_taken_from_python():
+    # A log10 that rounded across a power of ten would give an exponent one
+    # off: m then lies outside [1e11, 1e12), and "%.11e" gives m and e.
+    values = 10.0 ** np.random.default_rng(5).uniform(-4, 12, 200)  # 17 significant digits
+    values = np.concatenate([values, -values, 10.0 ** np.arange(-4, 12)])
+    log10 = np.log10
+    for off in (1, -1):
+        with mock.patch.object(np, "log10", lambda x: log10(x) + off):
+            assert textio._format(["", "%.12g", "\n"], [values]) == "".join(
+                "%.12g\n" % v for v in values.tolist())
+
+
 FORMAT = textio._format
 
 
 def test_benchmark_writers_take_the_byte_path(worked_sparse):
-    # The README walkthrough (capture and simrecon with --seed 7), written in
+    # The README walkthrough (capture, simrecon and align with --seed 7), written in
     # blocks of 128 rows: every block of every writer the benchmark times is
     # formatted by _format, and none falls back to "%".
     dense = poseio.read_dense(poseio.write_dense(trajectory.densify(worked_sparse)))
@@ -596,6 +674,7 @@ def test_benchmark_writers_take_the_byte_path(worked_sparse):
                                      conditions.ConditionSet(), 1.0, 7)
     gauge = align.SimilarityTransform.from_z_rotation(0.5, 45, (10, -3, 2))
     recon = simworld.simulate_reconstruction(manifest, gauge, 0.05, 0.2, 5, 7)
+    report = align.evaluate(recon, manifest, align.RansacParams(seed=7))
     writers = [
         (poseio.write_dense, dense, len(dense)),
         (poseio.write_manifest, manifest, len(manifest.names)),
@@ -603,6 +682,7 @@ def test_benchmark_writers_take_the_byte_path(worked_sparse):
         (simworld.write_world, world, len(world.landmarks)),
         (poseio.write_reconstruction, recon, len(recon.names)),
         (simworld.points_to_ply, world.landmarks, len(world.landmarks)),
+        (poseio.write_report, report, len(report.names)),
     ]
     for writer, value, rows in writers:
         blocks = []

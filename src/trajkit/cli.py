@@ -20,6 +20,7 @@ import re
 import sys
 import tempfile
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -27,13 +28,14 @@ from . import align, conditions, plotting, poseio, simworld, textio, trajectory
 from .errors import InputError, InvariantViolation
 
 
-def _write_text(path: Path, text: str) -> None:
-    """Atomic write: on any failure no partial output file remains."""
+def _write_text(path: Path, text: str | Iterable[str]) -> None:
+    """Atomic write of ``text``, or of its str pieces in order: on any failure
+    no partial output file remains."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent or ".", prefix=path.name + ".")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+            handle.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -119,19 +121,24 @@ def cmd_capture(args) -> int:
 
     intr = simworld.Intrinsics(args.focal, args.width, args.height, args.max_range)
     cond = _conditions_from(args)
-    manifest, observations = simworld.retrace(
+    groups = simworld.retrace_chunks(
         dense, world, intr, cond, base_pixel_sigma=args.pixel_sigma, seed=args.seed
     )
+    observed = 0
+
+    def counted():  # one group at a time: the observations never exist all at once
+        nonlocal observed
+        for group in groups:
+            observed += len(group[0])
+            yield group
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    _write_text(out_dir / "observations.txt", simworld.observation_text(len(dense), counted()))
+    manifest = simworld.capture_manifest(dense, cond)
     _write_text(out_dir / "6dpose_list.txt", poseio.write_manifest(manifest))
-    _write_text(out_dir / "observations.txt", simworld.write_observations(observations))
     _write_text(out_dir / "world.txt", simworld.write_world(world))
-    print(
-        f"captured {len(manifest.names)} frames, "
-        f"{observations.total_observations()} observations -> {out_dir}"
-    )
+    print(f"captured {len(manifest.names)} frames, {observed} observations -> {out_dir}")
     return 0
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -168,9 +168,16 @@ def _camera_axes(degrees: np.ndarray) -> np.ndarray:
 
 
 # Frames projected per step of retrace: a chunk's product takes 4 * _CHUNK * M
-# doubles, 1 MB for 500 landmarks. Camera blocks, 128 B a frame, are built per _GROUP.
+# doubles, 1 MB for 500 landmarks. Camera blocks, 128 B a frame, are built, and
+# observations handed out, per _GROUP.
 _CHUNK = 64
 _GROUP = 64 * _CHUNK
+
+
+def capture_manifest(dense: DenseTrajectory, cond: ConditionSet) -> CaptureManifest:
+    """The manifest of a capture: row k is frame k's pose, named ``frame_<k:06d>.png``."""
+    names = [f"frame_{k:06d}.png" for k in range(len(dense))]
+    return CaptureManifest(names, dense.camera, dense.rotation, cond)
 
 
 def retrace(
@@ -194,6 +201,27 @@ def retrace(
     discarded if noise pushes them out of the image. The dropout and noise
     draws of an observation are keyed on (seed, frame, landmark), so they
     depend neither on what else is visible nor on how frames are batched.
+    The observations are the groups of :func:`retrace_chunks`, concatenated.
+    """
+    groups = retrace_chunks(dense, world, intr, cond, base_pixel_sigma, seed)
+    columns = [np.concatenate(column) for column in zip(*groups)]
+    for column in columns:  # handed over: ObservationSet adopts them without a copy
+        column.setflags(write=False)
+    return capture_manifest(dense, cond), ObservationSet(*columns, len(dense))
+
+
+def retrace_chunks(
+    dense: DenseTrajectory,
+    world: World,
+    intr: Intrinsics,
+    cond: ConditionSet,
+    base_pixel_sigma: float = 1.0,
+    seed: int = 0,
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The observations of :func:`retrace`, as (frame, ids, uv) columns of 4096 frames at a time.
+
+    The arguments are checked on this call, before the first group is made;
+    each group's rows run by frame, then landmark id.
     """
     if not 0 <= base_pixel_sigma < math.inf:
         raise ValueError(f"base_pixel_sigma must be finite and >= 0, got {base_pixel_sigma}")
@@ -218,18 +246,18 @@ def retrace(
     reach = max_range * max_range - np.einsum("ij,ij->i", landmarks, landmarks)
     m = len(points)
     product = np.empty((4 * _CHUNK, m))  # reused by every chunk
-    columns = []
 
     def in_image(u, v):  # bounds inclusive
         return (u >= 0.0) & (u <= intr.width) & (v >= 0.0) & (v <= intr.height)
 
-    for group in range(0, len(dense), _GROUP):
+    def project(group):  # the columns of frames group .. group + _GROUP - 1
         camera = cameras[group:group + _GROUP]
         blocks = np.empty((len(camera), 4, 4))
         blocks[:, :3, :3] = _camera_axes(dense.rotation[group:group + _GROUP])
         blocks[:, :3, 3] = -np.einsum("fij,fj->fi", blocks[:, :3, :3], camera)
         blocks[:, 3, :3] = -2.0 * camera
         blocks[:, 3, 3] = np.einsum("ij,ij->i", camera, camera)
+        parts = []
         for start in range(0, len(camera), _CHUNK):
             chunk = blocks[start:start + _CHUNK]
             out = np.matmul(chunk.reshape(-1, 4), points.T, out=product[:4 * len(chunk)])
@@ -251,19 +279,18 @@ def retrace(
             inside = np.flatnonzero(in_image(u, v))
             frame, ids = np.divmod(visible[inside], m)
             frame += group + start
-            # Draw 0 decides dropout; draws 1 and 2 give Box-Muller noise to the survivors.
-            draws = rng.keyed_uniform(seed, frame[:, None], ids[:, None], np.arange(3))
-            kept = np.flatnonzero(draws[:, 0] >= drop)
-            du, dv = rng.box_muller(draws[kept, 1], draws[kept, 2], sigma)
+            # Draw 0 decides dropout; draws 1 and 2 give Box-Muller noise to the
+            # survivors, so only theirs are hashed.
+            prefix = rng.keyed_prefix(seed, frame, ids)
+            kept = np.flatnonzero(rng.draw(prefix, 0) >= drop)
+            survivors = prefix[kept]
+            du, dv = rng.box_muller(rng.draw(survivors, 1), rng.draw(survivors, 2), sigma)
             uv = np.column_stack([u[inside[kept]] + du, v[inside[kept]] + dv])
             keep = in_image(*uv.T)
-            columns.append((frame[kept[keep]], ids[kept[keep]], uv[keep]))
-    frame, ids, uv = (np.concatenate(column) for column in zip(*columns))
-    names = [f"frame_{k:06d}.png" for k in range(len(dense))]
-    return (
-        CaptureManifest(names, dense.camera, dense.rotation, cond),
-        ObservationSet(frame, ids, uv, len(dense)),
-    )
+            parts.append((frame[kept[keep]], ids[kept[keep]], uv[keep]))
+        return tuple(np.concatenate(column) for column in zip(*parts))
+
+    return map(project, range(0, len(dense), _GROUP))
 
 
 def outlier_indices(n: int, outlier_fraction: float, seed: int) -> np.ndarray:
@@ -348,9 +375,18 @@ def read_world(text: str) -> World:
     return World(np.column_stack(columns), seed=seed, bounds=bounds)
 
 
+def observation_text(n_frames: int, groups: Iterable[tuple]) -> Iterator[str]:
+    """The text of :func:`write_observations` in pieces: the header, then each group's rows.
+
+    A group is (frame, ids, uv) columns, as :func:`retrace_chunks` yields them.
+    """
+    yield f"# frames {n_frames}\n"
+    for frame, ids, uv in groups:
+        yield textio.lines(f"%d %d {FIXED} {FIXED}\n", (frame, ids, uv[:, 0], uv[:, 1]))
+
+
 def write_observations(obs: ObservationSet) -> str:
-    columns = (obs.frame, obs.ids, obs.uv[:, 0], obs.uv[:, 1])
-    return f"# frames {obs.n_frames}\n" + textio.lines(f"%d %d {FIXED} {FIXED}\n", columns)
+    return "".join(observation_text(obs.n_frames, [(obs.frame, obs.ids, obs.uv)]))
 
 
 def read_observations(text: str) -> ObservationSet:
@@ -372,9 +408,14 @@ def read_observations(text: str) -> ObservationSet:
     elif n_frames <= last:
         message = f"{n_frames} frames (line {frames_line}) do not hold frame index {last}"
         raise InvariantViolation(message)
-    # Group the lines by frame, keeping file order within a frame.
-    order = np.argsort(frame, kind="stable")
-    return ObservationSet(frame[order], ids[order], np.column_stack([u, v])[order], n_frames)
+    columns = [frame, ids, np.column_stack([u, v])]
+    if np.any(frame[1:] < frame[:-1]):
+        # Group the lines by frame, keeping file order within a frame.
+        order = np.argsort(frame, kind="stable")
+        columns = [column[order] for column in columns]
+    for column in columns:  # handed over: ObservationSet adopts them without a copy
+        column.setflags(write=False)
+    return ObservationSet(*columns, n_frames)
 
 
 def points_to_ply(points: np.ndarray) -> str:

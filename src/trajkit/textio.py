@@ -217,9 +217,14 @@ def _format(pieces: list[str], cuts: list) -> str | None:
                 flat = np.frombuffer(("\0".join(cut) + "\0").encode("ascii"), np.uint8)
             except (TypeError, UnicodeEncodeError):  # "%" writes str() of a non-str
                 return None
-            ends = np.flatnonzero(flat == 0)
-            if len(ends) != len(cut):  # a name holds a NUL
+            nul = flat == 0
+            if np.count_nonzero(nul) != len(cut):  # a name holds a NUL
                 return None
+            width = len(flat) // len(cut)  # each name's length plus its NUL, if all are equal
+            if width * len(cut) == len(flat) and nul[width - 1::width].all():
+                parts.append(flat.reshape(-1, width)[:, :-1].T)
+                continue
+            ends = np.flatnonzero(nul)
             starts = np.concatenate([[0], ends[:-1] + 1])
             index = np.add.outer(np.arange((ends - starts).max()), starts)
             parts.append(flat[np.minimum(index, ends, out=index)])

@@ -15,7 +15,8 @@ Angle and frame conventions used throughout the toolkit:
 All operations are pure functions of their inputs plus an explicit seed.
 Constructed values are immutable: every value type is declared through
 value_type, which stores each array field through frozen_array (convert,
-check shape and finiteness, copy, make read-only), checks that its rows
+check shape and finiteness, copy unless the array is already a read-only
+owner, make read-only), checks that its rows
 align, and compares by value through equal_by_value.
 """
 
@@ -38,9 +39,13 @@ def frozen_array(values, shape: tuple[int, ...], dtype=float, *, name: str) -> n
     """A read-only ``dtype`` copy of ``values``, for the array field ``name`` of a value type.
 
     Its shape must match ``shape``, where -1 admits any length, and every
-    entry must be finite; else ValueError naming the field.
+    entry must be finite; else ValueError naming the field. An ndarray that
+    is read-only, owns its data and already has the dtype is adopted, not
+    copied: the caller hands it over and must not make it writable again.
     """
-    arr = np.array(values, dtype=dtype)
+    adopt = (type(values) is np.ndarray and values.base is None
+             and not values.flags.writeable and values.dtype == dtype)
+    arr = values if adopt else np.array(values, dtype=dtype)
     if arr.ndim != len(shape) or any(n not in (-1, m) for n, m in zip(shape, arr.shape)):
         raise ValueError(f"{name} must have shape {shape}, got {arr.shape}".replace("-1", "N"))
     if arr.dtype.kind == "f" and not np.isfinite(arr).all():

@@ -805,6 +805,20 @@ class TestEvaluate:
         assert mean == pytest.approx(0.8 / 3)
         assert median == pytest.approx(0.2)
 
+    def test_error_statistics_median_is_numpys_bit_for_bit(self):
+        # Odd and even counts, ties, +-0.0 and nan, against np.median itself.
+        g = np.random.default_rng(33)
+        for trial in range(20_000):
+            n = int(g.integers(1, 12))
+            if trial % 2:
+                values = g.choice([0.0, -0.0, 0.25, 1.0, 1e-300, 3.5], n)
+            else:
+                values = g.exponential(1.0, n)
+            if trial % 97 == 0:
+                values[g.integers(n)] = np.nan
+            _, median = align.error_statistics(values)
+            assert np.float64(median).tobytes() == np.median(values).tobytes()
+
     def test_errors_scale_linearly_with_meters_per_unit(self):
         rng = np.random.default_rng(22)
         gt = rng.uniform(-30, 30, (40, 3))

@@ -6,6 +6,10 @@ import hashlib
 import math
 import os
 import re
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -194,6 +198,38 @@ class TestCapture:
         assert 0 < np.abs(back.landmarks - drawn.landmarks).max() <= 5e-7
         assert "captured 338 frames" in capsys.readouterr().out
 
+    def test_streamed_observations_equal_the_in_process_writer(self, worked_files, tmp_path):
+        # 13,501 frames, four groups of 4096: the CLI writes observations.txt a
+        # group at a time. Its bytes are write_observations(retrace(...))'s, and
+        # its peak is under half of what that in-process pair takes.
+        vertex, order = worked_files
+        traj, world_file, cap = tmp_path / "slow.txt", tmp_path / "world.txt", tmp_path / "cap"
+        assert run(["densify", "--vertices", vertex, "--orders", order, "--out", traj,
+                    "--speed", 0.04]) == 0
+        box = simworld.Box((-25.0, -25.0, 0.0), (27.0, 27.0, 15.0))
+        world_file.write_text(simworld.write_world(simworld.generate_world(7, 500, box)))
+        dense = poseio.read_dense(traj.read_text())
+        world = simworld.read_world(world_file.read_text())
+        assert len(dense) == 13_501
+
+        peaks = []
+        for step in ("cli", "in process"):
+            tracemalloc.start()
+            try:
+                if step == "cli":
+                    assert run(["capture", "--trajectory", traj, "--out-dir", cap, "--seed", 7,
+                                "--world", world_file]) == 0
+                else:
+                    _, obs = simworld.retrace(dense, world, simworld.default_intrinsics(),
+                                              ConditionSet(), seed=7)
+                    text = simworld.write_observations(obs)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert obs.total_observations() > 300_000
+        assert (cap / "observations.txt").read_bytes() == text.encode()
+        assert peaks[0] < peaks[1] / 2
+
 
 class TestWriteText:
     def test_failed_rename_leaves_no_file(self, tmp_path, monkeypatch):
@@ -204,6 +240,18 @@ class TestWriteText:
         with pytest.raises(OSError, match="rename failed"):
             cli._write_text(tmp_path / "out.txt", "text\n")
         assert list(tmp_path.iterdir()) == []
+
+    def test_pieces_written_in_order_and_a_failing_one_leaves_no_file(self, tmp_path):
+        cli._write_text(tmp_path / "out.txt", iter(["a\n", "", "bc\n"]))
+        assert (tmp_path / "out.txt").read_bytes() == b"a\nbc\n"
+
+        def pieces():
+            yield "partial\n"
+            raise ValueError("piece failed")
+
+        with pytest.raises(ValueError, match="piece failed"):
+            cli._write_text(tmp_path / "bad.txt", pieces())
+        assert [path.name for path in tmp_path.iterdir()] == ["out.txt"]
 
 
 class TestPipeline:
@@ -433,6 +481,22 @@ class TestNumericFlags:
         assert run(["align", "--recon", recon, "--manifest", manifest,
                     "--out", tmp_path / "report.txt"]) == 0
         assert "inliers 338/338" in capsys.readouterr().out
+
+
+def test_align_leaves_numpy_ma_unimported(walkthrough, tmp_path):
+    # np.median imports numpy.ma on its first call, about 10 ms of a fresh
+    # process; align's median does without it. Before numpy 2.0, numpy itself
+    # imports numpy.ma, and then this holds trivially.
+    script = ("import sys\nfrom trajkit.cli import main\nbefore = 'numpy.ma' in sys.modules\n"
+              "rc = main(sys.argv[1:])\nsys.exit(rc or 3 * (('numpy.ma' in sys.modules) != before))\n")
+    args = ["align", "--recon", walkthrough / "recon.txt",
+            "--manifest", walkthrough / "capture" / "6dpose_list.txt", "--out", tmp_path / "r.txt"]
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    result = subprocess.run([sys.executable, "-c", script, *map(str, args)], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("average_error ")
 
 
 class TestPerturbCommand:

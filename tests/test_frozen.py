@@ -1,5 +1,6 @@
 """The freeze rule that every value type keeps: each array field is a read-only,
-finite copy of a fixed shape, made by trajectory.frozen_array."""
+finite copy of a fixed shape (or an adopted read-only owner), made by
+trajectory.frozen_array."""
 
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import trajkit as tk
-from trajkit.trajectory import equal_by_value
+from trajkit.trajectory import equal_by_value, frozen_array
 
 TRANSFORM = tk.SimilarityTransform.from_z_rotation(2.0, 30.0, (1.0, 2.0, 3.0))
 
@@ -139,6 +140,33 @@ def test_stored_array_is_a_read_only_copy(cls, field):
     # Changing the caller's array afterwards leaves the value as it was.
     value[...] = 7
     np.testing.assert_array_equal(stored, valid(cls, field))
+
+
+def test_read_only_owner_adopted_and_read_only_view_copied():
+    owner = np.array([[1.0, 2.0], [3.0, 4.0]])
+    owner.setflags(write=False)
+    assert frozen_array(owner, (-1, 2), name="uv") is owner
+    assert tk.ObservationSet([0, 1], [3, 4], owner, 2).uv is owner
+    # A read-only view of a writable base could change through the base; an
+    # owner of another dtype must be converted: both are copied.
+    base = np.array([[1.0, 2.0], [3.0, 4.0]])
+    view = base[:]
+    view.setflags(write=False)
+    ints = np.array([[1, 2], [3, 4]])
+    ints.setflags(write=False)
+    copies = [frozen_array(given, (-1, 2), name="uv") for given in (view, ints)]
+    for given, stored in zip((view, ints), copies):
+        assert stored is not given and stored.dtype == np.float64 and not stored.flags.writeable
+    base[0, 0] = 7.0
+    assert copies[0][0, 0] == 1.0
+    assert tk.ObservationSet([0, 1], [3, 4], view, 2).uv is not view
+    # Adopted, it is still checked.
+    nan = np.array([[np.nan, 0.0]])
+    nan.setflags(write=False)
+    with pytest.raises(ValueError, match="^uv must be finite$"):
+        frozen_array(nan, (-1, 2), name="uv")
+    with pytest.raises(ValueError, match="must have shape"):
+        frozen_array(owner, (-1, 3), name="uv")
 
 
 # A valid value of each array field that differs from the one in VALUES:

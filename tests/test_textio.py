@@ -582,6 +582,27 @@ def test_names_head_the_byte_path():
     assert formatted.call_count == 1
 
 
+def test_names_of_equal_and_unequal_widths_in_one_call():
+    # Blocks of three names: of one width (read as a view of the joined bytes),
+    # of unequal widths, and of unequal widths whose joined length is a
+    # multiple of three; all by the byte path, as "%" writes them.
+    names = ("ab", "cd", "ef", "a", "bcd", "", "abc", "d", "ef", "", "", "", "x\ny", "z\rw", "q.p")
+    values = np.arange(len(names)) - 7.25
+    template = "%s %.6f\n"
+    results = []
+
+    def recorded(pieces, cuts):
+        results.append(format_block(pieces, cuts))
+        return results[-1]
+
+    format_block = textio._format
+    with mock.patch.object(textio, "_WRITE_BLOCK", 3), \
+            mock.patch.object(textio, "_format", recorded):
+        written = textio.lines(template, [names, values])
+    assert written == "".join(template % row for row in zip(names, values.tolist()))
+    assert len(results) == 5 and None not in results
+
+
 # Floats for "%.12g": exact ties at the 12th significant digit (an integer of
 # 13 - j digits plus an odd multiple of 2**-j, exact in binary), floats near
 # a tie, powers of ten and their neighbours, [1e-4, 1e12) by decade and its

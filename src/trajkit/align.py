@@ -40,6 +40,9 @@ DEFAULT_METERS_PER_UNIT = DEFAULT_STRIDE_M / 0.9
 _ORTHO_TOL = 1e-9
 # Points in a minimal RANSAC sample: three non-collinear points fix a similarity.
 MIN_SAMPLE = 3
+# RANSAC iteration budget: 500 times the default, enough for 99.9% confidence
+# down to a 2% inlier ratio (ln 1e-3 / ln(1 - 0.02**3) is about 863,000).
+MAX_ITERATIONS = 1_000_000
 # RANSAC iterations whose samples are drawn and fitted in one call: a stack of
 # 64 fits costs about 3 times one of 8, not 8 times.
 _BLOCK = 64
@@ -54,7 +57,7 @@ _PRE = 512
 _PRE_MISS = 1e-9
 
 
-@value_type(rotation=(3, 3), translation=(3,))
+@value_type(rotation=(3, 3), translation=(3,), scale=float)
 class SimilarityTransform:
     """x -> scale * rotation @ x + translation, scale > 0, rotation in SO(3)."""
 
@@ -71,7 +74,6 @@ class SimilarityTransform:
             raise InvariantViolation("rotation is not orthonormal within 1e-9")
         if abs(np.linalg.det(self.rotation) - 1.0) > _ORTHO_TOL:
             raise InvariantViolation("rotation determinant is not +1 within 1e-9")
-        object.__setattr__(self, "scale", float(self.scale))
 
     @classmethod
     def identity(cls) -> SimilarityTransform:
@@ -115,9 +117,13 @@ class RansacParams:
             raise ValueError(f"confidence must lie in (0, 1), got {self.confidence}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
+        if self.max_iterations > MAX_ITERATIONS:
+            raise InvariantViolation(f"{self.max_iterations} RANSAC iterations exceed the limit "
+                                     f"of {MAX_ITERATIONS}")
 
 
-@value_type("names", "inlier_mask", "residuals_m", inlier_mask=((-1,), bool), residuals_m=(-1,))
+@value_type("names", "inlier_mask", "residuals_m",
+            inlier_mask=((-1,), bool), residuals_m=(-1,), names=tuple)
 class AlignmentReport:
     """Alignment result plus error statistics over all matched points."""
 
@@ -128,9 +134,6 @@ class AlignmentReport:
     median_error_m: float
     meters_per_unit: float
     names: tuple[str, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "names", tuple(self.names))
 
 
 def _point_pairs(src, dst) -> tuple[np.ndarray, np.ndarray]:

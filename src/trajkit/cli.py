@@ -64,14 +64,13 @@ def _conditions_from(args) -> conditions.ConditionSet:
 # Subcommands
 # --------------------------------------------------------------------------
 
-def cmd_expand(args) -> int:
+def cmd_expand(args) -> None:
     sparse = _load_sparse(args)
     path = trajectory.expand_visitation(sparse)
     print(" ".join(plotting.roman_numeral(i + 1) for i in path))
-    return 0
 
 
-def cmd_densify(args) -> int:
+def cmd_densify(args) -> None:
     sparse = _load_sparse(args)
     orientations = None
     if args.orientations:
@@ -91,18 +90,16 @@ def cmd_densify(args) -> int:
         dense = trajectory.DenseTrajectory(dense.protagonist, dense.camera, orientations)
     _write_text(args.out, poseio.write_dense(dense))
     print(f"wrote {len(dense)} frames to {args.out}")
-    return 0
 
 
-def cmd_perturb(args) -> int:
+def cmd_perturb(args) -> None:
     dense = poseio.read_dense(_read_text(args.trajectory))
     noisy = trajectory.perturb(dense, args.pos_sigma, args.yaw_sigma, args.seed)
     _write_text(args.out, poseio.write_dense(noisy))
     print(f"wrote {len(noisy)} perturbed frames to {args.out}")
-    return 0
 
 
-def cmd_capture(args) -> int:
+def cmd_capture(args) -> None:
     dense = poseio.read_dense(_read_text(args.trajectory))
 
     if args.world:
@@ -139,10 +136,9 @@ def cmd_capture(args) -> int:
     _write_text(out_dir / "6dpose_list.txt", poseio.write_manifest(manifest))
     _write_text(out_dir / "world.txt", simworld.write_world(world))
     print(f"captured {len(manifest.names)} frames, {observed} observations -> {out_dir}")
-    return 0
 
 
-def cmd_simrecon(args) -> int:
+def cmd_simrecon(args) -> None:
     manifest = poseio.read_manifest(_read_text(args.manifest))
     gauge = align.SimilarityTransform.from_z_rotation(
         args.gauge_scale, args.gauge_yaw, args.gauge_translate
@@ -153,10 +149,9 @@ def cmd_simrecon(args) -> int:
     )
     _write_text(args.out, poseio.write_reconstruction(recon))
     print(f"wrote {len(recon.names)} reconstructed positions to {args.out}")
-    return 0
 
 
-def cmd_align(args) -> int:
+def cmd_align(args) -> None:
     recon = poseio.read_reconstruction(_read_text(args.recon))
     manifest = poseio.read_manifest(_read_text(args.manifest))
     params = align.RansacParams(threshold=args.threshold, max_iterations=args.max_iterations,
@@ -166,18 +161,16 @@ def cmd_align(args) -> int:
     print(f"average_error {report.average_error_m:.6f} m")
     print(f"median_error {report.median_error_m:.6f} m")
     print(f"inliers {int(report.inlier_mask.sum())}/{len(report.residuals_m)}")
-    return 0
 
 
-def cmd_calibrate(args) -> int:
+def cmd_calibrate(args) -> None:
     (x, y, z, steps), _ = textio.table(_read_text(args.samples), (float, float, float, int))
     samples = list(zip(np.column_stack([x, y, z]).tolist(), steps.tolist()))
     value = align.calibrate_unit_scale(samples, stride_m=args.stride_m)
     print(f"{value:.6f}")
-    return 0
 
 
-def cmd_subsample(args) -> int:
+def cmd_subsample(args) -> None:
     if args.stride < 1:
         raise InputError(f"stride must be >= 1, got {args.stride}")
     manifest = poseio.read_manifest(_read_text(args.manifest))
@@ -187,10 +180,9 @@ def cmd_subsample(args) -> int:
     )
     _write_text(args.out, poseio.write_manifest(reduced))
     print(f"kept {len(reduced.names)} of {len(manifest.names)} records")
-    return 0
 
 
-def cmd_plot(args) -> int:
+def cmd_plot(args) -> None:
     if bool(args.vertices) != bool(args.orders):
         raise InputError("--vertices and --orders must be given together")
     sparse = _load_sparse(args) if args.vertices else None
@@ -199,10 +191,9 @@ def cmd_plot(args) -> int:
         raise InputError("plot needs --vertices/--orders and/or --trajectory")
     _write_text(args.out, plotting.plot_svg(sparse=sparse, dense=dense))
     print(f"wrote {args.out}")
-    return 0
 
 
-def cmd_export_ply(args) -> int:
+def cmd_export_ply(args) -> None:
     if args.world:
         cloud = simworld.points_to_ply(simworld.read_world(_read_text(args.world)).landmarks)
     else:
@@ -210,7 +201,6 @@ def cmd_export_ply(args) -> int:
         cloud = simworld.points_to_ply(recon.positions)
     _write_text(args.out, cloud)
     print(f"wrote {args.out}")
-    return 0
 
 
 # --------------------------------------------------------------------------
@@ -339,13 +329,14 @@ def main(argv: list[str] | None = None) -> int:
             raise
         return 1
     try:
-        return args.func(args)
+        args.func(args)
     except InvariantViolation as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (InputError, OSError, OverflowError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

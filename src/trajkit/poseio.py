@@ -114,7 +114,7 @@ def _single_tokens(names: tuple[str, ...]) -> bool:
             and not joined.startswith("#") and " #" not in joined)
 
 
-@value_type("names", "camera", "rotation", camera=(-1, 3), rotation=(-1, 3))
+@value_type("names", "camera", "rotation", camera=(-1, 3), rotation=(-1, 3), names=_check_names)
 class CaptureManifest:
     """Frame-ordered camera poses tagged with their condition set.
 
@@ -126,9 +126,6 @@ class CaptureManifest:
     camera: np.ndarray
     rotation: np.ndarray
     conditions: ConditionSet = field(default_factory=ConditionSet)
-
-    def __post_init__(self):
-        object.__setattr__(self, "names", _check_names(self.names))
 
 
 def write_manifest(manifest: CaptureManifest) -> str:
@@ -168,7 +165,7 @@ def read_manifest(text: str) -> CaptureManifest:
 # Reconstructed camera positions
 # --------------------------------------------------------------------------
 
-@value_type("names", "positions", positions=(-1, 3))
+@value_type("names", "positions", positions=(-1, 3), names=_check_names)
 class ReconstructedSet:
     """Externally reconstructed camera positions, in reconstruction-frame units.
 
@@ -177,9 +174,6 @@ class ReconstructedSet:
 
     names: tuple[str, ...]
     positions: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "names", _check_names(self.names))
 
 
 def read_reconstruction(text: str) -> ReconstructedSet:
@@ -216,18 +210,23 @@ def write_report(report: AlignmentReport) -> str:
 
 
 def read_report(text: str) -> AlignmentReport:
-    keyed, names, meters, inliers = {}, [], [], []
+    keyed, tokens, line_nos, fault = {}, [], [], None
     for line_no, fields in textio.record_fields(text):
         if fields[0] != "residual":
             keyed[fields[0]] = line_no, fields
         elif len(fields) != 4:
-            raise ParseError(f"expected 4 fields, got {len(fields)}", line=line_no)
+            fault = ParseError(f"expected 4 fields, got {len(fields)}", line=line_no)
+            break
         elif fields[3] not in ("0", "1"):
-            raise textio.error(text, line_no, 3, f"inlier flag must be 0 or 1, got {fields[3]!r}")
+            fault = textio.error(text, line_no, 3, f"inlier flag must be 0 or 1, got {fields[3]!r}")
+            break
         else:
-            names.append(fields[1])
-            meters.append(textio.numbers(text, line_no, fields[:3], float, start=2)[0])
-            inliers.append(fields[3] == "1")
+            tokens += fields
+            line_nos.append(line_no)
+    # The distances go in one call, before a fault: a bad distance above it comes first.
+    _, names, meters, flags = textio.to_columns(text, tokens, line_nos, (str, str, float, int))
+    if fault is not None:
+        raise fault
 
     def value(key: str, count: int = 1, kind: type = float) -> np.ndarray:
         if key not in keyed:
@@ -241,15 +240,15 @@ def read_report(text: str) -> AlignmentReport:
         transform=SimilarityTransform(
             value("scale")[0], value("rotation", 9).reshape(3, 3), value("translation", 3)
         ),
-        inlier_mask=inliers,
+        inlier_mask=flags == 1,
         residuals_m=meters,
         average_error_m=float(value("average_error_m")[0]),
         median_error_m=float(value("median_error_m")[0]),
         meters_per_unit=float(value("meters_per_unit")[0]),
-        names=tuple(names),
+        names=names,
     )
     # A count line is optional, but must match the residual lines.
-    for key, counted, what in (("inlier_count", sum(inliers), "inlier residual"),
+    for key, counted, what in (("inlier_count", np.count_nonzero(flags), "inlier residual"),
                                ("total_count", len(names), "residual")):
         if key in keyed and (stated := value(key, kind=int)[0]) != counted:
             raise InvariantViolation(f"{key} {stated} (line {keyed[key][0]}) does not match "

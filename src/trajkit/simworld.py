@@ -96,7 +96,8 @@ class FrameObservations(NamedTuple):
     uv: np.ndarray    # (K, 2) pixel coordinates
 
 
-@value_type("frame", "ids", "uv", frame=((-1,), np.int64), ids=((-1,), np.int64), uv=(-1, 2))
+@value_type("frame", "ids", "uv", frame=((-1,), np.int64), ids=((-1,), np.int64), uv=(-1, 2),
+            n_frames=int)
 class ObservationSet:
     """Every landmark projection of a capture, as flat columns sorted by frame.
 
@@ -111,14 +112,13 @@ class ObservationSet:
     n_frames: int
 
     def __post_init__(self):
-        frame, n_frames = self.frame, int(self.n_frames)
+        frame, n_frames = self.frame, self.n_frames
         if np.any(frame[1:] < frame[:-1]):
             raise ValueError("observations must be sorted by frame")
         if n_frames < 0 or len(frame) and not 0 <= frame[0] <= frame[-1] < n_frames:
             raise ValueError(f"frame indices must lie in 0..{n_frames - 1}")
         if n_frames > MAX_FRAMES:
             raise InvariantViolation(f"{n_frames} frames exceed the limit of {MAX_FRAMES}")
-        object.__setattr__(self, "n_frames", n_frames)
 
     @property
     def frames(self) -> tuple[FrameObservations, ...]:

@@ -88,7 +88,7 @@ def table(text: str, types: Sequence[type]) -> tuple[list, list[tuple[int, list[
                 else:
                     line_nos.append(line_no)
                     tokens += fields
-            columns = _columns(text, tokens, line_nos, types)
+            columns = to_columns(text, tokens, line_nos, types)
         for part, column in zip(parts, columns):
             part.append(column)
     columns = [
@@ -129,10 +129,12 @@ def numbers(
 ) -> np.ndarray:
     """Fields ``start`` onward of line ``line_no`` of ``text``, as numbers of one kind."""
     types = (str,) * start + (kind,) * (len(fields) - start)
-    return np.concatenate(_columns(text, fields, [line_no], types)[start:])
+    return np.concatenate(to_columns(text, fields, [line_no], types)[start:])
 
 
-def _columns(text: str, tokens: list[str], line_nos: Sequence[int], types: Sequence[type]) -> list:
+def to_columns(
+    text: str, tokens: list[str], line_nos: Sequence[int], types: Sequence[type]
+) -> list:
     """The flat ``tokens`` of the records at ``line_nos``, one column per type in ``types``."""
     width = len(types)
     try:

@@ -16,14 +16,16 @@ All operations are pure functions of their inputs plus an explicit seed.
 Constructed values are immutable: every value type is declared through
 value_type, which stores each array field through frozen_array (convert,
 check shape and finiteness, copy unless the array is already a read-only
-owner, make read-only), checks that its rows
-align, and compares by value through equal_by_value.
+owner, make read-only) and each other declared field (names, steps, counts,
+scale) through its converter, checks that its rows align, and compares by
+value through equal_by_value.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -62,23 +64,29 @@ def equal_by_value(a, b) -> bool:
     )
 
 
-def value_type(*rows: str, **arrays):
+def value_type(*rows: str, **fields):
     """Class decorator: a frozen dataclass compared by equal_by_value.
 
-    Each keyword declares an array field, ``name=shape`` or ``name=(shape, dtype)``,
-    stored through frozen_array before the class's own ``__post_init__`` checks
-    its domain rules; last, the fields named in ``rows`` must have equal length.
+    Each keyword declares a field, stored in keyword order before the class's
+    own ``__post_init__`` checks its domain rules: ``name=shape`` or
+    ``name=(shape, dtype)`` an array field, stored through frozen_array, and
+    ``name=convert`` any other field, stored as ``convert(value)``. Last, the
+    fields named in ``rows`` must have equal length.
     """
-    specs = {name: spec if isinstance(spec[0], tuple) else (spec, float)
-             for name, spec in arrays.items()}
+    def converter(name, spec):
+        if callable(spec):
+            return spec
+        shape, dtype = spec if isinstance(spec[0], tuple) else (spec, float)
+        return partial(frozen_array, shape=shape, dtype=dtype, name=name)
+
+    converters = {name: converter(name, spec) for name, spec in fields.items()}
 
     def declare(cls):
         domain_rules = cls.__dict__.get("__post_init__", lambda self: None)
 
         def __post_init__(self):
-            for name, (shape, dtype) in specs.items():
-                value = frozen_array(getattr(self, name), shape, dtype, name=name)
-                object.__setattr__(self, name, value)
+            for name, convert in converters.items():
+                object.__setattr__(self, name, convert(getattr(self, name)))
             domain_rules(self)
             if len({len(getattr(self, name)) for name in rows}) > 1:
                 raise ValueError(f"{', '.join(rows[:-1])} and {rows[-1]} must have equal length")
@@ -89,7 +97,7 @@ def value_type(*rows: str, **arrays):
     return declare
 
 
-@value_type(vertices=(-1, 2))
+@value_type(vertices=(-1, 2), orders=lambda orders: tuple(tuple(map(int, s)) for s in orders))
 class SparseTrajectory:
     """User-authored waypoints plus their visitation steps.
 
@@ -101,11 +109,6 @@ class SparseTrajectory:
 
     vertices: np.ndarray
     orders: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "orders", tuple(tuple(int(s) for s in steps) for steps in self.orders)
-        )
 
 
 @value_type("protagonist", "camera", "rotation",

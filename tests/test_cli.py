@@ -769,6 +769,10 @@ ERROR_CONTRACT = [
     ("zero iterations", ["align", "--recon", "foreign.txt", "--manifest", "manifest.txt",
                          "--out", "out", "--max-iterations", "0"],
      1, "max_iterations must be at least 1"),
+    # The iteration budget is checked before any sample is drawn; no report.txt is written.
+    ("iteration budget", ["align", "--recon", "foreign.txt", "--manifest", "manifest.txt",
+                          "--out", "report.txt", "--max-iterations", "100000000000"],
+     2, "100000000000 RANSAC iterations exceed the limit of 1000000"),
     ("confidence of 1", ["align", "--recon", "foreign.txt", "--manifest", "manifest.txt",
                          "--out", "out", "--confidence", "1"],
      1, "confidence must lie in (0, 1), got 1.0"),

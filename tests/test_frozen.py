@@ -1,6 +1,7 @@
 """The freeze rule that every value type keeps: each array field is a read-only,
 finite copy of a fixed shape (or an adopted read-only owner), made by
-trajectory.frozen_array."""
+trajectory.frozen_array, and each other declared field is stored through its
+converter."""
 
 from __future__ import annotations
 
@@ -185,3 +186,35 @@ def test_compares_by_value(cls, field):
     assert not value != build(cls, field, valid(cls, field))
     changed = build(cls, field, CHANGED.get((cls, field), valid(cls, field)[::-1]))
     assert value != changed and not value == changed
+
+
+# Per converter field: a value of another type, and the value stored.
+CONVERTED = {
+    (tk.CaptureManifest, "names"): (["a.png", "b.png"], ("a.png", "b.png")),
+    (tk.ReconstructedSet, "names"): (["a.png", "b.png"], ("a.png", "b.png")),
+    (tk.AlignmentReport, "names"): (["a.png", "b.png"], ("a.png", "b.png")),
+    (tk.SparseTrajectory, "orders"): ([np.array([1], np.int32), [np.int64(2)]], ((1,), (2,))),
+    (tk.ObservationSet, "n_frames"): (np.int64(2), 2),
+    (tk.SimilarityTransform, "scale"): (np.float64(2.0), 2.0),
+}
+
+
+def kinds(value):
+    """The type of ``value``, and of each of its items if it is a tuple."""
+    return (tuple, tuple(map(kinds, value))) if isinstance(value, tuple) else type(value)
+
+
+@pytest.mark.parametrize("cls, field", CONVERTED,
+                         ids=[f"{cls.__name__}.{field}" for cls, field in CONVERTED])
+def test_other_fields_stored_through_their_converter(cls, field):
+    given, expected = CONVERTED[cls, field]
+    stored = getattr(build(cls, field, given), field)
+    assert stored == expected and kinds(stored) == kinds(expected)
+
+
+@pytest.mark.parametrize("cls, array", [(tk.CaptureManifest, "camera"),
+                                        (tk.ReconstructedSet, "positions")])
+def test_bad_array_reported_before_bad_name(cls, array):
+    # The arrays are declared before the names, so they are stored first.
+    with pytest.raises(ValueError, match=f"^{array} must have shape"):
+        cls(**{**VALUES[cls][0], "names": ("a b", "c"), array: [[0.0, 0.0]]})

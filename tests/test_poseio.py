@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trajkit as tk
-from trajkit import poseio, simworld
-from trajkit.errors import InvariantViolation, ParseError
+from trajkit import poseio, simworld, textio
+from trajkit.errors import InvariantViolation, ParseError, TrajkitError
 
 from conftest import (
     WORKED_ORDER_TEXT,
@@ -416,6 +416,103 @@ class TestReport:
             poseio.read_report("\n".join(lines))
 
 
+def oracle_read_report(text: str) -> tk.AlignmentReport:
+    """read_report as it was, parsing one residual line at a time."""
+    keyed, names, meters, inliers = {}, [], [], []
+    for line_no, fields in textio.record_fields(text):
+        if fields[0] != "residual":
+            keyed[fields[0]] = line_no, fields
+        elif len(fields) != 4:
+            raise ParseError(f"expected 4 fields, got {len(fields)}", line=line_no)
+        elif fields[3] not in ("0", "1"):
+            raise textio.error(text, line_no, 3, f"inlier flag must be 0 or 1, got {fields[3]!r}")
+        else:
+            names.append(fields[1])
+            meters.append(textio.numbers(text, line_no, fields[:3], float, start=2)[0])
+            inliers.append(fields[3] == "1")
+
+    def value(key: str, count: int = 1, kind: type = float) -> np.ndarray:
+        if key not in keyed:
+            raise ParseError(f"report has no {key!r} line")
+        line_no, fields = keyed[key]
+        if len(fields) != count + 1:
+            raise ParseError(f"expected {count + 1} fields, got {len(fields)}", line=line_no)
+        return textio.numbers(text, line_no, fields, kind, start=1)
+
+    report = tk.AlignmentReport(
+        transform=tk.SimilarityTransform(
+            value("scale")[0], value("rotation", 9).reshape(3, 3), value("translation", 3)
+        ),
+        inlier_mask=inliers,
+        residuals_m=meters,
+        average_error_m=float(value("average_error_m")[0]),
+        median_error_m=float(value("median_error_m")[0]),
+        meters_per_unit=float(value("meters_per_unit")[0]),
+        names=tuple(names),
+    )
+    for key, counted, what in (("inlier_count", sum(inliers), "inlier residual"),
+                               ("total_count", len(names), "residual")):
+        if key in keyed and (stated := value(key, kind=int)[0]) != counted:
+            raise InvariantViolation(f"{key} {stated} (line {keyed[key][0]}) does not match "
+                                     f"the {counted} {what} lines")
+    return report
+
+
+# Tokens that make a report line wrong in each way read_report checks: a flag,
+# a distance, a count of fields, a key line, a comment.
+REPORT_TOKENS = ["0", "1", "2", "yes", "x", "nan", "-inf", "1e400", "0.5", "-1", "10.0",
+                 "residual", "scale", "total_count", "inlier_count", "a.png", "#"]
+
+
+@st.composite
+def faulty_reports(draw) -> str:
+    """A written report with faults in its residual lines, then tokens replaced, inserted or
+    deleted and lines deleted or shuffled anywhere: often several faults at once, sometimes none."""
+    n = draw(st.integers(0, 6))
+    report = tk.AlignmentReport(
+        transform=tk.SimilarityTransform.from_z_rotation(1.5, 33.0, (4.0, -2.0, 0.5)),
+        inlier_mask=draw(st.lists(st.booleans(), min_size=n, max_size=n)),
+        residuals_m=draw(st.lists(st.floats(0.0, 1e3), min_size=n, max_size=n)),
+        average_error_m=0.5, median_error_m=0.25, meters_per_unit=1.0,
+        names=tuple(f"f{i}.png" for i in range(n)),
+    )
+    lines = [line.split() for line in tk.write_report(report).splitlines()]
+    for fields in lines[8:]:  # a bad distance or flag, or a field too many or too few
+        j = draw(st.sampled_from([None, None, 2, 3, 4, -1]))
+        if j == 4:
+            fields.append(draw(st.sampled_from(REPORT_TOKENS)))
+        elif j == -1:
+            fields.pop(draw(st.integers(0, 3)))
+        elif j is not None:
+            fields[j] = draw(st.sampled_from(REPORT_TOKENS))
+    for _ in range(draw(st.integers(0, 5))):
+        fields = lines[draw(st.integers(0, len(lines) - 1))] if lines else []
+        edit = draw(st.sampled_from(["replace", "insert", "delete", "drop line"]))
+        j = draw(st.integers(0, len(fields)))
+        if edit == "insert":
+            fields.insert(j, draw(st.sampled_from(REPORT_TOKENS)))
+        elif edit == "drop line" and lines:
+            lines.remove(fields)
+        elif j < len(fields):
+            fields[j:j + 1] = [draw(st.sampled_from(REPORT_TOKENS))] if edit == "replace" else []
+    if draw(st.booleans()):
+        lines = draw(st.permutations(lines))
+    return "".join(" ".join(fields) + "\n" for fields in lines)
+
+
+def read_outcome(read, text):
+    """What ``read(text)`` returns, or the type, message, line and column of its error."""
+    try:
+        return read(text)
+    except (TrajkitError, ValueError) as exc:
+        return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "column", None)
+
+
+@given(faulty_reports())
+@settings(max_examples=300, deadline=None)
+def test_read_report_matches_line_by_line_oracle(text):
+    assert read_outcome(poseio.read_report, text) == read_outcome(oracle_read_report, text)
+
 # The writers before they shared textio.lines: each value formatted on its own.
 def fixed(value) -> str:
     return "%.6f" % value
@@ -562,7 +659,7 @@ class TestWritersMatchPerValueFormatting:
 ])
 def test_names_checked_once_per_read(monkeypatch, read, text):
     calls = []
-    check = poseio._check_names
-    monkeypatch.setattr(poseio, "_check_names", lambda *args: calls.append(args) or check(*args))
+    check = poseio._single_tokens
+    monkeypatch.setattr(poseio, "_single_tokens", lambda *args: calls.append(args) or check(*args))
     read(text)
     assert len(calls) == 1

@@ -461,7 +461,7 @@ def test_loadtxt_reads_a_name_column_anywhere(types):
     calls = []
     with (mock.patch.object(np, "loadtxt", side_effect=lambda *a, **k: calls.append(1) or
                             LOADTXT(*a, **k)),
-          mock.patch.object(textio, "_columns", side_effect=AssertionError("line by line"))):
+          mock.patch.object(textio, "to_columns", side_effect=AssertionError("line by line"))):
         assert_table_matches_oracle(text, types, 1 << 12)
     assert slices > 1 and len(calls) == slices
 
@@ -715,7 +715,7 @@ def test_benchmark_writers_take_the_byte_path(worked_sparse):
         assert None not in blocks, writer.__name__
 
 
-COLUMNS = textio._columns
+COLUMNS = textio.to_columns
 
 
 @pytest.mark.parametrize("fault", [None, 0, -1])
@@ -734,7 +734,7 @@ def test_leading_headers_are_one_slice(fault):
     calls, line_by_line = [], []
     with (mock.patch.object(np, "loadtxt", side_effect=lambda *a, **k: calls.append(1) or
                             LOADTXT(*a, **k)),
-          mock.patch.object(textio, "_columns", side_effect=lambda text, tokens, *a:
+          mock.patch.object(textio, "to_columns", side_effect=lambda text, tokens, *a:
                             line_by_line.extend(tokens) or COLUMNS(text, tokens, *a))):
         assert_table_matches_oracle(headers + records, (str, int, float, int), 1 << 12)
     if fault is None:

@@ -9,11 +9,15 @@ around it makes the fit robust to badly reconstructed cameras; it fits
 its hypotheses a block of 64 iterations per call, scores them 8 at a time
 and picks the same winner as a loop over single iterations. On more than
 2048 points a bail-out pre-test scores each hypothesis on a keyed subset
-of 512 points first, and on all of them only if it can still win. It
-drops a hypothesis that could win with probability at most 1e-9; short
-of that, it never runs more iterations than the loop without it. Errors
-are reported in meters over all matched points, using a stride-calibrated
-unit scale.
+of 512 points first, and on all of them only if it can reach its target:
+the larger of the best count so far and the stop floor, the least count
+that can stop the loop within its budget. Below the floor the loop cannot
+stop, so a run that ends there scores, after its last iteration and
+without rerunning any, the hypotheses it set aside that could still win.
+The pre-test drops a hypothesis that could win with probability at most
+1e-9; short of that, it never runs more iterations than the loop without
+it. Errors are reported in meters over all matched points, using a
+stride-calibrated unit scale.
 """
 
 from __future__ import annotations
@@ -255,6 +259,32 @@ def minimal_samples(n: int, seed: int, start: int, stop: int) -> np.ndarray:
     return picks
 
 
+def _stops(count: int, n: int, iteration: int, confidence: float) -> bool:
+    """RANSAC's stop test: after iteration ``iteration``, a best consensus of ``count`` of n
+    points leaves at most 1 - ``confidence`` chance that every iteration missed an all-inlier
+    sample."""
+    miss_prob = (1.0 - (count / n) ** MIN_SAMPLE) ** (iteration + 1)
+    return count > MIN_SAMPLE and miss_prob <= 1.0 - confidence
+
+
+def _stop_floor(n: int, params: RansacParams) -> int:
+    """The least count for which _stops holds at the last iteration, max_iterations - 1.
+
+    Found by integer bisection on the float test itself, which is monotone
+    in the count and in the iteration: a best count below the floor stops
+    the loop at no iteration. A count of n > MIN_SAMPLE always stops, as
+    its miss probability is 0.
+    """
+    lo, hi = MIN_SAMPLE + 1, n
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _stops(mid, n, params.max_iterations - 1, params.confidence):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
 def _pretest_rejects(k, best_count: int, n: int):
     """Whether a subset count ``k`` of _PRE says the full count of n is below ``best_count``.
 
@@ -295,24 +325,50 @@ def _score(scaled, translation, src_t, dst_t, res, term):
 
 
 def _consensus(src: np.ndarray, dst: np.ndarray, params: RansacParams):
-    """(iteration, squared residuals, inlier mask, inlier count) of each hypothesis, in order.
+    """(iteration, squared residuals, inlier mask, inlier count) of each hypothesis.
 
     Fits _BLOCK minimal samples per call and scores them _SUB_BLOCK at a time,
-    leaving out degenerate samples and hypotheses without a single inlier.
-    Above 4 * _PRE points, a hypothesis that the pre-test rejects against the
-    best count yielded before its sub-block is yielded with count 0 and no
-    residuals: it takes part in the stop test but never wins. The arrays
-    yielded are overwritten when the next sub-block is scored.
+    in iteration order, leaving out degenerate samples and hypotheses without
+    a single inlier. Above 4 * _PRE points, a hypothesis that the pre-test
+    rejects against its target, the larger of the stop floor and the best
+    count yielded before its sub-block, is yielded with count 0 and no
+    residuals: it takes part in the stop test but never wins. If the
+    iterations run out with the best count below the floor, the hypotheses
+    rejected against the floor whose subset count does not rule out that
+    best are scored after all, from the fits kept for them, and yielded
+    after the last iteration. The arrays yielded are overwritten when the
+    next hypotheses are scored.
     """
     n = len(src)
     src_t, dst_t = np.ascontiguousarray(src.T), np.ascontiguousarray(dst.T)
     res_buf, term_buf = np.empty((2, _SUB_BLOCK, n))
+    bound = _square_bound(params.threshold)
+
+    def verified(iterations, scaled, translation, alone):
+        """The hypotheses of ``iterations``, at most _SUB_BLOCK, scored on all points."""
+        # BLAS rounds a product of one row (gemv) unlike one of several (gemm): a hypothesis
+        # is scored as when all of its sub-block is, alone only if the sub-block holds no other.
+        if len(scaled) == 1 and not alone:
+            scaled, translation = np.repeat(scaled, 2, axis=0), np.repeat(translation, 2, axis=0)
+        m = len(scaled)
+        res = _score(scaled, translation, src_t, dst_t, res_buf[:m], term_buf[:m])
+        inliers = res < bound
+        return zip(iterations.tolist(), res, inliers, inliers.sum(axis=1).tolist())
+
     pretest = n > 4 * _PRE
     if pretest:
         subset = rng.keyed_subset(params.seed, rng.PREVERIFY, n, _PRE)
         sub_src, sub_dst = src_t[:, subset], dst_t[:, subset]
         sub_res, sub_term = np.empty((2, _SUB_BLOCK, _PRE))
-    best, bound = 0, _square_bound(params.threshold)
+        floor = _stop_floor(n, params)
+        # Per iteration, for a hypothesis set aside (rejected against the floor): its
+        # subset count (else -1), whether its sub-block held no other, and its fit.
+        # Pages of the fits that no set-aside hypothesis is written to take no memory.
+        aside_count = np.full(params.max_iterations, -1, dtype=np.int16)
+        aside_alone = np.zeros(params.max_iterations, dtype=bool)
+        aside_scaled = np.empty((params.max_iterations, 3, 3))
+        aside_translation = np.empty((params.max_iterations, 3))
+    best = 0
     for start in range(0, params.max_iterations, _BLOCK):
         sample = minimal_samples(n, params.seed, start, min(start + _BLOCK, params.max_iterations))
         scale, rotation, translation, fault = fit_similarities(src[sample], dst[sample])
@@ -321,28 +377,41 @@ def _consensus(src: np.ndarray, dst: np.ndarray, params: RansacParams):
         for first in range(0, len(sample), _SUB_BLOCK):
             rows = first + np.flatnonzero(fault[first:first + _SUB_BLOCK] == 0)
             rejected = np.zeros(len(rows), dtype=bool)
-            # While mu = _PRE * best / n <= 2 ln(1 / _PRE_MISS), _pretest_rejects rejects nothing.
-            if pretest and _PRE * best / n > 2.0 * -math.log(_PRE_MISS):
+            target = max(best, floor) if pretest else 0
+            # While mu = _PRE * target / n <= 2 ln(1 / _PRE_MISS), _pretest_rejects rejects nothing.
+            if _PRE * target / n > 2.0 * -math.log(_PRE_MISS):
                 sub = _score(scaled[rows], translation[rows], sub_src, sub_dst,
                              sub_res[:len(rows)], sub_term[:len(rows)])
-                rejected = _pretest_rejects((sub < bound).sum(axis=1), best, n)
+                counts = (sub < bound).sum(axis=1)
+                rejected = _pretest_rejects(counts, target, n)
+                if best < floor:
+                    aside = rows[rejected]
+                    aside_count[start + aside] = counts[rejected]
+                    aside_alone[start + aside] = len(rows) == 1
+                    aside_scaled[start + aside] = scaled[aside]
+                    aside_translation[start + aside] = translation[aside]
             kept = rows[~rejected]
             if len(kept):
-                # BLAS rounds a product of one row (gemv) unlike one of several (gemm):
-                # a kept row is scored as it is when all of its sub-block is.
-                scored = np.repeat(kept, 2) if len(kept) == 1 < len(rows) else kept
-                res = _score(scaled[scored], translation[scored], src_t, dst_t,
-                             res_buf[:len(scored)], term_buf[:len(scored)])
-                inliers = res < bound
-                scores = zip(res, inliers, inliers.sum(axis=1).tolist())
-            for row, reject in zip(rows.tolist(), rejected.tolist()):
+                scores = verified(start + kept, scaled[kept], translation[kept], len(rows) == 1)
+            for iteration, reject in zip((start + rows).tolist(), rejected.tolist()):
                 if reject:
-                    yield start + row, None, None, 0
+                    yield iteration, None, None, 0
                     continue
-                row_res, row_inliers, count = next(scores)
-                if count:
-                    best = max(best, count)
-                    yield start + row, row_res, row_inliers, count
+                hypothesis = next(scores)
+                if hypothesis[3]:
+                    best = max(best, hypothesis[3])
+                    yield hypothesis
+    if not pretest or best >= floor:
+        return
+    # Below the floor the loop cannot stop, so it ran out: score what could still win.
+    recover = np.flatnonzero(aside_count >= 0)
+    recover = recover[~_pretest_rejects(aside_count[recover], best, n)]
+    for alone in (True, False):
+        iterations = recover[aside_alone[recover] == alone]
+        size = 1 if alone else _SUB_BLOCK
+        for group in (iterations[i:i + size] for i in range(0, len(iterations), size)):
+            scores = verified(group, aside_scaled[group], aside_translation[group], alone)
+            yield from (hypothesis for hypothesis in scores if hypothesis[3])
 
 
 def ransac_align(
@@ -363,32 +432,41 @@ def ransac_align(
     1 - confidence. The winner is refit on its full consensus set and the
     inlier mask recomputed once against the refit transform.
 
-    On more than 4 * _PRE points, once the best count is high enough for the
-    pre-test to reject anything, each later sub-block is first scored on a
-    fixed subset of _PRE points (the rows with the smallest draws keyed by
-    (seed, PREVERIFY, row)). A hypothesis whose subset count says it cannot
-    reach the best count held when its sub-block began (see _pretest_rejects)
+    On more than 4 * _PRE points, each sub-block is first scored on a fixed
+    subset of _PRE points (the rows with the smallest draws keyed by (seed,
+    PREVERIFY, row)) whenever its target is high enough for the pre-test to
+    reject anything. The target is the larger of the best count held when
+    the sub-block began and the stop floor, the least count that stops the
+    loop at its last iteration (see _stop_floor): at the defaults the floor
+    is 0.151 n, so the pre-test runs from the first sub-block. A hypothesis
+    whose subset count says it cannot reach the target (see _pretest_rejects)
     is not scored on all points: it runs the stop test, as a hypothesis with
-    inliers does, but never wins. One whose full count is at least that best
-    is dropped with probability at most _PRE_MISS = 1e-9. Short of such a
-    loss, the pre-test runs no more iterations than the loop without it, as
-    it only adds stop tests; it can change the winner only when it ends the
-    loop at a hypothesis without inliers, which that loop passes over, and a
-    later one would have won.
+    inliers does, but never wins. Below the floor the stop test cannot fire,
+    so a hypothesis rejected against the floor can matter only if the loop
+    runs out below it. Its fit and subset count are kept; if the loop does
+    run out below the floor, those whose subset count does not rule out the
+    final best are scored on all points after the last iteration, without
+    rerunning any, and compete by count, mean residual and iteration as if
+    scored in order. A hypothesis whose full count is at least its target,
+    or at least the final best, is dropped with probability at most
+    _PRE_MISS = 1e-9. Short of such a loss, the pre-test runs no more
+    iterations than the loop without it, as it only adds stop tests; it can
+    change the winner only when it ends the loop at a hypothesis without
+    inliers, which that loop passes over, and a later one would have won.
     """
     src, dst = _point_pairs(src, dst)
     n = len(src)
     if n < MIN_SAMPLE:
         raise InvariantViolation(f"{n} correspondences, need at least {MIN_SAMPLE}")
 
-    best_count, best_mean, best_mask = 0, math.inf, None
+    best_count, best_key, best_mask = 0, (0,), None
     for iteration, res, mask, count in _consensus(src, dst, params):
-        if count >= best_count:
-            mean_res = float(np.sqrt(res[mask]).mean())
-            if count > best_count or mean_res < best_mean:
-                best_count, best_mean, best_mask = count, mean_res, mask.copy()
-        miss_prob = (1.0 - (best_count / n) ** MIN_SAMPLE) ** (iteration + 1)
-        if best_count > MIN_SAMPLE and miss_prob <= 1.0 - params.confidence:
+        if count and count >= best_count:
+            # Recovered hypotheses come after the last iteration, so the order is by key.
+            key = (count, -float(np.sqrt(res[mask]).mean()), -iteration)
+            if key > best_key:
+                best_count, best_key, best_mask = count, key, mask.copy()
+        if _stops(best_count, n, iteration, params.confidence):
             break
 
     if best_count <= MIN_SAMPLE:

@@ -227,6 +227,18 @@ class TestFitSimilarities:
             np.testing.assert_array_equal(translation[b], reference[2])
 
 
+def stops(count, n, iteration, confidence) -> bool:
+    """ransac_align's stop test after ``iteration`` with a best count of ``count``."""
+    miss_prob = (1.0 - (count / n) ** align.MIN_SAMPLE) ** (iteration + 1)
+    return count > align.MIN_SAMPLE and miss_prob <= 1.0 - confidence
+
+
+def stop_floor(n, params) -> int:
+    """The least count that stops the loop at its last iteration, by linear search."""
+    last = params.max_iterations - 1
+    return next(c for c in range(n + 1) if stops(c, n, last, params.confidence))
+
+
 def one_at_a_time(src, dst, params, pretest=False):
     """ransac_align as a loop over single iterations; also returns the iterations run.
 
@@ -234,43 +246,59 @@ def one_at_a_time(src, dst, params, pretest=False):
     ``pretest`` it scores every hypothesis on all points, as ransac_align
     does on 4 * _PRE points or fewer. With it, above that size, a hypothesis
     is first counted on the _PRE keyed subset points; one that the count
-    rules out against the best count held when its sub-block began only
-    takes part in the stop test.
+    rules out against the larger of the stop floor and the best count held
+    when its sub-block began only takes part in the stop test. If the loop
+    runs out below the floor, those ruled out against the floor whose subset
+    count does not rule them out against the final best are scored after all.
     """
     n = len(src)
     draws = keyed_uniform(params.seed, PREVERIFY, np.arange(n))
     subset = np.sort(np.argsort(draws, kind="stable")[:align._PRE])
     pretest = pretest and n > 4 * align._PRE
-    best_count, best_mean, best_mask = 0, math.inf, None
+    floor = stop_floor(n, params) if pretest else 0
+    best, best_mask, set_aside = (0,), None, []
+
+    def consider(iteration, hypothesis):
+        # The winner has the largest count, then the lower mean inlier residual, then
+        # the earlier iteration.
+        nonlocal best, best_mask
+        res = align.residuals(hypothesis, src, dst)
+        mask = res < params.threshold
+        count = int(mask.sum())
+        if count:
+            key = (count, -float(res[mask].mean()), -iteration)
+            if key > best:
+                best, best_mask = key, mask
+        return count
+
     samples = align.minimal_samples(n, params.seed, 0, params.max_iterations)
     iterations = params.max_iterations
     for iteration, sample in enumerate(samples):
         if iteration % align._SUB_BLOCK == 0:
-            block_best = best_count
+            block_best = best[0]
         try:
             hypothesis = tk.umeyama(src[sample], dst[sample])
         except DegenerateConfiguration:
             continue
-        if pretest and block_best:
+        rejected = False
+        if pretest:
             sub_res = align.residuals(hypothesis, src[subset], dst[subset])
-            rejected = align._pretest_rejects((sub_res < params.threshold).sum(), block_best, n)
-        else:
-            rejected = False
-        if not rejected:
-            res = align.residuals(hypothesis, src, dst)
-            mask = res < params.threshold
-            count = int(mask.sum())
-            if count == 0:
-                continue
-            mean_res = float(res[mask].mean())
-            if count > best_count or (count == best_count and mean_res < best_mean):
-                best_count, best_mean, best_mask = count, mean_res, mask
-        miss_prob = (1.0 - (best_count / n) ** align.MIN_SAMPLE) ** (iteration + 1)
-        if best_count > align.MIN_SAMPLE and miss_prob <= 1.0 - params.confidence:
+            sub_count = (sub_res < params.threshold).sum()
+            rejected = align._pretest_rejects(sub_count, max(block_best, floor), n)
+            if rejected and block_best < floor:
+                set_aside.append((iteration, sub_count, hypothesis))
+        if not rejected and not consider(iteration, hypothesis):
+            continue  # without inliers: no stop test
+        if stops(best[0], n, iteration, params.confidence):
             iterations = iteration + 1
             break
-    if best_count <= align.MIN_SAMPLE:
-        message = f"best consensus holds {best_count} point(s); need more than 3"
+    else:
+        if (final := best[0]) < floor:
+            for iteration, sub_count, hypothesis in set_aside:
+                if not align._pretest_rejects(sub_count, final, n):
+                    consider(iteration, hypothesis)
+    if best[0] <= align.MIN_SAMPLE:
+        message = f"best consensus holds {best[0]} point(s); need more than 3"
         raise InvariantViolation(message)
     transform = tk.umeyama(src[best_mask], dst[best_mask])
     return transform, align.residuals(transform, src, dst) < params.threshold, iterations
@@ -451,8 +479,10 @@ class TestPretest:
         assert rejects or max_iterations < 257
 
     def test_subset_is_the_rows_with_the_smallest_keyed_draws(self, monkeypatch):
-        # Outliers on exactly those rows: once the first sub-block has found the
-        # transform, no hypothesis can pass the pre-test, however good it is.
+        # Outliers on exactly those rows: no full count reaches the stop floor of
+        # 2,500, so the pre-test targets the floor from the first sub-block, and
+        # no hypothesis can pass it, however good it is. The run then recovers
+        # the winner from the hypotheses it set aside.
         n, seed = 3000, 5
         src, dst = noisy_pairs(82, n, 0.0, sigma=0.1)
         draws = keyed_uniform(seed, PREVERIFY, np.arange(n))
@@ -460,8 +490,10 @@ class TestPretest:
         dst[subset] += np.random.default_rng(83).uniform(-30, 30, (align._PRE, 3))
         params = tk.RansacParams(threshold=0.5, max_iterations=40, confidence=1 - 1e-15, seed=seed)
         rejects = []
-        run_blocked(monkeypatch, src, dst, params, rejects)
-        assert rejects == list(range(align._SUB_BLOCK, params.max_iterations))
+        blocked = run_blocked(monkeypatch, src, dst, params, rejects)
+        assert align._stop_floor(n, params) == 2500
+        assert rejects == list(range(params.max_iterations))
+        assert_same_outcome(blocked, one_at_a_time(src, dst, params))
 
     def test_scored_rows_keep_the_bits_of_their_whole_sub_block(self):
         # BLAS rounds a product of one row unlike one of several, so a row
@@ -557,7 +589,9 @@ class TestWorkCounts:
 
     def test_no_all_points_scoring_of_a_rejected_sub_block(self, monkeypatch):
         # As in test_subset_is_the_rows_with_the_smallest_keyed_draws: the
-        # pre-test rejects every hypothesis after the first sub-block.
+        # pre-test rejects every hypothesis, against the floor. The loop scores
+        # none on all points; as it runs out with no inliers, each hypothesis
+        # it set aside is then scored once, 8 at a time, from its kept fit.
         n, seed = 3000, 5
         src, dst = noisy_pairs(82, n, 0.0, sigma=0.1)
         subset = align.rng.keyed_subset(seed, PREVERIFY, n, align._PRE)
@@ -565,31 +599,163 @@ class TestWorkCounts:
         params = tk.RansacParams(threshold=0.5, max_iterations=40, confidence=1 - 1e-15, seed=seed)
         log, _ = traced_run(monkeypatch, src, dst, params)
         rejects = [event[1] for event in log if event[0] == "yield" and event[2] == 0]
-        assert rejects == list(range(align._SUB_BLOCK, params.max_iterations))
-        assert [event for event in log if event[:2] == ("score", n)] == [
-            ("score", n, align._SUB_BLOCK)
+        assert rejects == list(range(params.max_iterations))
+        loop_end = log.index(("yield", params.max_iterations - 1, 0))
+        assert [event for event in log[:loop_end] if event[0] != "yield"] == [
+            ("fit", params.max_iterations), *[("score", align._PRE, align._SUB_BLOCK)] * 5
         ]
-        assert sum(event[:2] == ("score", align._PRE) for event in log) == 4
+        assert [event for event in log[loop_end:] if event[0] != "yield"] == [
+            *[("score", n, align._SUB_BLOCK)] * 5, ("fit", 1)
+        ]
 
     @pytest.mark.parametrize("seed", range(3))
     def test_no_subset_scoring_while_the_pretest_cannot_reject(self, monkeypatch, seed):
-        # At n = 3000 the pre-test can reject once the best count exceeds 242.
-        # With 95% outliers 400 iterations find no more than a few inliers at once.
+        # At n = 3000 the pre-test can reject once its target, the larger of the
+        # best count and the stop floor, exceeds 242. After 400 iterations the
+        # floor is 774, so it can reject from the first sub-block, though with
+        # 95% outliers 400 iterations find no more than a few inliers at once.
         n = 3000
         bound = 2 * n * math.log(1 / align._PRE_MISS) / align._PRE
-        for outlier_fraction, can_reject in ((0.95, False), (0.8, True)):
+        for outlier_fraction, best_passes_bound in ((0.95, False), (0.8, True)):
             src, dst = noisy_pairs(110 + seed, n, outlier_fraction, sigma=0.1)
             params = tk.RansacParams(threshold=0.5, max_iterations=400, seed=seed)
+            floor = align._stop_floor(n, params)
+            assert floor == 774
             log, _ = traced_run(monkeypatch, src, dst, params)
             best, subset_calls = 0, 0
             for event in log:
                 if event[0] == "yield":
                     best = max(best, event[2])
                 elif event[:2] == ("score", align._PRE):
-                    assert best > bound
+                    assert max(best, floor) > bound
                     subset_calls += 1
-            assert 0 < best and (best > bound) == can_reject
-            assert (subset_calls > 0) == can_reject
+            assert 0 < best and (best > bound) == best_passes_bound
+            assert subset_calls == params.max_iterations // align._SUB_BLOCK
+
+
+def recovered(log) -> list[int]:
+    """The iterations that a traced_run log yields with a count after yielding them with
+    none: the hypotheses set aside against the stop floor and scored after the loop."""
+    rejected = {event[1] for event in log if event[0] == "yield" and event[2] == 0}
+    return [event[1] for event in log if event[0] == "yield" and event[2] and event[1] in rejected]
+
+
+def whole_sub_block_scores(src, dst, params, points=slice(None)):
+    """Each non-degenerate iteration's squared residuals on ``points``, scored with all the
+    rows of its sub-block that fit, as the loop without the pre-test scores them."""
+    sample = align.minimal_samples(len(src), params.seed, 0, params.max_iterations)
+    scale, rotation, translation, fault = align.fit_similarities(src[sample], dst[sample])
+    src_t, dst_t = np.ascontiguousarray(src.T)[:, points], np.ascontiguousarray(dst.T)[:, points]
+    scores = {}
+    for first in range(0, params.max_iterations, align._SUB_BLOCK):
+        rows = first + np.flatnonzero(fault[first:first + align._SUB_BLOCK] == 0)
+        res = align._score(scale[rows, None, None] * rotation[rows], translation[rows],
+                           src_t, dst_t, *np.empty((2, len(rows), src_t.shape[1])))
+        scores.update(zip(rows.tolist(), res.copy()))
+    return scores
+
+
+class TestStopFloor:
+    """The least best count that can stop the loop: below it, the pre-test targets it."""
+
+    @pytest.mark.parametrize("n, confidence, max_iterations", [
+        (20750, 0.999, 2000), (13501, 0.999, 2000), (3000, 0.999, 400), (3000, 1 - 1e-15, 40),
+        (2049, 0.999, 1), (5000, 0.5, 7), (4096, 0.01, 1_000_000), (50000, 1 - 1e-12, 65),
+    ])
+    def test_least_count_that_stops_at_the_last_iteration(self, n, confidence, max_iterations):
+        params = tk.RansacParams(confidence=confidence, max_iterations=max_iterations)
+        floor, last = align._stop_floor(n, params), max_iterations - 1
+        assert stops(floor, n, last, confidence)
+        assert not stops(floor - 1, n, last, confidence)
+        assert floor == stop_floor(n, params)
+        # Nor does a count below the floor stop the loop at any earlier iteration.
+        for iteration in range(0, max_iterations, max(1, max_iterations // 1000)):
+            assert not stops(floor - 1, n, iteration, confidence)
+
+    def test_defaults(self):
+        # n (1 - 0.001 ** (1 / 2000)) ** (1 / 3) is 3134.3 at n = 20750.
+        assert align._stop_floor(20750, tk.RansacParams()) == 3135
+
+    def test_no_subset_scoring_while_neither_best_nor_floor_lets_it_reject(self, monkeypatch):
+        # At confidence 0.01 the floor, 88 of 3000, is too low for the pre-test to
+        # reject by, which takes more than 242; so is the best count of 95% outliers.
+        n = 3000
+        bound = 2 * n * math.log(1 / align._PRE_MISS) / align._PRE
+        for seed in range(3):
+            src, dst = noisy_pairs(110 + seed, n, 0.95, sigma=0.1)
+            params = tk.RansacParams(threshold=0.5, max_iterations=400, confidence=0.01, seed=seed)
+            assert align._stop_floor(n, params) < bound
+            log, _ = traced_run(monkeypatch, src, dst, params)
+            assert 0 < max(event[2] for event in log if event[0] == "yield") <= bound
+            assert not any(event[:2] == ("score", align._PRE) for event in log)
+
+
+class TestFloorRecovery:
+    """Runs above 4 * _PRE points whose best count stays below the stop floor.
+
+    Each case ends below the floor with hypotheses set aside that the final
+    best does not rule out; in (0.9, 5000, 2) and (0.95, 3000, 2) one of them wins.
+    """
+
+    CASES = [(0.9, 3000, 2), (0.9, 3000, 4), (0.9, 5000, 2), (0.9, 5000, 3),
+             (0.95, 3000, 2), (0.95, 5000, 0)]
+
+    @pytest.mark.parametrize("outlier_fraction, n, seed", CASES)
+    def test_same_outcome_and_iterations_as_without_pretest(
+        self, monkeypatch, outlier_fraction, n, seed
+    ):
+        src, dst = noisy_pairs(120 + seed, n, outlier_fraction, sigma=0.1)
+        params = tk.RansacParams(threshold=0.5, seed=seed)
+        blocked = run_blocked(monkeypatch, src, dst, params)
+        plain = one_at_a_time(src, dst, params)
+        assert_same_outcome(blocked, plain)
+        assert blocked[2] == plain[2] == params.max_iterations
+        log, _ = traced_run(monkeypatch, src, dst, params)
+        assert recovered(log)
+        assert max(event[2] for event in log if event[0] == "yield") < align._stop_floor(n, params)
+
+    @pytest.mark.parametrize("outlier_fraction, n, seed", CASES)
+    def test_all_points_scoring_bounded_by_the_final_best(
+        self, monkeypatch, outlier_fraction, n, seed
+    ):
+        # Every row scored on all points passes the pre-test against the final
+        # best, but for the second row of a product that would otherwise hold one.
+        src, dst = noisy_pairs(120 + seed, n, outlier_fraction, sigma=0.1)
+        params = tk.RansacParams(threshold=0.5, seed=seed)
+        log, _ = traced_run(monkeypatch, src, dst, params)
+        best = max(event[2] for event in log if event[0] == "yield")
+        subset = align.rng.keyed_subset(params.seed, PREVERIFY, n, align._PRE)
+        bound = align._square_bound(params.threshold)
+        counts = [int((res < bound).sum())
+                  for res in whole_sub_block_scores(src, dst, params, subset).values()]
+        passing = int((~align._pretest_rejects(np.array(counts), best, n)).sum())
+        scored = [event[2] for event in log if event[:2] == ("score", n)]
+        assert sum(scored) <= passing + scored.count(2)
+
+    @pytest.mark.parametrize("seed", range(1, 4))
+    def test_recovered_rows_keep_the_bits_of_their_whole_sub_block(self, monkeypatch, seed):
+        # Four distinct sources, three of them on a line, each repeated: some
+        # sub-blocks hold a single sample that fits, which is scored alone, as
+        # BLAS rounds a product of one row unlike one of several. A threshold
+        # below the noise keeps every count under the floor, so every
+        # hypothesis is set aside and scored after the loop.
+        rng = np.random.default_rng(130 + seed)
+        base = np.array([[0, 0, 0], [1, 1, 0], [2, 2, 0], [0, 3, 1]], dtype=float) * 5
+        src = np.repeat(base, 750, axis=0)
+        dst = random_similarity(rng).apply(src) + rng.normal(0, 0.1, src.shape)
+        params = tk.RansacParams(threshold=0.12, max_iterations=80, confidence=1 - 1e-15, seed=seed)
+        whole = whole_sub_block_scores(src, dst, params)
+        late = set(recovered(traced_run(monkeypatch, src, dst, params)[0]))
+        alone = 0
+        for iteration, res, _, count in align._consensus(src, dst, params):
+            if count:
+                assert iteration in late
+                np.testing.assert_array_equal(res, whole[iteration])
+                start = iteration - iteration % align._SUB_BLOCK
+                alone += sum(start <= row < start + align._SUB_BLOCK for row in whole) == 1
+        assert alone
+        plain = one_at_a_time(src, dst, params)
+        assert_same_outcome(run_blocked(monkeypatch, src, dst, params), plain)
 
 
 class TestSquareBound:

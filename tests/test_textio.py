@@ -357,6 +357,39 @@ def test_table_matches_oracle_at_every_cut(fault):
         assert_table_matches_oracle(text, (str, float, int), slice_chars)
 
 
+# Bad tokens as (row, column, token) in a table of 2,001 records of types
+# (str, int, float, float) under one header line, and the error pinned.
+BAD_TOKEN_PINS = [
+    ([(0, 2, "x")], ("expected a finite float, got 'x' (line 2, column 10)", 2, 10)),
+    ([(1000, 1, "1.5")], ("expected a 64-bit integer, got '1.5' (line 1002, column 11)", 1002, 11)),
+    ([(2000, 3, "nan")], ("expected a finite float, got 'nan' (line 2002, column 34)", 2002, 34)),
+    ([(700, 3, "bad"), (700, 1, "y")], ("expected a 64-bit integer, got 'y' (line 702, column 10)",
+                                        702, 10)),
+    ([(900, 3, "bad"), (901, 1, "y")], ("expected a finite float, got 'bad' (line 902, column 20)",
+                                        902, 20)),
+]
+
+
+@pytest.mark.parametrize("faults, expected", BAD_TOKEN_PINS)
+def test_first_bad_token_in_row_major_order(faults, expected):
+    # The first bad token, row by row and then column by column, is found by
+    # halving the columns in C: a few dozen parses, not one per token.
+    rows = [[f"r{i}.png", str(i), repr(i / 3), repr(-i / 7)] for i in range(2001)]
+    for row, column, token in faults:
+        rows[row][column] = token
+    text = "# header\n" + "".join(" ".join(row) + "\n" for row in rows)
+    types = (str, int, float, float)
+    parses = []
+    with mock.patch.object(textio, "_numbers", side_effect=lambda *a: parses.append(1) or
+                           NUMBERS(*a)):
+        assert outcome(lambda: textio.table(text, types)) == expected
+    assert len(parses) < 40
+    assert_table_matches_oracle(text, types, textio._SLICE)
+
+
+NUMBERS = textio._numbers
+
+
 # --------------------------------------------------------------------------
 # The C-speed paths: table() parses a slice with np.loadtxt when it can
 # vouch for the result, and lines() formats "%d" and "%.6f" as bytes.

@@ -5,25 +5,31 @@ a global scale, rotation and translation. The closed-form least-squares
 estimator recovers that similarity from corresponded point sets via the
 SVD of their cross-covariance with the determinant-sign correction,
 fitted on stacks of point sets at once (fit_similarities). A RANSAC loop
-around it makes the fit robust to badly reconstructed cameras; it fits
-its hypotheses a block of 64 iterations per call, scores them 8 at a time
-and picks the same winner as a loop over single iterations. On more than
-2048 points a bail-out pre-test scores each hypothesis on a keyed subset
-of 512 points first, and on all of them only if it can reach its target:
-the larger of the best count so far and the stop floor, the least count
-that can stop the loop within its budget. Below the floor the loop cannot
+around it makes the fit robust to badly reconstructed cameras and picks
+the same winner as a loop over single iterations. Each step runs once per
+block of 64 iterations: one fit call, whose collinearity test takes an
+SVD only for the samples that a bound from their 2x2 minors cannot
+decide, and on more than 2048 points one bail-out pre-test product that
+counts every hypothesis on a keyed subset of 512 points. A hypothesis is
+scored on all points, 8 at a time, only if its subset count says it can
+reach its target: the larger of the best count so far and the stop floor,
+the least count that can stop the loop within its budget. A run of
+rejected hypotheses takes one stop test. Below the floor the loop cannot
 stop, so a run that ends there scores, after its last iteration and
 without rerunning any, the hypotheses it set aside that could still win.
 The pre-test drops a hypothesis that could win with probability at most
 1e-9; short of that, it never runs more iterations than the loop without
 it. Errors are reported in meters over all matched points, using a
-stride-calibrated unit scale.
+stride-calibrated unit scale; evaluate takes them from the residuals that
+the loop's final refit computed.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import partial
 from itertools import compress, repeat
 from typing import TYPE_CHECKING, Sequence
 
@@ -174,6 +180,39 @@ FAULTS = (
 )
 
 
+# The nine 2x2 minors of a 3x3 slab as a b - c d: (a, b, c, d) index its flattened entries
+# (i, u), (j, v), (i, v), (j, u), for rows i < j and columns u < v.
+_MINORS = np.array([(3 * i + u, 3 * j + v, 3 * i + v, 3 * j + u)
+                    for i, j in ((0, 1), (0, 2), (1, 2)) for u, v in ((0, 1), (0, 2), (1, 2))]).T
+
+
+def _collinear(centred: np.ndarray, spread: np.ndarray) -> np.ndarray:
+    """Whether s1 <= 1e-9 s0 for the singular values s0 >= s1 >= s2 of each (n, 3) slab of
+    ``centred``, whose squared entries sum to ``spread``: the SVD's verdict, row for row.
+
+    A minimal sample (n = 3) takes the SVD only where a cheaper bound cannot
+    decide. By Cauchy-Binet its squared 2x2 minors sum to
+    s0^2 s1^2 + (s0^2 + s1^2) s2^2, and ``spread`` is s0^2 + s1^2 + s2^2. As
+    s2 <= s1, q = minors / spread^2 lies between r^2 / (1 + 2 r^2)^2 and
+    (2 + r^2) r^2 for r = s1 / s0, so sqrt(q) < 0.5e-9 means r < 0.5e-9 and
+    sqrt(q) > 2e-9 means r > 1.4e-9. The rounding of q and of the SVD's
+    ratio is about 1e-6 of 1e-9 there, as a slab has unit extent; a row
+    whose sqrt(q) lies between, within a factor 2 of 1e-9, takes the SVD. A
+    slab of zeros (q is nan) takes neither and is not collinear.
+    """
+    if centred.shape[1] == MIN_SAMPLE:
+        g = centred.reshape(len(centred), 9)[:, _MINORS]
+        minors = g[:, 0] * g[:, 1] - g[:, 2] * g[:, 3]
+        q = (minors * minors).sum(axis=1) / spread ** 2
+        collinear, decide = q < 0.5e-9 ** 2, (q >= 0.5e-9 ** 2) & (q <= 2e-9 ** 2)
+    else:
+        collinear, decide = np.zeros(len(centred), dtype=bool), np.ones(len(centred), dtype=bool)
+    if decide.any():
+        sv = np.linalg.svd(centred[decide], compute_uv=False)
+        collinear[decide] = sv[:, 1] <= 1e-9 * sv[:, 0]
+    return collinear
+
+
 def fit_similarities(src: np.ndarray, dst: np.ndarray):
     """Least-squares similarities mapping each ``src[b]`` onto ``dst[b]``, for (B, n, 3) stacks.
 
@@ -183,8 +222,11 @@ def fit_similarities(src: np.ndarray, dst: np.ndarray):
     translation (B, 3) and fault (B,): 0 where the row's fit holds, else the
     index in FAULTS of the first reason it does not, such as coincident or
     collinear source points, which leave the rotation under-determined.
-    A faulty row's other values are meaningless. Every row comes out bit for
-    bit as it would when fitted alone, and no floating-point warning escapes.
+    The centred sources are coincident if all zero, and collinear if their
+    singular values have s1 <= 1e-9 s0 (see _collinear: a minimal sample
+    takes that SVD only near the bound). A faulty row's other values are
+    meaningless. Every row comes out bit for bit as it would when fitted
+    alone, and no floating-point warning escapes.
     """
     n = src.shape[1]
     with np.errstate(all="ignore"):
@@ -200,7 +242,8 @@ def fit_similarities(src: np.ndarray, dst: np.ndarray):
         src_c[~finite] = 0.0
         dst_c[~finite] = 0.0
 
-        sv = np.linalg.svd(src_c, compute_uv=False)
+        spread = (src_c ** 2).sum(axis=(1, 2))
+        collinear = _collinear(src_c, spread)
         cov = np.swapaxes(dst_c, 1, 2) @ src_c / n
         u, d, vt = np.linalg.svd(cov)
         sign = np.ones_like(d)
@@ -209,12 +252,12 @@ def fit_similarities(src: np.ndarray, dst: np.ndarray):
         diag[:, range(3), range(3)] = sign
         rotation = u @ diag @ vt
 
-        var_src = (src_c ** 2).sum(axis=(1, 2)) / n
+        var_src = spread / n
         scale = np.ldexp((d * sign).sum(axis=1) / var_src, dst_exponent - src_exponent)
         # (scale * rotation) @ mu: scaling the product instead rounds differently.
         translation = mu_dst - ((scale[:, None, None] * rotation) @ mu_src[:, :, None])[:, :, 0]
     failed = np.array([
-        ~finite, sv[:, 0] <= 0.0, sv[:, 1] <= 1e-9 * sv[:, 0], ~np.isfinite(scale),
+        ~finite, spread <= 0.0, collinear, ~np.isfinite(scale),
         scale <= 0.0, ~np.isfinite(translation).all(axis=1),
     ])
     fault = np.where(failed.any(axis=0), failed.argmax(axis=0) + 1, 0)
@@ -325,24 +368,39 @@ def _score(scaled, translation, src_t, dst_t, res, term):
 
 
 def _consensus(src: np.ndarray, dst: np.ndarray, params: RansacParams):
-    """(iteration, squared residuals, inlier mask, inlier count) of each hypothesis.
+    """(iterations, squared residuals, inlier mask, inlier count) of each scored hypothesis, and
+    of each run of hypotheses that the pre-test rejected.
 
-    Fits _BLOCK minimal samples per call and scores them _SUB_BLOCK at a time,
-    in iteration order, leaving out degenerate samples and hypotheses without
-    a single inlier. Above 4 * _PRE points, a hypothesis that the pre-test
-    rejects against its target, the larger of the stop floor and the best
-    count yielded before its sub-block, is yielded with count 0 and no
-    residuals: it takes part in the stop test but never wins. If the
-    iterations run out with the best count below the floor, the hypotheses
-    rejected against the floor whose subset count does not rule out that
-    best are scored after all, from the fits kept for them, and yielded
-    after the last iteration. The arrays yielded are overwritten when the
-    next hypotheses are scored.
+    Fits _BLOCK minimal samples per call and scores them on all points
+    _SUB_BLOCK at a time, in iteration order, leaving out degenerate samples
+    and hypotheses without a single inlier; a scored hypothesis comes as
+    ([iteration], ...). Above 4 * _PRE points, the rows of a block are
+    counted on the subset points in one product, at the first sub-block
+    whose target lets the pre-test reject: the larger of the stop floor and
+    the best count yielded before the sub-block. A hypothesis the pre-test
+    rejects against its sub-block's target is not scored on all points: it
+    takes part in the stop test but never wins. Rejected hypotheses come
+    together as (iterations, None, None, 0), the run of them since the last
+    yield, before a sub-block is scored on all points, before a hypothesis
+    with inliers and at the end of a block; within a run the best count does
+    not change. If the iterations run out with the best count below the
+    floor, the hypotheses rejected against the floor whose subset count does
+    not rule out that best are scored after all, from the fits kept for
+    them, and yielded after the last iteration. The arrays yielded are
+    overwritten when the next hypotheses are scored.
     """
     n = len(src)
     src_t, dst_t = np.ascontiguousarray(src.T), np.ascontiguousarray(dst.T)
-    res_buf, term_buf = np.empty((2, _SUB_BLOCK, n))
+    # _score's two buffers, for _SUB_BLOCK rows of all points or _BLOCK rows of the subset
+    # points; only the part written takes memory.
+    buffers = np.empty((2, max(_SUB_BLOCK * n, _BLOCK * _PRE)))
     bound = _square_bound(params.threshold)
+
+    def scored(scaled, translation, points_t, matches_t):
+        """_score of each hypothesis on the points of ``points_t``, into the buffers' front."""
+        m, width = len(scaled), points_t.shape[1]
+        res, term = (buffer[:m * width].reshape(m, width) for buffer in buffers)
+        return _score(scaled, translation, points_t, matches_t, res, term)
 
     def verified(iterations, scaled, translation, alone):
         """The hypotheses of ``iterations``, at most _SUB_BLOCK, scored on all points."""
@@ -350,16 +408,25 @@ def _consensus(src: np.ndarray, dst: np.ndarray, params: RansacParams):
         # is scored as when all of its sub-block is, alone only if the sub-block holds no other.
         if len(scaled) == 1 and not alone:
             scaled, translation = np.repeat(scaled, 2, axis=0), np.repeat(translation, 2, axis=0)
-        m = len(scaled)
-        res = _score(scaled, translation, src_t, dst_t, res_buf[:m], term_buf[:m])
+        res = scored(scaled, translation, src_t, dst_t)
         inliers = res < bound
-        return zip(iterations.tolist(), res, inliers, inliers.sum(axis=1).tolist())
+        return zip(iterations[:, None].tolist(), res, inliers, inliers.sum(axis=1).tolist())
+
+    def ended(run):
+        """Yields the run of rejected hypotheses as one, unless it is empty; returns a new run."""
+        if run:
+            yield run, None, None, 0
+        return []
 
     pretest = n > 4 * _PRE
     if pretest:
         subset = rng.keyed_subset(params.seed, rng.PREVERIFY, n, _PRE)
         sub_src, sub_dst = src_t[:, subset], dst_t[:, subset]
-        sub_res, sub_term = np.empty((2, _SUB_BLOCK, _PRE))
+
+        def subset_counts(scaled, translation):
+            """Each hypothesis's inlier count on the subset points."""
+            return (scored(scaled, translation, sub_src, sub_dst) < bound).sum(axis=1)
+
         floor = _stop_floor(n, params)
         # Per iteration, for a hypothesis set aside (rejected against the floor): its
         # subset count (else -1), whether its sub-block held no other, and its fit.
@@ -368,39 +435,47 @@ def _consensus(src: np.ndarray, dst: np.ndarray, params: RansacParams):
         aside_alone = np.zeros(params.max_iterations, dtype=bool)
         aside_scaled = np.empty((params.max_iterations, 3, 3))
         aside_translation = np.empty((params.max_iterations, 3))
-    best = 0
+    best, run = 0, []
     for start in range(0, params.max_iterations, _BLOCK):
         sample = minimal_samples(n, params.seed, start, min(start + _BLOCK, params.max_iterations))
         scale, rotation, translation, fault = fit_similarities(src[sample], dst[sample])
         with np.errstate(all="ignore"):  # a faulty row's values are meaningless
             scaled = scale[:, None, None] * rotation
+        counts = None
         for first in range(0, len(sample), _SUB_BLOCK):
             rows = first + np.flatnonzero(fault[first:first + _SUB_BLOCK] == 0)
             rejected = np.zeros(len(rows), dtype=bool)
             target = max(best, floor) if pretest else 0
             # While mu = _PRE * target / n <= 2 ln(1 / _PRE_MISS), _pretest_rejects rejects nothing.
             if _PRE * target / n > 2.0 * -math.log(_PRE_MISS):
-                sub = _score(scaled[rows], translation[rows], sub_src, sub_dst,
-                             sub_res[:len(rows)], sub_term[:len(rows)])
-                counts = (sub < bound).sum(axis=1)
-                rejected = _pretest_rejects(counts, target, n)
+                if counts is None:  # the rest of the block's rows, in one product
+                    rest = first + np.flatnonzero(fault[first:] == 0)
+                    counts = np.zeros(len(sample), dtype=np.int64)
+                    counts[rest] = subset_counts(scaled[rest], translation[rest])
+                k = counts[rows]
+                if len(rows) == 1 < len(rest):  # counted as when its sub-block is, alone
+                    k = subset_counts(scaled[rows], translation[rows])
+                rejected = _pretest_rejects(k, target, n)
                 if best < floor:
                     aside = rows[rejected]
-                    aside_count[start + aside] = counts[rejected]
+                    aside_count[start + aside] = k[rejected]
                     aside_alone[start + aside] = len(rows) == 1
                     aside_scaled[start + aside] = scaled[aside]
                     aside_translation[start + aside] = translation[aside]
             kept = rows[~rejected]
             if len(kept):
+                run = yield from ended(run)
                 scores = verified(start + kept, scaled[kept], translation[kept], len(rows) == 1)
             for iteration, reject in zip((start + rows).tolist(), rejected.tolist()):
                 if reject:
-                    yield iteration, None, None, 0
+                    run.append(iteration)
                     continue
                 hypothesis = next(scores)
                 if hypothesis[3]:
+                    run = yield from ended(run)
                     best = max(best, hypothesis[3])
                     yield hypothesis
+        run = yield from ended(run)
     if not pretest or best >= floor:
         return
     # Below the floor the loop cannot stop, so it ran out: score what could still win.
@@ -412,6 +487,36 @@ def _consensus(src: np.ndarray, dst: np.ndarray, params: RansacParams):
         for group in (iterations[i:i + size] for i in range(0, len(iterations), size)):
             scores = verified(group, aside_scaled[group], aside_translation[group], alone)
             yield from (hypothesis for hypothesis in scores if hypothesis[3])
+
+
+def _ransac(src, dst, params: RansacParams) -> tuple[SimilarityTransform, np.ndarray, int]:
+    """ransac_align's transform, the residual of every point under it, and the iterations
+    its loop ran: up to the one at which the stop test held, else all of them."""
+    src, dst = _point_pairs(src, dst)
+    n = len(src)
+    if n < MIN_SAMPLE:
+        raise InvariantViolation(f"{n} correspondences, need at least {MIN_SAMPLE}")
+
+    best_count, best_key, best_mask = 0, (0,), None
+    iterations = params.max_iterations
+    for run, res, mask, count in _consensus(src, dst, params):
+        if count and count >= best_count:
+            # Recovered hypotheses come after the last iteration, so the order is by key.
+            key = (count, -float(np.sqrt(res[mask]).mean()), -run[0])
+            if key > best_key:
+                best_count, best_key, best_mask = count, key, mask.copy()
+        if _stops(best_count, n, run[-1], params.confidence):
+            # The test is monotone in the iteration: it first holds within the run.
+            holds = partial(_stops, best_count, n, confidence=params.confidence)
+            iterations = run[bisect_left(run, True, key=holds)] + 1
+            break
+
+    if best_count <= MIN_SAMPLE:
+        message = f"best consensus holds {best_count} point(s); need more than {MIN_SAMPLE}"
+        raise InvariantViolation(message)
+
+    transform = umeyama(src[best_mask], dst[best_mask])
+    return transform, residuals(transform, src, dst), iterations
 
 
 def ransac_align(
@@ -432,50 +537,35 @@ def ransac_align(
     1 - confidence. The winner is refit on its full consensus set and the
     inlier mask recomputed once against the refit transform.
 
-    On more than 4 * _PRE points, each sub-block is first scored on a fixed
-    subset of _PRE points (the rows with the smallest draws keyed by (seed,
-    PREVERIFY, row)) whenever its target is high enough for the pre-test to
-    reject anything. The target is the larger of the best count held when
-    the sub-block began and the stop floor, the least count that stops the
-    loop at its last iteration (see _stop_floor): at the defaults the floor
-    is 0.151 n, so the pre-test runs from the first sub-block. A hypothesis
-    whose subset count says it cannot reach the target (see _pretest_rejects)
-    is not scored on all points: it runs the stop test, as a hypothesis with
-    inliers does, but never wins. Below the floor the stop test cannot fire,
-    so a hypothesis rejected against the floor can matter only if the loop
-    runs out below it. Its fit and subset count are kept; if the loop does
-    run out below the floor, those whose subset count does not rule out the
-    final best are scored on all points after the last iteration, without
-    rerunning any, and compete by count, mean residual and iteration as if
-    scored in order. A hypothesis whose full count is at least its target,
-    or at least the final best, is dropped with probability at most
-    _PRE_MISS = 1e-9. Short of such a loss, the pre-test runs no more
-    iterations than the loop without it, as it only adds stop tests; it can
-    change the winner only when it ends the loop at a hypothesis without
-    inliers, which that loop passes over, and a later one would have won.
+    On more than 4 * _PRE points, the hypotheses of a block are first scored
+    on a fixed subset of _PRE points (the rows with the smallest draws keyed
+    by (seed, PREVERIFY, row)), in one product, from the first sub-block
+    whose target is high enough for the pre-test to reject anything. The
+    target of a sub-block is the larger of the best count held when it began
+    and the stop floor, the least count that stops the loop at its last
+    iteration (see _stop_floor): at the defaults the floor is 0.151 n, so
+    the pre-test runs from the first sub-block. A hypothesis whose subset
+    count says it cannot reach its target (see _pretest_rejects) is not
+    scored on all points: it runs the stop test, as a hypothesis with
+    inliers does, but never wins. As the best count does not change between
+    two hypotheses with inliers and the stop test is monotone in the
+    iteration, a run of rejected hypotheses takes one stop test, at its last
+    iteration, and a bisection finds the first at which it holds. Below the
+    floor the stop test cannot fire, so a hypothesis rejected against the
+    floor can matter only if the loop runs out below it. Its fit and subset
+    count are kept; if the loop does run out below the floor, those whose
+    subset count does not rule out the final best are scored on all points
+    after the last iteration, without rerunning any, and compete by count,
+    mean residual and iteration as if scored in order. A hypothesis whose
+    full count is at least its target, or at least the final best, is
+    dropped with probability at most _PRE_MISS = 1e-9. Short of such a
+    loss, the pre-test runs no more iterations than the loop without it, as
+    it only adds stop tests; it can change the winner only when it ends the
+    loop at a hypothesis without inliers, which that loop passes over, and
+    a later one would have won.
     """
-    src, dst = _point_pairs(src, dst)
-    n = len(src)
-    if n < MIN_SAMPLE:
-        raise InvariantViolation(f"{n} correspondences, need at least {MIN_SAMPLE}")
-
-    best_count, best_key, best_mask = 0, (0,), None
-    for iteration, res, mask, count in _consensus(src, dst, params):
-        if count and count >= best_count:
-            # Recovered hypotheses come after the last iteration, so the order is by key.
-            key = (count, -float(np.sqrt(res[mask]).mean()), -iteration)
-            if key > best_key:
-                best_count, best_key, best_mask = count, key, mask.copy()
-        if _stops(best_count, n, iteration, params.confidence):
-            break
-
-    if best_count <= MIN_SAMPLE:
-        message = f"best consensus holds {best_count} point(s); need more than {MIN_SAMPLE}"
-        raise InvariantViolation(message)
-
-    transform = umeyama(src[best_mask], dst[best_mask])
-    final_mask = residuals(transform, src, dst) < params.threshold
-    return transform, final_mask
+    transform, res, _ = _ransac(src, dst, params)
+    return transform, res < params.threshold
 
 
 def error_statistics(residuals_m) -> tuple[float, float]:
@@ -518,9 +608,9 @@ def evaluate(
         src, dst = recon.positions[found[rows]], manifest.camera[rows]
     if len(names) < MIN_SAMPLE:
         raise InvariantViolation(f"{len(names)} shared image name(s); need at least {MIN_SAMPLE}")
-    transform, mask = ransac_align(src, dst, params)
+    transform, res, _ = _ransac(src, dst, params)
     with np.errstate(over="ignore"):
-        res_m = residuals(transform, src, dst) * meters_per_unit
+        res_m = res * meters_per_unit
     overflow = np.flatnonzero(~np.isfinite(res_m))
     if len(overflow):
         name = names[overflow[0]]
@@ -528,7 +618,7 @@ def evaluate(
     average, median = error_statistics(res_m)
     return AlignmentReport(
         transform=transform,
-        inlier_mask=mask,
+        inlier_mask=res < params.threshold,
         residuals_m=res_m,
         average_error_m=average,
         median_error_m=median,

@@ -32,6 +32,15 @@ from .errors import InvariantViolation, ParseError
 from .textio import FIXED
 from .trajectory import DenseTrajectory, SparseTrajectory, expand_visitation, value_type
 
+def _fields(columns: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Each three ``columns`` as one read-only (N, 3) array, which a value type adopts
+    without a copy (see trajectory.frozen_array)."""
+    fields = [np.column_stack(columns[k:k + 3]) for k in range(0, len(columns), 3)]
+    for array in fields:
+        array.setflags(write=False)
+    return fields
+
+
 # --------------------------------------------------------------------------
 # Sparse trajectory (vertex + visitation order files)
 # --------------------------------------------------------------------------
@@ -70,8 +79,7 @@ def read_dense(text: str) -> DenseTrajectory:
     columns, _ = textio.table(text, (float,) * 9)
     if not len(columns[0]):
         raise ParseError("trajectory file contains no pose lines", line=1)
-    data = np.column_stack(columns)
-    return DenseTrajectory(data[:, 0:3], data[:, 3:6], data[:, 6:9])
+    return DenseTrajectory(*_fields(columns))
 
 
 # --------------------------------------------------------------------------
@@ -105,13 +113,20 @@ def _single_tokens(names: tuple[str, ...]) -> bool:
     with ``#`` where the joined names or a " #" do. Only " " of all
     whitespace is printable, so an unprintable name is not shown here (nor
     a non-str one): the caller's loop judges it. An empty name passes.
+    ASCII names take one bytes.translate pass for ``str.isprintable``.
     """
     try:
         joined = " ".join(names)
     except TypeError:
         return False
-    return (joined.count(" ") == len(names) - 1 and joined.isprintable()
+    printable = (not joined.encode("ascii").translate(None, _PRINTABLE_ASCII)
+                 if joined.isascii() else joined.isprintable())
+    return (joined.count(" ") == len(names) - 1 and printable
             and not joined.startswith("#") and " #" not in joined)
+
+
+# The ASCII characters that str.isprintable accepts: " " to "~".
+_PRINTABLE_ASCII = bytes(range(0x20, 0x7F))
 
 
 @value_type("names", "camera", "rotation", camera=(-1, 3), rotation=(-1, 3), names=_check_names)
@@ -153,9 +168,8 @@ def read_manifest(text: str) -> CaptureManifest:
                 raise textio.error(text, line_no, 1, f"unknown {key} {value!r}") from None
         elif key in ("vehicle_density", "pedestrian_density"):
             cond[key] = float(textio.numbers(text, line_no, fields, float, start=1)[0])
-    data = np.column_stack(columns)
     try:
-        return CaptureManifest(names, data[:, :3], data[:, 3:], ConditionSet(**cond))
+        return CaptureManifest(names, *_fields(columns), ConditionSet(**cond))
     except (ValueError, InvariantViolation):
         _check_names(names, text)  # a repeated name is the first fault, named at its line
         raise
@@ -180,7 +194,7 @@ def read_reconstruction(text: str) -> ReconstructedSet:
     """Parse ``name x y z`` lines; an empty file is a valid empty set."""
     (names, *columns), _ = textio.table(text, (str, float, float, float))
     try:
-        return ReconstructedSet(names, np.column_stack(columns))
+        return ReconstructedSet(names, *_fields(columns))
     except (ValueError, InvariantViolation):
         _check_names(names, text)  # a repeated name is the first fault, named at its line
         raise

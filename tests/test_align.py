@@ -227,6 +227,114 @@ class TestFitSimilarities:
             np.testing.assert_array_equal(translation[b], reference[2])
 
 
+def svd_rule_faults(src, dst) -> np.ndarray:
+    """fit_similarities' fault codes by the SVD rule: the singular values s of each centred,
+    unit-extent source slab say coincident (s0 <= 0) and collinear (s1 <= 1e-9 s0)."""
+    with np.errstate(all="ignore"):
+        src_c, _ = align._unit_extent(src - src.mean(axis=1)[:, None])
+        dst_c, _ = align._unit_extent(dst - dst.mean(axis=1)[:, None])
+    finite = np.isfinite(src_c).all(axis=(1, 2)) & np.isfinite(dst_c).all(axis=(1, 2))
+    sv = np.linalg.svd(np.where(finite[:, None, None], src_c, 0.0), compute_uv=False)
+    scale, _, translation, _ = align.fit_similarities(src, dst)
+    failed = np.array([
+        ~finite, sv[:, 0] <= 0.0, sv[:, 1] <= 1e-9 * sv[:, 0], ~np.isfinite(scale),
+        scale <= 0.0, ~np.isfinite(translation).all(axis=1),
+    ])
+    return np.where(failed.any(axis=0), failed.argmax(axis=0) + 1, 0)
+
+
+def near_collinear(rng, ratios, offsets) -> np.ndarray:
+    """Triangles whose centred points have singular value ratio s1 / s0 = ``ratios``, in
+    random directions, at random scales, ``offsets`` times their size from the origin.
+
+    The centred rows a d + b e, with a = (-1, 0, 1) L and b = (1, -2, 1) h
+    orthogonal and d, e orthonormal, have singular values L sqrt(2) and h sqrt(6).
+    """
+    d, e = np.linalg.qr(rng.normal(size=(len(ratios), 3, 2)))[0].transpose(2, 0, 1)
+    length = 10.0 ** rng.uniform(-3, 3, (len(ratios), 1))
+    a, b = np.array([-1.0, 0.0, 1.0]), np.array([1.0, -2.0, 1.0])
+    height = np.asarray(ratios)[:, None] * length / math.sqrt(3)
+    points = a[:, None] * (length * d)[:, None] + b[:, None] * (height * e)[:, None]
+    offset = rng.normal(size=(len(ratios), 3)) * length * np.asarray(offsets)[:, None]
+    return points + offset[:, None]
+
+
+class TestCollinearityRule:
+    """fit_similarities gives the SVD rule's fault codes, taking the SVD of a minimal sample
+    only where the sum of its squared 2x2 minors lies within a factor 2 of the 1e-9 ratio."""
+
+    def assert_same_faults(self, src, dst):
+        fault = align.fit_similarities(src, dst)[3]
+        np.testing.assert_array_equal(fault, svd_rule_faults(src, dst))
+        return fault
+
+    @pytest.mark.parametrize("rows", [1, 64, 1000])
+    def test_random_stacks(self, rows):
+        rng = np.random.default_rng(300 + rows)
+        src = rng.uniform(-1, 1, (rows, 3, 3)) * 10.0 ** rng.uniform(-200, 200, (rows, 1, 1))
+        dst = rng.uniform(-1, 1, (rows, 3, 3)) * 10.0 ** rng.uniform(-5, 5, (rows, 1, 1))
+        assert not self.assert_same_faults(src, dst).any()
+
+    def test_exactly_collinear_and_coincident(self):
+        rng = np.random.default_rng(310)
+        src = rng.integers(-1000, 1000, (600, 3, 3)).astype(float)
+        src[:200, 2] = 3 * src[:200, 1] - 2 * src[:200, 0]      # collinear
+        src[200:400, 1:] = src[200:400, :1]                     # coincident
+        src[400:] = src[400:, :1] + np.arange(3)[:, None] * src[400:, 1:2]   # collinear, spaced
+        src *= 2.0 ** rng.integers(-300, 300, (600, 1, 1))  # exact, as is each mean
+        dst = rng.uniform(-10, 10, src.shape)
+        fault = self.assert_same_faults(src, dst)
+        assert (fault[:200] == 3).all() and (fault[400:] == 3).all()
+        assert (fault[200:400] == 2).all()
+
+    def test_non_finite(self):
+        rng = np.random.default_rng(320)
+        src, dst = rng.uniform(-10, 10, (2, 90, 3, 3))
+        for k, value in enumerate((np.inf, -np.inf, np.nan)):
+            src[30 * k:30 * k + 15, k % 3, k] = value
+            dst[30 * k + 15:30 * k + 30, 2, k] = value
+        src[45:60] = src[45:60, :1]        # coincident and non-finite: non-finite first
+        fault = self.assert_same_faults(src, dst)
+        assert (fault == 1).all()
+
+    def test_near_collinear_sweep(self, monkeypatch):
+        # Ratios across 1e-9 and across both edges of the band, 0.5e-9 and 2e-9,
+        # near the origin and, in every other row, so far from it that the
+        # rounding of the centring leaves s2 near s1.
+        rng = np.random.default_rng(330)
+        ratios = np.geomspace(0.1e-9, 10e-9, 4000)
+        src = near_collinear(rng, ratios, np.where(np.arange(4000) % 2, 10.0 ** 6.8, 1.0))
+        dst = rng.uniform(-10, 10, src.shape)
+        taken, svd = [], np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: taken.append(len(a)) or svd(a, **kw))
+        fault = align.fit_similarities(src, dst)[3]
+        monkeypatch.undo()
+        np.testing.assert_array_equal(fault, svd_rule_faults(src, dst))
+        with np.errstate(all="ignore"):
+            centred, _ = align._unit_extent(src - src.mean(axis=1)[:, None])
+        sv = np.linalg.svd(centred, compute_uv=False)
+        ratio, thick = sv[:, 1] / sv[:, 0], sv[:, 2] > 0.25 * sv[:, 1]
+        for lo, hi in ((0.3e-9, 0.5e-9), (0.5e-9, 0.7e-9), (0.8e-9, 1e-9), (1e-9, 1.2e-9),
+                       (1.5e-9, 2e-9), (2e-9, 3e-9)):
+            assert ((lo < ratio) & (ratio <= hi) & ~thick).sum() >= 10, (lo, hi)
+            assert ((lo < ratio) & (ratio <= hi) & thick).sum() >= 10, (lo, hi)
+        assert set(fault.tolist()) == {0, 3}
+        # The SVD of the sources takes the rows in the band only, then that of the
+        # covariances all rows. In the band sqrt(q) lies between r and sqrt(2) r.
+        assert len(taken) == 2 and taken[1] == len(src)
+        assert ((0.55e-9 < ratio) & (ratio < 1.4e-9)).sum() <= taken[0]
+        assert taken[0] <= ((0.35e-9 < ratio) & (ratio < 2.05e-9)).sum()
+
+    @pytest.mark.parametrize("n", [4, 50])
+    def test_refit_stacks(self, n):
+        rng = np.random.default_rng(340 + n)
+        for ratio in (0.0, 1e-12, 0.9e-9, 1.1e-9, 1e-6, 1.0):
+            direction = rng.normal(size=3)
+            src = rng.uniform(-10, 10, (1, n, 1)) * direction + ratio * rng.normal(size=(1, n, 3))
+            dst = rng.uniform(-10, 10, (1, n, 3))
+            self.assert_same_faults(src, dst)
+
+
 def stops(count, n, iteration, confidence) -> bool:
     """ransac_align's stop test after ``iteration`` with a best count of ``count``."""
     miss_prob = (1.0 - (count / n) ** align.MIN_SAMPLE) ** (iteration + 1)
@@ -336,27 +444,33 @@ def assert_matches_one_at_a_time(src, dst, params) -> int:
     return iterations_run(expected, params)
 
 
-def run_blocked(monkeypatch, src, dst, params, rejects=None):
+def run_blocked(monkeypatch, src, dst, params, rejects=None, runs=None):
     """ransac_align's transform and mask, and the iterations its loop ran.
 
     Appends to ``rejects`` the iterations that _consensus yielded with count
-    0, the hypotheses the pre-test ruled out.
+    0, the hypotheses the pre-test ruled out, and to ``runs`` each run of
+    them that it yielded as one.
     """
-    consumed, exhausted = [], []
-    blocked = align._consensus
+    blocked, ransac, ran = align._consensus, align._ransac, []
+    rejects, runs = [] if rejects is None else rejects, [] if runs is None else runs
 
     def recording(*args):
         for hypothesis in blocked(*args):
-            consumed.append(hypothesis[0])
-            if rejects is not None and hypothesis[3] == 0:
-                rejects.append(hypothesis[0])
+            if hypothesis[3] == 0:
+                rejects.extend(hypothesis[0])
+                runs.append(hypothesis[0])
             yield hypothesis
-        exhausted.append(True)
+
+    def counting(*args):
+        transform, res, iterations = ransac(*args)
+        ran.append(iterations)
+        return transform, res, iterations
 
     with monkeypatch.context() as patch:
         patch.setattr(align, "_consensus", recording)
+        patch.setattr(align, "_ransac", counting)
         transform, mask = tk.ransac_align(src, dst, params)
-    return transform, mask, params.max_iterations if exhausted else consumed[-1] + 1
+    return transform, mask, ran[0]
 
 
 def noisy_pairs(seed, n, outlier_fraction, sigma):
@@ -376,16 +490,19 @@ def assert_stops_mid_sub_block(monkeypatch, n: int) -> list[int]:
     Returns the iterations the pre-test rejected.
     """
     src, dst = noisy_pairs(60, n, 0.5, sigma=0.15)
-    stops, rejects = set(), []
+    stops, rejects, inside_runs = set(), [], 0
     for digits in np.linspace(1, 12, 23):
         params = tk.RansacParams(threshold=0.5, confidence=1 - 10 ** -digits, seed=3)
-        blocked = run_blocked(monkeypatch, src, dst, params, rejects)
+        runs = []
+        blocked = run_blocked(monkeypatch, src, dst, params, rejects, runs)
         reference = one_at_a_time(src, dst, params, pretest=True)
         assert_same_outcome(blocked, reference)
         assert blocked[2] == reference[2] < params.max_iterations
         stops.add(blocked[2] % align._SUB_BLOCK)
+        # A stop at a rejected hypothesis before the last of its run, found by bisection.
+        inside_runs += any(blocked[2] - 1 in run[:-1] for run in runs)
     assert len(stops - {0}) >= 3
-    return rejects
+    return rejects, inside_runs
 
 
 class TestBlockedRansac:
@@ -400,7 +517,7 @@ class TestBlockedRansac:
             assert_matches_one_at_a_time(src, dst, params)
 
     def test_confidence_stop_mid_sub_block(self, monkeypatch):
-        assert_stops_mid_sub_block(monkeypatch, 80)
+        assert assert_stops_mid_sub_block(monkeypatch, 80) == ([], 0)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_degenerate_rows_inside_sub_blocks(self, seed):
@@ -504,9 +621,10 @@ class TestPretest:
         samples = align.minimal_samples(len(src), params.seed, 0, params.max_iterations)
         src_t, dst_t = np.ascontiguousarray(src.T), np.ascontiguousarray(dst.T)
         scored, rejected = Counter(), Counter()
-        for iteration, res, _, count in align._consensus(src, dst, params):
-            start = iteration - iteration % align._SUB_BLOCK
-            (rejected if count == 0 else scored)[start] += 1
+        for iterations, res, _, count in align._consensus(src, dst, params):
+            for iteration in iterations:
+                start = iteration - iteration % align._SUB_BLOCK
+                (rejected if count == 0 else scored)[start] += 1
             if count:
                 sample = samples[start:start + align._SUB_BLOCK]
                 scale, rotation, translation, fault = align.fit_similarities(src[sample], dst[sample])
@@ -528,18 +646,20 @@ class TestPretest:
         assert rejects
 
     def test_confidence_stop_mid_sub_block(self, monkeypatch):
-        assert assert_stops_mid_sub_block(monkeypatch, 3000)
+        rejects, inside_runs = assert_stops_mid_sub_block(monkeypatch, 3000)
+        assert rejects and inside_runs
 
 
 def traced_run(monkeypatch, src, dst, params):
     """ransac_align's work in order, and the iterations its loop ran, whether or not it fails.
 
     The log holds ("fit", rows) per fit_similarities call, ("score", points,
-    rows) per _score call and ("yield", iteration, count) per hypothesis
-    that _consensus yields.
+    rows) per _score call and ("yield", iterations, count) per item that
+    _consensus yields: a hypothesis, or a run of rejected ones with count 0.
     """
-    log, exhausted = [], []
-    fit, score, consensus = align.fit_similarities, align._score, align._consensus
+    log, ran = [], []
+    fit, score, consensus, ransac = (
+        align.fit_similarities, align._score, align._consensus, align._ransac)
 
     def fitting(src, dst):
         log.append(("fit", len(src)))
@@ -551,17 +671,27 @@ def traced_run(monkeypatch, src, dst, params):
 
     def recording(*args):
         for hypothesis in consensus(*args):
-            log.append(("yield", hypothesis[0], hypothesis[3]))
+            log.append(("yield", tuple(hypothesis[0]), hypothesis[3]))
             yield hypothesis
-        exhausted.append(True)
+
+    def counting(*args):
+        transform, res, iterations = ransac(*args)
+        ran.append(iterations)
+        return transform, res, iterations
 
     with monkeypatch.context() as patch:
         patch.setattr(align, "fit_similarities", fitting)
         patch.setattr(align, "_score", scoring)
         patch.setattr(align, "_consensus", recording)
+        patch.setattr(align, "_ransac", counting)
         outcome(lambda: tk.ransac_align(src, dst, params))
-    yields = [event[1] for event in log if event[0] == "yield"]
-    return log, params.max_iterations if exhausted else yields[-1] + 1
+    # A run that fails has no consensus, so no stop test held: it used the whole budget.
+    return log, ran[0] if ran else params.max_iterations
+
+
+def rejected_in(log) -> list[int]:
+    """The iterations of the runs of rejected hypotheses in a traced_run log."""
+    return [i for event in log if event[0] == "yield" and event[2] == 0 for i in event[1]]
 
 
 class TestWorkCounts:
@@ -589,20 +719,21 @@ class TestWorkCounts:
 
     def test_no_all_points_scoring_of_a_rejected_sub_block(self, monkeypatch):
         # As in test_subset_is_the_rows_with_the_smallest_keyed_draws: the
-        # pre-test rejects every hypothesis, against the floor. The loop scores
-        # none on all points; as it runs out with no inliers, each hypothesis
-        # it set aside is then scored once, 8 at a time, from its kept fit.
+        # pre-test rejects every hypothesis, against the floor. The loop counts
+        # the block on the subset in one product and scores none on all points;
+        # as it runs out with no inliers, each hypothesis it set aside is then
+        # scored once, 8 at a time, from its kept fit.
         n, seed = 3000, 5
         src, dst = noisy_pairs(82, n, 0.0, sigma=0.1)
         subset = align.rng.keyed_subset(seed, PREVERIFY, n, align._PRE)
         dst[subset] += np.random.default_rng(83).uniform(-30, 30, (align._PRE, 3))
         params = tk.RansacParams(threshold=0.5, max_iterations=40, confidence=1 - 1e-15, seed=seed)
         log, _ = traced_run(monkeypatch, src, dst, params)
-        rejects = [event[1] for event in log if event[0] == "yield" and event[2] == 0]
-        assert rejects == list(range(params.max_iterations))
-        loop_end = log.index(("yield", params.max_iterations - 1, 0))
+        # The block's one run of rejections takes one stop test.
+        loop_end = log.index(("yield", tuple(range(params.max_iterations)), 0))
+        assert rejected_in(log) == list(range(params.max_iterations))
         assert [event for event in log[:loop_end] if event[0] != "yield"] == [
-            ("fit", params.max_iterations), *[("score", align._PRE, align._SUB_BLOCK)] * 5
+            ("fit", params.max_iterations), ("score", align._PRE, params.max_iterations)
         ]
         assert [event for event in log[loop_end:] if event[0] != "yield"] == [
             *[("score", n, align._SUB_BLOCK)] * 5, ("fit", 1)
@@ -613,7 +744,8 @@ class TestWorkCounts:
         # At n = 3000 the pre-test can reject once its target, the larger of the
         # best count and the stop floor, exceeds 242. After 400 iterations the
         # floor is 774, so it can reject from the first sub-block, though with
-        # 95% outliers 400 iterations find no more than a few inliers at once.
+        # 95% outliers 400 iterations find no more than a few inliers at once:
+        # each block is counted on the subset in one product.
         n = 3000
         bound = 2 * n * math.log(1 / align._PRE_MISS) / align._PRE
         for outlier_fraction, best_passes_bound in ((0.95, False), (0.8, True)):
@@ -630,14 +762,37 @@ class TestWorkCounts:
                     assert max(best, floor) > bound
                     subset_calls += 1
             assert 0 < best and (best > bound) == best_passes_bound
-            assert subset_calls == params.max_iterations // align._SUB_BLOCK
+            assert subset_calls == math.ceil(params.max_iterations / align._BLOCK)
+
+
+    @pytest.mark.parametrize("outlier_fraction, n, seed", [(0.5, 3000, 3), (0.8, 3000, 1),
+                                                           (0.9, 5000, 2)])
+    def test_one_stop_test_per_run_of_rejections(self, monkeypatch, outlier_fraction, n, seed):
+        # Rejected hypotheses come in iteration order, as one yield per run: two runs
+        # in a row have a block fit or an all-points scoring between them, after
+        # which the stop test may have ended the loop.
+        src, dst = noisy_pairs(140 + seed, n, outlier_fraction, sigma=0.1)
+        params = tk.RansacParams(threshold=0.5, seed=seed)
+        log, iterations = traced_run(monkeypatch, src, dst, params)
+        rejected, last_run = rejected_in(log), None
+        assert rejected == sorted(set(rejected)) and rejected
+        for k, event in enumerate(log):
+            if event[0] == "yield" and event[2] == 0:
+                if last_run is not None:
+                    assert any(e[0] == "fit" or e[:2] == ("score", n) for e in log[last_run:k])
+                last_run = k
+            elif event[0] == "yield":
+                last_run = None
+        runs = [event for event in log if event[0] == "yield" and event[2] == 0]
+        assert len(runs) < len(rejected) / 4
 
 
 def recovered(log) -> list[int]:
     """The iterations that a traced_run log yields with a count after yielding them with
     none: the hypotheses set aside against the stop floor and scored after the loop."""
-    rejected = {event[1] for event in log if event[0] == "yield" and event[2] == 0}
-    return [event[1] for event in log if event[0] == "yield" and event[2] and event[1] in rejected]
+    rejected = set(rejected_in(log))
+    return [event[1][0] for event in log
+            if event[0] == "yield" and event[2] and event[1][0] in rejected]
 
 
 def whole_sub_block_scores(src, dst, params, points=slice(None)):
@@ -736,18 +891,31 @@ class TestFloorRecovery:
     def test_recovered_rows_keep_the_bits_of_their_whole_sub_block(self, monkeypatch, seed):
         # Four distinct sources, three of them on a line, each repeated: some
         # sub-blocks hold a single sample that fits, which is scored alone, as
-        # BLAS rounds a product of one row unlike one of several. A threshold
-        # below the noise keeps every count under the floor, so every
-        # hypothesis is set aside and scored after the loop.
+        # BLAS rounds a product of one row unlike one of several; so is it on
+        # the subset, within its block's product. A threshold below the noise
+        # keeps every count under the floor, so every hypothesis is set aside
+        # and scored after the loop.
         rng = np.random.default_rng(130 + seed)
         base = np.array([[0, 0, 0], [1, 1, 0], [2, 2, 0], [0, 3, 1]], dtype=float) * 5
         src = np.repeat(base, 750, axis=0)
         dst = random_similarity(rng).apply(src) + rng.normal(0, 0.1, src.shape)
         params = tk.RansacParams(threshold=0.12, max_iterations=80, confidence=1 - 1e-15, seed=seed)
         whole = whole_sub_block_scores(src, dst, params)
-        late = set(recovered(traced_run(monkeypatch, src, dst, params)[0]))
+        counts, rejects = [], align._pretest_rejects
+        monkeypatch.setattr(align, "_pretest_rejects",
+                            lambda k, *args: counts.append(k) or rejects(k, *args))
+        log = traced_run(monkeypatch, src, dst, params)[0]
+        monkeypatch.setattr(align, "_pretest_rejects", rejects)
+        subset = align.rng.keyed_subset(params.seed, PREVERIFY, len(src), align._PRE)
+        bound = align._square_bound(params.threshold)
+        on_subset = whole_sub_block_scores(src, dst, params, subset).values()
+        # The last call is the recovery's.
+        expected = [int((res < bound).sum()) for res in on_subset]
+        assert np.concatenate(counts[:-1]).tolist() == expected
+        assert ("score", align._PRE, 1) in log
+        late = set(recovered(log))
         alone = 0
-        for iteration, res, _, count in align._consensus(src, dst, params):
+        for (iteration, *_), res, _, count in align._consensus(src, dst, params):
             if count:
                 assert iteration in late
                 np.testing.assert_array_equal(res, whole[iteration])

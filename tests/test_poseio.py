@@ -663,3 +663,35 @@ def test_names_checked_once_per_read(monkeypatch, read, text):
     monkeypatch.setattr(poseio, "_single_tokens", lambda *args: calls.append(args) or check(*args))
     read(text)
     assert len(calls) == 1
+
+
+def single_tokens_reference(names) -> bool:
+    """_single_tokens with str.isprintable for every name, ASCII or not."""
+    joined = " ".join(names)
+    return (joined.count(" ") == len(names) - 1 and joined.isprintable()
+            and not joined.startswith("#") and " #" not in joined)
+
+
+@pytest.mark.parametrize("char", [chr(c) for c in range(128)] + ["\u00e9", "\u2028"])
+def test_name_check_matches_isprintable(char):
+    for names in ((f"a{char}b",), ("frame_0.png", f"{char}x"), (char,), (f"x{char}", "y")):
+        assert poseio._single_tokens(names) == single_tokens_reference(names)
+
+
+@pytest.mark.parametrize("read, text, fields", [
+    (tk.read_dense, "0 0 0 1 1 1 2 2 2\n3 3 3 4 4 4 5 5 5\n",
+     ("protagonist", "camera", "rotation")),
+    (tk.read_manifest, "a.png 0 0 0 0 0 0\nb.png 1 1 1 0 0 0\n", ("camera", "rotation")),
+    (tk.read_reconstruction, "a.png 0 0 0\nb.png 1 1 1\n", ("positions",)),
+])
+def test_readers_hand_each_field_over_once(monkeypatch, read, text, fields):
+    # Each (N, 3) field is the array the reader stacked, adopted by the value
+    # type without a copy: it owns its data and is read-only.
+    stacked, column_stack = [], np.column_stack
+    monkeypatch.setattr(np, "column_stack", lambda arrays: stacked.append(column_stack(arrays))
+                        or stacked[-1])
+    value = read(text)
+    for name in fields:
+        array = getattr(value, name)
+        assert array.base is None and array.flags.owndata and not array.flags.writeable
+        assert any(array is s for s in stacked), name

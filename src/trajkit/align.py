@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import partial
 from itertools import compress, repeat
 from typing import TYPE_CHECKING, Sequence
@@ -37,7 +36,8 @@ import numpy as np
 
 from . import rng
 from .errors import DegenerateConfiguration, InvariantViolation
-from .trajectory import value_type
+from .trajectory import (AT_LEAST_1, FINITE, IN_OPEN_UNIT, POSITIVE, POSITIVE_FINITE, at_most,
+                         value_type)
 
 if TYPE_CHECKING:
     from .poseio import CaptureManifest, ReconstructedSet
@@ -67,7 +67,8 @@ _PRE = 512
 _PRE_MISS = 1e-9
 
 
-@value_type(rotation=(3, 3), translation=(3,), scale=float)
+@value_type(rotation=(3, 3), translation=(3,),
+            scale=(float, FINITE, POSITIVE._replace(error=InvariantViolation)))
 class SimilarityTransform:
     """x -> scale * rotation @ x + translation, scale > 0, rotation in SO(3)."""
 
@@ -76,10 +77,6 @@ class SimilarityTransform:
     translation: np.ndarray
 
     def __post_init__(self):
-        if not math.isfinite(self.scale):
-            raise ValueError(f"scale must be finite, got {self.scale}")
-        if not self.scale > 0:
-            raise InvariantViolation(f"scale must be positive, got {self.scale}")
         if np.abs(self.rotation.T @ self.rotation - np.eye(3)).max() > _ORTHO_TOL:
             raise InvariantViolation("rotation is not orthonormal within 1e-9")
         if abs(np.linalg.det(self.rotation) - 1.0) > _ORTHO_TOL:
@@ -94,9 +91,7 @@ class SimilarityTransform:
         cls, scale: float, yaw_deg: float, translation: Sequence[float]
     ) -> SimilarityTransform:
         """Similarity with a rotation about the z axis; handy for gauges."""
-        if not math.isfinite(yaw_deg):  # math.cos(inf) raises a bare "math domain error"
-            raise ValueError(f"yaw_deg must be finite, got {yaw_deg}")
-        a = math.radians(yaw_deg)
+        a = math.radians(FINITE(yaw_deg, "yaw_deg"))  # math.cos(inf): "math domain error"
         c, s = math.cos(a), math.sin(a)
         rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
         return cls(scale, rot, np.asarray(translation, dtype=float))
@@ -113,23 +108,13 @@ class SimilarityTransform:
         )
 
 
-@dataclass(frozen=True)
+@value_type(threshold=POSITIVE_FINITE, confidence=IN_OPEN_UNIT,
+            max_iterations=(AT_LEAST_1, at_most(MAX_ITERATIONS, "RANSAC iterations")))
 class RansacParams:
     threshold: float = 0.5        # inlier residual bound, game units
     max_iterations: int = 2000
     confidence: float = 0.999
     seed: int = 0
-
-    def __post_init__(self):
-        if not 0 < self.threshold < math.inf:
-            raise ValueError(f"threshold must be positive and finite, got {self.threshold}")
-        if not 0.0 < self.confidence < 1.0:
-            raise ValueError(f"confidence must lie in (0, 1), got {self.confidence}")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
-        if self.max_iterations > MAX_ITERATIONS:
-            raise InvariantViolation(f"{self.max_iterations} RANSAC iterations exceed the limit "
-                                     f"of {MAX_ITERATIONS}")
 
 
 @value_type("names", "inlier_mask", "residuals_m",
@@ -596,8 +581,7 @@ def evaluate(
     points, inliers and outliers alike; the inlier mask is reported
     alongside.
     """
-    if not 0 < meters_per_unit < math.inf:
-        raise ValueError(f"meters_per_unit must be positive and finite, got {meters_per_unit}")
+    POSITIVE_FINITE(meters_per_unit, "meters_per_unit")
     if recon.names == manifest.names:  # as simrecon writes them: row k matches row k
         names, src, dst = manifest.names, recon.positions, manifest.camera
     else:
@@ -637,8 +621,7 @@ def calibrate_unit_scale(
     game units is total distance / total steps, and the returned factor
     is stride_m / stride_units.
     """
-    if not 0 < stride_m < math.inf:
-        raise ValueError(f"stride_m must be positive and finite, got {stride_m}")
+    POSITIVE_FINITE(stride_m, "stride_m")
     if len(samples) < 2:
         raise InvariantViolation(f"{len(samples)} sample(s); need at least 2")
     positions = np.array([p for p, _ in samples], dtype=float)
@@ -646,10 +629,13 @@ def calibrate_unit_scale(
     if any(s < 1 for s in steps):
         raise ValueError("steps_since_previous must be >= 1 after the first sample")
     with np.errstate(over="ignore"):
-        distance = float(np.linalg.norm(np.diff(positions, axis=0), axis=1).sum())
+        deltas = np.diff(positions, axis=0)
+        # A step below 2**-500 is scaled up by an exact power of two: its square does not underflow.
+        shift = min(0, math.frexp(np.abs(deltas).max())[1] + 500)
+        distance = float(np.linalg.norm(np.ldexp(deltas, -shift), axis=1).sum())
     if not math.isfinite(distance):
         raise ValueError("walked distance overflows the float range")
     if distance <= 0.0:
         raise InvariantViolation("samples cover zero distance")
-    stride_units = distance / sum(steps)
-    return stride_m / stride_units
+    stride_units = distance / sum(steps)  # in units of 2**shift
+    return FINITE(stride_m / stride_units * 2.0 ** -shift, "meters_per_unit")

@@ -51,15 +51,6 @@ def _load_sparse(args) -> trajectory.SparseTrajectory:
     return poseio.read_sparse(_read_text(args.vertices), _read_text(args.orders))
 
 
-def _conditions_from(args) -> conditions.ConditionSet:
-    return conditions.ConditionSet(
-        weather=conditions.Weather(args.weather),
-        time_of_day=conditions.TimeOfDay(args.time),
-        vehicle_density=args.vehicle_density,
-        pedestrian_density=args.pedestrian_density,
-    )
-
-
 # --------------------------------------------------------------------------
 # Subcommands
 # --------------------------------------------------------------------------
@@ -117,7 +108,8 @@ def cmd_capture(args) -> None:
         world = simworld.generate_world(args.seed, args.landmark_count, box)
 
     intr = simworld.Intrinsics(args.focal, args.width, args.height, args.max_range)
-    cond = _conditions_from(args)
+    cond = conditions.ConditionSet(conditions.Weather(args.weather), conditions.TimeOfDay(args.time),
+                                   args.vehicle_density, args.pedestrian_density)
     groups = simworld.retrace_chunks(
         dense, world, intr, cond, base_pixel_sigma=args.pixel_sigma, seed=args.seed
     )
@@ -171,8 +163,7 @@ def cmd_calibrate(args) -> None:
 
 
 def cmd_subsample(args) -> None:
-    if args.stride < 1:
-        raise InputError(f"stride must be >= 1, got {args.stride}")
+    trajectory.AT_LEAST_1(args.stride, "stride")
     manifest = poseio.read_manifest(_read_text(args.manifest))
     s = slice(None, None, args.stride)
     reduced = poseio.CaptureManifest(
@@ -258,10 +249,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--height", type=int, default=intrinsics.height)
     p.add_argument("--max-range", type=float, default=intrinsics.max_range)
     p.add_argument("--pixel-sigma", type=float, default=1.0, help="base observation noise, pixels")
-    p.add_argument("--weather", choices=[w.value for w in conditions.Weather], default="clear")
-    p.add_argument("--time", choices=[t.value for t in conditions.TimeOfDay], default="day")
-    p.add_argument("--vehicle-density", type=float, default=0.0)
-    p.add_argument("--pedestrian-density", type=float, default=0.0)
+    cond = conditions.ConditionSet()
+    p.add_argument("--weather", choices=[w.value for w in conditions.Weather],
+                   default=cond.weather.value)
+    p.add_argument("--time", choices=[t.value for t in conditions.TimeOfDay],
+                   default=cond.time_of_day.value)
+    p.add_argument("--vehicle-density", type=float, default=cond.vehicle_density)
+    p.add_argument("--pedestrian-density", type=float, default=cond.pedestrian_density)
     p.set_defaults(func=cmd_capture)
 
     p = sub.add_parser("simrecon", parents=[seeded],

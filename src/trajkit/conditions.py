@@ -10,12 +10,11 @@ raises by a fixed gain.
 from __future__ import annotations
 
 import enum
-import math
-from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping
 
 from .errors import InvariantViolation
+from .trajectory import FINITE, IN_UNIT, value_type
 
 
 class Weather(enum.Enum):
@@ -29,26 +28,17 @@ class TimeOfDay(enum.Enum):
     NIGHT = "night"  # the 23:00 preset
 
 
-@dataclass(frozen=True)
-class ConditionSet:
-    """One environment setting; densities range 0 (none) to 1 (normal).
+_DENSITY = (FINITE, IN_UNIT._replace(error=InvariantViolation))
 
-    A non-finite density raises ValueError, one outside [0, 1]
-    InvariantViolation.
-    """
+
+@value_type(vehicle_density=_DENSITY, pedestrian_density=_DENSITY)
+class ConditionSet:
+    """One environment setting; densities range 0 (none) to 1 (normal)."""
 
     weather: Weather = Weather.CLEAR
     time_of_day: TimeOfDay = TimeOfDay.DAY
     vehicle_density: float = 0.0
     pedestrian_density: float = 0.0
-
-    def __post_init__(self):
-        for name in ("vehicle_density", "pedestrian_density"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-            if not 0.0 <= value <= 1.0:
-                raise InvariantViolation(f"{name} must be within [0, 1], got {value}")
 
 
 DEFAULT_DEGRADATION: Mapping[Weather | TimeOfDay, float] = MappingProxyType({

@@ -20,7 +20,6 @@ emit single spaces and LF.
 
 from __future__ import annotations
 
-from dataclasses import field
 from typing import Sequence
 
 import numpy as np
@@ -140,7 +139,7 @@ class CaptureManifest:
     names: tuple[str, ...]
     camera: np.ndarray
     rotation: np.ndarray
-    conditions: ConditionSet = field(default_factory=ConditionSet)
+    conditions: ConditionSet = ConditionSet()
 
 
 def write_manifest(manifest: CaptureManifest) -> str:

@@ -11,7 +11,6 @@ outliers, giving a closed loop with a known answer for the aligner.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -22,12 +21,14 @@ from . import rng, textio
 from .errors import InvariantViolation, ParseError
 from .poseio import CaptureManifest, ReconstructedSet
 from .textio import FIXED
-from .trajectory import MAX_FRAMES, DenseTrajectory, value_type
+from .trajectory import (AT_LEAST_1, IN_UNIT, MAX_FRAMES, POSITIVE, POSITIVE_FINITE, SIGMA,
+                         DenseTrajectory, at_most, value_type)
 
 # Landmark budget of one world, checked by generate_world before it draws;
 # 10 times the largest world the tests build. retrace's chunk buffer
 # takes 4 * _CHUNK doubles, 2 KB, per landmark: 2 GB at the cap.
 MAX_LANDMARKS = 1_000_000
+_LANDMARK_BUDGET = at_most(MAX_LANDMARKS, "landmarks")
 
 
 @value_type(mins=(3,), maxs=(3,))
@@ -55,13 +56,12 @@ class World:
 
     def __post_init__(self):
         pts = self.landmarks
-        if len(pts) > MAX_LANDMARKS:
-            raise InvariantViolation(f"{len(pts)} landmarks exceed the limit of {MAX_LANDMARKS}")
+        _LANDMARK_BUDGET(len(pts), "landmarks")
         if np.any(pts < self.bounds.mins) or np.any(pts > self.bounds.maxs):
             raise InvariantViolation("landmarks outside world bounds")
 
 
-@dataclass(frozen=True)
+@value_type(focal=POSITIVE_FINITE, max_range=POSITIVE)  # max_range inf: unlimited range
 class Intrinsics:
     """A pinhole camera whose principal point (cx, cy) is the image centre."""
 
@@ -70,15 +70,13 @@ class Intrinsics:
     height: int
     max_range: float
 
+    cx = property(lambda self: self.width / 2.0)
+    cy = property(lambda self: self.height / 2.0)
+
     def __post_init__(self):
-        if not 0 < self.focal < math.inf:
-            raise ValueError(f"focal must be positive and finite, got {self.focal}")
-        if self.width <= 0 or self.height <= 0:
+        # Tested on the principal point, so that a dimension too large for a float raises here.
+        if not (self.cx > 0 and self.cy > 0):
             raise ValueError("image dimensions must be positive")
-        if not self.max_range > 0:  # inf: unlimited range
-            raise ValueError(f"max_range must be positive, got {self.max_range}")
-        object.__setattr__(self, "cx", self.width / 2.0)
-        object.__setattr__(self, "cy", self.height / 2.0)
 
 
 def default_intrinsics(max_range: float = 100.0) -> Intrinsics:
@@ -97,7 +95,7 @@ class FrameObservations(NamedTuple):
 
 
 @value_type("frame", "ids", "uv", frame=((-1,), np.int64), ids=((-1,), np.int64), uv=(-1, 2),
-            n_frames=int)
+            n_frames=(int, at_most(MAX_FRAMES, "frames")))
 class ObservationSet:
     """Every landmark projection of a capture, as flat columns sorted by frame.
 
@@ -117,8 +115,6 @@ class ObservationSet:
             raise ValueError("observations must be sorted by frame")
         if n_frames < 0 or len(frame) and not 0 <= frame[0] <= frame[-1] < n_frames:
             raise ValueError(f"frame indices must lie in 0..{n_frames - 1}")
-        if n_frames > MAX_FRAMES:
-            raise InvariantViolation(f"{n_frames} frames exceed the limit of {MAX_FRAMES}")
 
     @property
     def frames(self) -> tuple[FrameObservations, ...]:
@@ -135,10 +131,8 @@ class ObservationSet:
 
 def generate_world(seed: int, count: int, bounds: Box) -> World:
     """Scatter ``count`` landmarks i.i.d. uniformly inside ``bounds``."""
-    if count <= 0:
-        raise ValueError(f"landmark count must be positive, got {count}")
-    if count > MAX_LANDMARKS:
-        raise InvariantViolation(f"{count} landmarks exceed the limit of {MAX_LANDMARKS}")
+    AT_LEAST_1(count, "count")
+    _LANDMARK_BUDGET(count, "count")
     draws = rng.keyed_uniform(seed, rng.WORLD, np.arange(count)[:, None], np.arange(3))
     landmarks = bounds.mins + (bounds.maxs - bounds.mins) * draws
     return World(landmarks=landmarks, seed=seed, bounds=bounds)
@@ -223,12 +217,9 @@ def retrace_chunks(
     The arguments are checked on this call, before the first group is made;
     each group's rows run by frame, then landmark id.
     """
-    if not 0 <= base_pixel_sigma < math.inf:
-        raise ValueError(f"base_pixel_sigma must be finite and >= 0, got {base_pixel_sigma}")
+    SIGMA(base_pixel_sigma, "base_pixel_sigma")
     noise, drop = degradation(cond)
-    sigma = base_pixel_sigma * noise
-    if not math.isfinite(sigma * rng.MAX_NORMAL):
-        raise ValueError(f"pixel sigma {sigma} makes the largest noise radius overflow")
+    sigma = SIGMA(base_pixel_sigma * noise, "pixel sigma")  # times the weather's multiplier
 
     # Coordinates beyond 2**500 are scaled down by a power of two, so that the
     # squares below stay finite. That is exact, unless a coordinate underflows:
@@ -318,12 +309,9 @@ def simulate_reconstruction(
     noise and the displacement of row k are keyed by k, so the first k
     rows do not depend on the rows that follow.
     """
-    if not 0 <= noise_sigma * rng.MAX_NORMAL < math.inf:
-        raise ValueError(f"noise_sigma must be >= 0, its largest draw finite; got {noise_sigma}")
-    if not 0.0 <= outlier_fraction <= 1.0:
-        raise ValueError("outlier_fraction must lie in [0, 1]")
-    if not 0 <= 2.0 * outlier_radius < math.inf:
-        raise ValueError(f"outlier_radius must be >= 0, 2 * radius finite; got {outlier_radius}")
+    SIGMA(noise_sigma, "noise_sigma")
+    IN_UNIT(outlier_fraction, "outlier_fraction")
+    SIGMA._replace(test=lambda r: 0 <= 2.0 * r < math.inf)(outlier_radius, "outlier_radius")
 
     rows = np.arange(len(manifest.camera))[:, None]
     draws = rng.keyed_uniform(seed, rng.RECON_NOISE, rows, np.arange(4))

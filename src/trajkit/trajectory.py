@@ -16,16 +16,17 @@ All operations are pure functions of their inputs plus an explicit seed.
 Constructed values are immutable: every value type is declared through
 value_type, which stores each array field through frozen_array (convert,
 check shape and finiteness, copy unless the array is already a read-only
-owner, make read-only) and each other declared field (names, steps, counts,
-scale) through its converter, checks that its rows align, and compares by
-value through equal_by_value.
+owner, make read-only), each scalar field through its Rules and each other
+declared field through its converter, checks that its rows align, and
+compares by value through equal_by_value.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -64,18 +65,61 @@ def equal_by_value(a, b) -> bool:
     )
 
 
+class Rule(NamedTuple):
+    """A scalar rule, one test, wording and exception class: ``rule(value, name)`` returns
+    ``value`` if ``test(value)`` holds, else raises ``error`` with the wording filled in with
+    ``name`` and ``value``. value_type binds a rule to its field's name."""
+
+    test: Callable[[Any], bool]
+    wording: str
+    error: type[Exception] = ValueError
+
+    def __call__(self, value, name: str):
+        if not self.test(value):
+            raise self.error(self.wording.format(name=name, value=value))
+        return value
+
+
+# ValueError makes the CLI exit 1, InvariantViolation exit 2. A test that must raise either,
+# as [0, 1] does, is two rules: its user makes the second with _replace(error=...).
+POSITIVE_FINITE = Rule(lambda v: 0 < v < math.inf, "{name} must be positive and finite, got {value}")
+FINITE = Rule(math.isfinite, "{name} must be finite, got {value}")
+POSITIVE = Rule(lambda v: v > 0, "{name} must be positive, got {value}")  # inf passes
+IN_OPEN_UNIT = Rule(lambda v: 0 < v < 1, "{name} must lie in (0, 1), got {value}")
+IN_UNIT = Rule(lambda v: 0 <= v <= 1, "{name} must be within [0, 1], got {value}")
+AT_LEAST_1 = Rule(lambda v: v >= 1, "{name} must be at least 1")
+
+# A Gaussian sigma: no rng.box_muller draw exceeds sigma * rng.MAX_NORMAL. A spread whose
+# largest draw is another multiple of it takes this rule with that test, through _replace.
+SIGMA = Rule(lambda v: 0 <= v * rng.MAX_NORMAL < math.inf,
+             "{name} must be >= 0 and its largest draw must not overflow, got {value}")
+
+
+def at_most(limit: int, noun: str) -> Rule:
+    """A budget, checked before anything is allocated: at most ``limit`` ``noun``."""
+    return Rule(lambda v: v <= limit, f"{{value}} {noun} exceed the limit of {limit}",
+                InvariantViolation)
+
+
 def value_type(*rows: str, **fields):
     """Class decorator: a frozen dataclass compared by equal_by_value.
 
     Each keyword declares a field, stored in keyword order before the class's
-    own ``__post_init__`` checks its domain rules: ``name=shape`` or
-    ``name=(shape, dtype)`` an array field, stored through frozen_array, and
-    ``name=convert`` any other field, stored as ``convert(value)``. Last, the
-    fields named in ``rows`` must have equal length.
+    own ``__post_init__`` checks its domain rules, the ones that join fields:
+    ``name=shape`` or ``name=(shape, dtype)`` an array field, stored through
+    frozen_array; ``name=rule`` a scalar field checked by that Rule, under its
+    name; ``name=convert`` any other field, stored as ``convert(value)``; and
+    a tuple of rules and converters, applied in turn. Last, the fields named
+    in ``rows`` must have equal length.
     """
     def converter(name, spec):
+        if isinstance(spec, Rule):
+            return partial(spec, name=name)
         if callable(spec):
             return spec
+        if callable(spec[0]):
+            steps = [converter(name, step) for step in spec]
+            return lambda value: reduce(lambda v, step: step(v), steps, value)
         shape, dtype = spec if isinstance(spec[0], tuple) else (spec, float)
         return partial(frozen_array, shape=shape, dtype=dtype, name=name)
 
@@ -132,7 +176,7 @@ class DenseTrajectory:
         return len(self.protagonist)
 
 
-@dataclass(frozen=True)
+@value_type(speed=POSITIVE_FINITE, fps=POSITIVE_FINITE)
 class DensifyParams:
     """Densification controls."""
 
@@ -142,10 +186,7 @@ class DensifyParams:
     ground_z: float = 0.0
 
     def __post_init__(self):
-        for name in ("speed", "fps"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be positive and finite, got {value}")
+        FINITE(self.speed / self.fps, "step length speed / fps")
         if not math.isfinite(self.ground_z + self.eye_offset_z):
             raise ValueError("camera height ground_z + eye_offset_z must be finite")
 
@@ -256,8 +297,8 @@ def perturb(
     The protagonist track and frame indexing are untouched; zero sigmas
     return an identical copy, and a fixed seed is fully reproducible.
     """
-    if not all(0 <= s * rng.MAX_NORMAL < math.inf for s in (pos_sigma, yaw_sigma)):
-        raise ValueError("noise sigmas must be non-negative, their largest draws finite")
+    SIGMA(pos_sigma, "pos_sigma")
+    SIGMA(yaw_sigma, "yaw_sigma")
     draws = rng.keyed_uniform(seed, rng.PERTURB, np.arange(len(dense))[:, None], np.arange(4))
     normal = np.hstack(rng.box_muller(draws[:, :2], draws[:, 2:]))
     camera = dense.camera + pos_sigma * normal[:, :3]

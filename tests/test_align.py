@@ -1302,6 +1302,28 @@ class TestCalibrateUnitScale:
         with pytest.raises(InvariantViolation, match=exactly("1 sample(s); need at least 2")):
             tk.calibrate_unit_scale([((0.0, 0.0, 0.0), 0)])
 
+    @pytest.mark.parametrize("step", [1e-160, 1e-300, 5e-324])
+    def test_tiny_step_measured_exactly(self, step):
+        # Its square underflows: the walk is scaled up by a power of two first, which is exact.
+        samples = [((0.0, 0.0, 0.0), 0), ((0.0, -step, 0.0), 1)]
+        assert tk.calibrate_unit_scale(samples, stride_m=1e-300) == 1e-300 / step
+
+    def test_tiny_steps_add_up(self):
+        samples = [((0.0, 0.0, 0.0), 0), ((3e-300, 4e-300, 0.0), 2), ((3e-300, 4e-300, 5e-300), 3)]
+        # 1e-299 units in 5 steps.
+        assert tk.calibrate_unit_scale(samples, stride_m=1.0) == pytest.approx(5e299, rel=1e-15)
+
+    def test_ordinary_steps_keep_their_bits(self):
+        positions = np.random.default_rng(3).uniform(-50, 50, (40, 3))
+        samples = [(p, 2) for p in positions]
+        walked = np.linalg.norm(np.diff(positions, axis=0), axis=1).sum()
+        assert tk.calibrate_unit_scale(samples) == 0.762 / (walked / 78)
+
+    def test_factor_that_overflows_is_named(self):
+        samples = [((0.0, 0.0, 0.0), 0), ((1e-150, 0.0, 0.0), 10 ** 18)]
+        with pytest.raises(ValueError, match=exactly("meters_per_unit must be finite, got inf")):
+            tk.calibrate_unit_scale(samples, stride_m=1e308)
+
     def test_bad_step_count(self):
         with pytest.raises(ValueError):
             tk.calibrate_unit_scale([((0.0, 0.0, 0.0), 0), ((1.0, 0.0, 0.0), 0)])

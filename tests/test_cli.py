@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from trajkit import cli, plotting, poseio, simworld, trajectory
+from trajkit import align, cli, plotting, poseio, simworld, trajectory
 from trajkit.cli import main
 from trajkit.conditions import ConditionSet
 
@@ -357,53 +357,154 @@ def walkthrough(tmp_path_factory):
     return d
 
 
-NON_FINITE_FLAGS = [
-    ("simrecon", ["--gauge-scale", "inf"]),
-    ("simrecon", ["--gauge-scale", "1e308"]),
-    ("simrecon", ["--gauge-yaw", "nan"]),
-    ("simrecon", ["--gauge-yaw", "inf"]),
-    ("simrecon", ["--gauge-yaw=-inf"]),
-    ("simrecon", ["--gauge-translate", "nan", "0", "0"]),
-    ("simrecon", ["--noise-sigma", "nan"]),
-    ("simrecon", ["--noise-sigma", "inf"]),
-    ("simrecon", ["--outlier-radius", "nan"]),
-    ("simrecon", ["--outlier-radius", "1e308", "--outlier-fraction", "0.2"]),
-    ("capture", ["--pixel-sigma", "nan"]),
-    ("capture", ["--pixel-sigma", "1e308"]),
-    ("capture", ["--focal", "nan"]),
-    ("capture", ["--focal", "inf"]),
-    ("capture", ["--max-range", "nan"]),
-    ("capture", ["--bounds", "nan", "0", "0", "10", "10", "10"]),
-    ("capture", ["--vehicle-density", "nan"]),
-    ("align", ["--meters-per-unit", "nan"]),
-    ("align", ["--meters-per-unit", "-1"]),
-    ("align", ["--threshold", "nan"]),
-    ("calibrate", ["--stride-m", "nan"]),
-    ("calibrate", ["--stride-m", "-1"]),
+# Every numeric flag of seven subcommands, run on the README walkthrough at nan, +-inf, 0,
+# -1, +-1e308 and 5e-324 (a flag of several numbers takes the value in its first, REST the
+# others). Per flag, the values refused with one exit code and stderr line, where {} is the
+# value as a float prints. An int flag refuses the non-integers in argparse, after its usage.
+REJECTED = [
+    ("densify", "--speed", "nan inf -inf 0 -1 -1e308", 1,
+     "speed must be positive and finite, got {}"),
+    ("densify", "--speed", "5e-324", 2, "this speed and fps take more than 10000000 frames"),
+    ("densify", "--fps", "nan inf -inf 0 -1 -1e308", 1, "fps must be positive and finite, got {}"),
+    ("densify", "--fps", "1e308", 2, "this speed and fps take more than 10000000 frames"),
+    ("densify", "--fps", "5e-324", 1, "step length speed / fps must be finite, got inf"),
+    ("densify", "--eye-offset-z", "nan inf -inf", 1,
+     "camera height ground_z + eye_offset_z must be finite"),
+    ("densify", "--ground-z", "nan inf -inf", 1,
+     "camera height ground_z + eye_offset_z must be finite"),
+    ("perturb", "--pos-sigma", "nan inf -inf -1 1e308 -1e308", 1,
+     "pos_sigma must be >= 0 and its largest draw must not overflow, got {}"),
+    ("perturb", "--yaw-sigma", "nan inf -inf -1 1e308 -1e308", 1,
+     "yaw_sigma must be >= 0 and its largest draw must not overflow, got {}"),
+    ("capture", "--landmark-count", "0 -1", 1, "count must be at least 1"),
+    ("capture", "--bounds", "nan inf -inf", 1, "mins must be finite"),
+    ("capture", "--bounds", "1e308", 2,
+     "bounds have non-positive extent: [1.e+308 0.e+000 0.e+000] .. [10. 10. 10.]"),
+    ("capture", "--focal", "nan inf -inf 0 -1 -1e308", 1,
+     "focal must be positive and finite, got {}"),
+    ("capture", "--width", "0 -1", 1, "image dimensions must be positive"),
+    ("capture", "--height", "0 -1", 1, "image dimensions must be positive"),
+    ("capture", "--max-range", "nan -inf 0 -1 -1e308", 1, "max_range must be positive, got {}"),
+    ("capture", "--pixel-sigma", "nan inf -inf -1 1e308 -1e308", 1,
+     "base_pixel_sigma must be >= 0 and its largest draw must not overflow, got {}"),
+    ("capture", "--vehicle-density", "nan inf -inf", 1, "vehicle_density must be finite, got {}"),
+    ("capture", "--vehicle-density", "-1 1e308 -1e308", 2,
+     "vehicle_density must be within [0, 1], got {}"),
+    ("capture", "--pedestrian-density", "nan inf -inf", 1,
+     "pedestrian_density must be finite, got {}"),
+    ("capture", "--pedestrian-density", "-1 1e308 -1e308", 2,
+     "pedestrian_density must be within [0, 1], got {}"),
+    ("simrecon", "--gauge-scale", "nan inf -inf", 1, "scale must be finite, got {}"),
+    ("simrecon", "--gauge-scale", "0 -1 -1e308", 2, "scale must be positive, got {}"),
+    ("simrecon", "--gauge-scale", "1e308", 1, "simulated positions exceed the float range"),
+    ("simrecon", "--gauge-yaw", "nan inf", 1, "yaw_deg must be finite, got {}"),
+    ("simrecon", "--gauge-translate", "nan inf -inf", 1, "translation must be finite"),
+    ("simrecon", "--noise-sigma", "nan inf -inf -1 1e308 -1e308", 1,
+     "noise_sigma must be >= 0 and its largest draw must not overflow, got {}"),
+    ("simrecon", "--outlier-fraction", "nan inf -inf -1 1e308 -1e308", 1,
+     "outlier_fraction must be within [0, 1], got {}"),
+    ("simrecon", "--outlier-radius", "nan inf -inf -1 1e308 -1e308", 1,
+     "outlier_radius must be >= 0 and its largest draw must not overflow, got {}"),
+    ("align", "--threshold", "nan inf -inf 0 -1 -1e308", 1,
+     "threshold must be positive and finite, got {}"),
+    ("align", "--threshold", "5e-324", 2, "best consensus holds 0 point(s); need more than 3"),
+    ("align", "--max-iterations", "0 -1", 1, "max_iterations must be at least 1"),
+    ("align", "--confidence", "nan inf -inf 0 -1 1e308 -1e308", 1,
+     "confidence must lie in (0, 1), got {}"),
+    ("align", "--meters-per-unit", "nan inf -inf 0 -1 -1e308", 1,
+     "meters_per_unit must be positive and finite, got {}"),
+    ("align", "--meters-per-unit", "1e308", 2,
+     "residual of image 'frame_000001.png' is not finite in meters"),
+    ("calibrate", "--stride-m", "nan inf -inf 0 -1 -1e308", 1,
+     "stride_m must be positive and finite, got {}"),
+    ("subsample", "--stride", "0 -1", 1, "stride must be at least 1"),
 ]
+INT_FLAGS = [("perturb", "--seed"), ("capture", "--seed"), ("capture", "--landmark-count"),
+             ("capture", "--width"), ("capture", "--height"), ("simrecon", "--seed"),
+             ("align", "--seed"), ("align", "--max-iterations"), ("subsample", "--stride")]
+REST = {"--bounds": ["0", "0", "10", "10", "10"], "--gauge-translate": ["0", "0"]}
+NON_FINITE_FLAGS = [
+    (command, [flag, value, *REST.get(flag, [])], rc, f"error: {message.format(float(value))}")
+    for command, flag, values, rc, message in REJECTED for value in values.split()
+] + [
+    (command, [flag, value], 1, f"trajkit {command}: error: argument {flag}: invalid int value: "
+                                f"'{value}'")
+    for command, flag in INT_FLAGS for value in "nan inf -inf 1e308 -1e308 5e-324".split()
+] + [
+    ("simrecon", ["--gauge-yaw=-inf"], 1, "error: yaw_deg must be finite, got -inf"),
+    ("simrecon", ["--outlier-radius", "1e308", "--outlier-fraction", "0.2"], 1,
+     "error: outlier_radius must be >= 0 and its largest draw must not overflow, got 1e+308"),
+]
+# The values of the sweep above that each flag accepts.
+ACCEPTED = [
+    ("densify", "--speed", "1e308"),
+    ("densify", "--eye-offset-z", "0 -1 1e308 -1e308 5e-324"),
+    ("densify", "--ground-z", "0 -1 1e308 -1e308 5e-324"),
+    ("perturb", "--pos-sigma", "0 5e-324"),
+    ("perturb", "--yaw-sigma", "0 5e-324"),
+    ("perturb", "--seed", "0 -1"),
+    ("capture", "--seed", "0 -1"),
+    ("capture", "--bounds", "0 -1 -1e308 5e-324"),
+    ("capture", "--focal", "1e308 5e-324"),
+    ("capture", "--max-range", "inf 1e308 5e-324"),
+    ("capture", "--pixel-sigma", "0 5e-324"),
+    ("capture", "--vehicle-density", "0 5e-324"),
+    ("capture", "--pedestrian-density", "0 5e-324"),
+    ("simrecon", "--seed", "0 -1"),
+    ("simrecon", "--gauge-scale", "5e-324"),
+    ("simrecon", "--gauge-yaw", "0 -1 1e308 -1e308 5e-324"),
+    ("simrecon", "--gauge-translate", "0 -1 1e308 -1e308 5e-324"),
+    ("simrecon", "--noise-sigma", "0 5e-324"),
+    ("simrecon", "--outlier-fraction", "0 5e-324"),
+    ("simrecon", "--outlier-radius", "0 5e-324"),
+    ("align", "--seed", "0 -1"),
+    ("align", "--threshold", "1e308"),
+    ("align", "--confidence", "5e-324"),
+    ("align", "--meters-per-unit", "5e-324"),
+    ("calibrate", "--stride-m", "1e308 5e-324"),
+]
+ACCEPTED_FLAGS = [(command, [flag, value, *REST.get(flag, [])])
+                  for command, flag, values in ACCEPTED for value in values.split()]
+
+
+def walkthrough_args(d: Path, command: str, out: Path) -> list:
+    """The arguments that run ``command`` on the walkthrough files of ``d``, writing to ``out``."""
+    return {
+        "densify": ["--vertices", d / "vertex.txt", "--orders", d / "vertex_order.txt",
+                    "--out", out],
+        "perturb": ["--trajectory", d / "trajectory_dense.txt", "--out", out],
+        "simrecon": ["--manifest", d / "capture" / "6dpose_list.txt", "--out", out],
+        "capture": ["--trajectory", d / "trajectory_dense.txt", "--seed", 7, "--out-dir", out],
+        "align": ["--recon", d / "recon.txt", "--manifest", d / "capture" / "6dpose_list.txt",
+                  "--out", out],
+        "calibrate": ["--samples", d / "samples.txt"],
+        "subsample": ["--manifest", d / "capture" / "6dpose_list.txt", "--out", out],
+    }[command]
 
 
 class TestNumericFlags:
-    """A numeric flag outside its domain is an input error: exit 1, nothing written."""
+    """A numeric flag outside its domain fails with its exit code and message, nothing written."""
 
     @pytest.mark.parametrize(
-        "command, flags", NON_FINITE_FLAGS, ids=[" ".join([c, *f]) for c, f in NON_FINITE_FLAGS]
+        "command, flags, rc, line", NON_FINITE_FLAGS,
+        ids=[" ".join([c, *f]) for c, f, _, _ in NON_FINITE_FLAGS],
     )
-    def test_rejected_without_output(self, walkthrough, tmp_path, capsys, command, flags):
-        d, out = walkthrough, tmp_path / "out"
-        args = {
-            "simrecon": ["--manifest", d / "capture" / "6dpose_list.txt", "--out", out],
-            "capture": ["--trajectory", d / "trajectory_dense.txt", "--seed", 7, "--out-dir", out],
-            "align": ["--recon", d / "recon.txt", "--manifest", d / "capture" / "6dpose_list.txt",
-                      "--out", out],
-            "calibrate": ["--samples", d / "samples.txt"],
-        }[command]
-        assert run([command, *args, *flags]) == 1
+    def test_rejected_without_output(self, walkthrough, tmp_path, capsys, command, flags, rc, line):
+        args = walkthrough_args(walkthrough, command, tmp_path / "out")
+        assert run([command, *args, *flags]) == rc
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: ")
-        assert "Traceback" not in captured.err
+        assert captured.err.splitlines()[-1] == line
+        assert captured.err == f"{line}\n" or captured.err.startswith("usage: trajkit ")
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "command, flags", ACCEPTED_FLAGS, ids=[" ".join([c, *f]) for c, f in ACCEPTED_FLAGS]
+    )
+    def test_accepted(self, walkthrough, tmp_path, capsys, command, flags):
+        args = walkthrough_args(walkthrough, command, tmp_path / "out")
+        assert run([command, *args, *flags]) == 0
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("yaw", ["nan", "inf", "-inf"])
     def test_non_finite_gauge_yaw_is_named(self, walkthrough, tmp_path, capsys, yaw):
@@ -497,6 +598,25 @@ def test_align_leaves_numpy_ma_unimported(walkthrough, tmp_path):
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     assert result.stdout.startswith("average_error ")
+
+
+def test_cli_defaults_are_the_field_defaults():
+    parser = cli.build_parser()
+    capture = parser.parse_args(["capture", "--trajectory", "t", "--out-dir", "d"])
+    cond = ConditionSet()
+    assert (capture.weather, capture.time, capture.vehicle_density, capture.pedestrian_density) == (
+        cond.weather.value, cond.time_of_day.value, cond.vehicle_density, cond.pedestrian_density)
+    intr = simworld.default_intrinsics()
+    assert (capture.focal, capture.width, capture.height, capture.max_range) == (
+        intr.focal, intr.width, intr.height, intr.max_range)
+    densify = parser.parse_args(["densify", "--vertices", "v", "--orders", "o", "--out", "x"])
+    params = trajectory.DensifyParams()
+    assert (densify.speed, densify.fps, densify.eye_offset_z, densify.ground_z) == (
+        params.speed, params.fps, params.eye_offset_z, params.ground_z)
+    aligned = parser.parse_args(["align", "--recon", "r", "--manifest", "m", "--out", "x"])
+    ransac = align.RansacParams()
+    assert (aligned.threshold, aligned.max_iterations, aligned.confidence) == (
+        ransac.threshold, ransac.max_iterations, ransac.confidence)
 
 
 class TestPerturbCommand:
@@ -629,6 +749,13 @@ class TestCalibrate:
         assert run(["calibrate", "--samples", samples]) == 0
         assert capsys.readouterr().out.strip() == "0.846667"
 
+    def test_tiny_step_is_measured(self, tmp_path, capsys):
+        # The square of a 1e-300 step underflows; the step is scaled up before it is squared.
+        samples = tmp_path / "samples.txt"
+        samples.write_text("0 0 0 1\n1e-300 0 0 1\n")
+        assert run(["calibrate", "--samples", samples]) == 0
+        assert capsys.readouterr().out == f"{0.762 / 1e-300:.6f}\n"
+
     def test_malformed_samples(self, tmp_path, capsys):
         samples = tmp_path / "samples.txt"
         samples.write_text("1 2 3\n")
@@ -679,6 +806,8 @@ INPUTS = {
     "s1.txt": "0 0 0 0\n",
     "s0.txt": "0 0 0 0\n0 0 0 5\n",
     "s_huge.txt": "0 0 0 0\n1e308 0 0 1\n-1e308 0 0 1\n",
+    # A stride of 1e-168 units: 1e308 m per stride overflows meters per unit.
+    "s_short.txt": "0 0 0 1\n1e-150 0 0 1000000000000000000\n",
     # Reconstructed points within 1e-5 of (1e10, 1e10, 1e10), groundtruth
     # spread over +-1e295: every fit's translation overflows.
     "far_recon.txt": "".join(
@@ -784,6 +913,8 @@ ERROR_CONTRACT = [
     ("distance overflow", ["calibrate", "--samples", "s_huge.txt"],
      1, "walked distance overflows the float range"),
     ("zero distance", ["calibrate", "--samples", "s0.txt"], 2, "samples cover zero distance"),
+    ("meters per unit overflow", ["calibrate", "--samples", "s_short.txt", "--stride-m", "1e308"],
+     1, "meters_per_unit must be finite, got inf"),
 ]
 
 USAGE_ERRORS = [

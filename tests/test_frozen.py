@@ -1,11 +1,12 @@
 """The freeze rule that every value type keeps: each array field is a read-only,
 finite copy of a fixed shape (or an adopted read-only owner), made by
-trajectory.frozen_array, and each other declared field is stored through its
-converter."""
+trajectory.frozen_array, each scalar field is checked by its rules, and each
+other declared field is stored through its converter."""
 
 from __future__ import annotations
 
 import importlib
+import math
 import pkgutil
 import re
 
@@ -13,7 +14,11 @@ import numpy as np
 import pytest
 
 import trajkit as tk
-from trajkit.trajectory import equal_by_value, frozen_array
+from trajkit import simworld, trajectory
+from trajkit.errors import InvariantViolation
+from trajkit.trajectory import equal_by_value, frozen_array, value_type
+
+from conftest import exactly
 
 TRANSFORM = tk.SimilarityTransform.from_z_rotation(2.0, 30.0, (1.0, 2.0, 3.0))
 
@@ -57,6 +62,12 @@ VALUES = {
              names=("a.png", "b.png")),
         ["inlier_mask", "residuals_m"],
     ),
+    # The parameter sets: scalar fields only.
+    tk.RansacParams: (dict(threshold=0.25, max_iterations=10, confidence=0.9, seed=3), []),
+    tk.DensifyParams: (dict(speed=2.0, fps=30.0, eye_offset_z=1.5, ground_z=-1.0), []),
+    tk.ConditionSet: (dict(weather=tk.Weather.RAIN, time_of_day=tk.TimeOfDay.NIGHT,
+                           vehicle_density=0.5, pedestrian_density=1.0), []),
+    tk.Intrinsics: (dict(focal=100.0, width=64, height=48, max_range=10.0), []),
 }
 
 FIELDS = [(cls, field) for cls, (_, fields) in VALUES.items() for field in fields]
@@ -76,7 +87,7 @@ def valid(cls, field) -> np.ndarray:
 
 
 def test_every_value_type_is_covered():
-    assert len(VALUES) == 9
+    assert len(VALUES) == 13
     for cls, (kwargs, _) in VALUES.items():
         cls(**kwargs)
 
@@ -218,3 +229,104 @@ def test_bad_array_reported_before_bad_name(cls, array):
     # The arrays are declared before the names, so they are stored first.
     with pytest.raises(ValueError, match=f"^{array} must have shape"):
         cls(**{**VALUES[cls][0], "names": ("a b", "c"), array: [[0.0, 0.0]]})
+
+
+# Per rule: values it rejects, its wording for a field or argument named "x", and its class.
+# The variants that raise InvariantViolation are made as their users make them.
+RULES = [
+    ("positive and finite", trajectory.POSITIVE_FINITE, [math.nan, math.inf, -math.inf, 0.0, -1.0],
+     "x must be positive and finite, got {}", ValueError),
+    ("finite", trajectory.FINITE, [math.nan, math.inf, -math.inf],
+     "x must be finite, got {}", ValueError),
+    ("positive", trajectory.POSITIVE, [math.nan, -math.inf, 0.0, -1e-300],
+     "x must be positive, got {}", ValueError),
+    ("positive, exit 2", trajectory.POSITIVE._replace(error=InvariantViolation), [0.0, -1.0],
+     "x must be positive, got {}", InvariantViolation),
+    ("in (0, 1)", trajectory.IN_OPEN_UNIT, [math.nan, 0.0, 1.0, -1.0, math.inf],
+     "x must lie in (0, 1), got {}", ValueError),
+    ("within [0, 1]", trajectory.IN_UNIT, [math.nan, -1e-300, 1.5, math.inf],
+     "x must be within [0, 1], got {}", ValueError),
+    ("within [0, 1], exit 2", trajectory.IN_UNIT._replace(error=InvariantViolation), [-0.1, 2.0],
+     "x must be within [0, 1], got {}", InvariantViolation),
+    ("at least 1", trajectory.AT_LEAST_1, [0, -1, math.nan], "x must be at least 1", ValueError),
+    ("largest draw finite", trajectory.SIGMA, [math.nan, math.inf, -1.0, 1e308],
+     "x must be >= 0 and its largest draw must not overflow, got {}", ValueError),
+    ("at most", trajectory.at_most(5, "widgets"), [6, 10 ** 20],
+     "{} widgets exceed the limit of 5", InvariantViolation),
+]
+RULE_CASES = [(rule, bad, wording.format(bad), error)
+              for _, rule, values, wording, error in RULES for bad in values]
+RULE_IDS = [f"{name}-{bad}" for name, _, values, _, _ in RULES for bad in values]
+
+
+@pytest.mark.parametrize("rule, bad, message, error", RULE_CASES, ids=RULE_IDS)
+def test_rule_reports_alike_on_a_field_and_on_an_argument(rule, bad, message, error):
+    @value_type(x=rule)
+    class Probe:
+        x: float
+
+    for check in (Probe, lambda value: rule(value, "x")):
+        with pytest.raises(error, match=exactly(message)) as caught:
+            check(bad)
+        assert type(caught.value) is error
+
+
+@pytest.mark.parametrize("rule", [case[1] for case in RULES], ids=[case[0] for case in RULES])
+def test_rule_passes_a_valid_value_unchanged(rule):
+    value = 1 if rule is trajectory.AT_LEAST_1 else 0.5
+
+    @value_type(x=rule)
+    class Probe:
+        x: float
+
+    assert Probe(value).x is value and rule(value, "x") is value
+
+
+MANIFEST = tk.CaptureManifest(("a.png",), [[0.0, 0.0, 0.0]], [[0.0, 0.0, 0.0]])
+
+# Per field or argument checked by a rule: the call with a bad value, the rule and the name.
+RULE_USES = [
+    ("RansacParams.threshold", lambda v: tk.RansacParams(threshold=v),
+     trajectory.POSITIVE_FINITE, "threshold"),
+    ("DensifyParams.fps", lambda v: tk.DensifyParams(fps=v), trajectory.POSITIVE_FINITE, "fps"),
+    ("Intrinsics.focal", lambda v: tk.Intrinsics(v, 64, 48, 10.0),
+     trajectory.POSITIVE_FINITE, "focal"),
+    ("evaluate meters_per_unit", lambda v: tk.evaluate(None, None, meters_per_unit=v),
+     trajectory.POSITIVE_FINITE, "meters_per_unit"),
+    ("calibrate_unit_scale stride_m", lambda v: tk.calibrate_unit_scale([], stride_m=v),
+     trajectory.POSITIVE_FINITE, "stride_m"),
+    ("SimilarityTransform.scale", lambda v: tk.SimilarityTransform(v, np.eye(3), np.zeros(3)),
+     trajectory.FINITE, "scale"),
+    ("ConditionSet.vehicle_density", lambda v: tk.ConditionSet(vehicle_density=v),
+     trajectory.FINITE, "vehicle_density"),
+    ("from_z_rotation yaw_deg", lambda v: tk.SimilarityTransform.from_z_rotation(1.0, v, (0, 0, 0)),
+     trajectory.FINITE, "yaw_deg"),
+    ("Intrinsics.max_range", lambda v: tk.Intrinsics(100.0, 64, 48, v),
+     trajectory.POSITIVE, "max_range"),
+    ("RansacParams.confidence", lambda v: tk.RansacParams(confidence=v),
+     trajectory.IN_OPEN_UNIT, "confidence"),
+    ("simulate_reconstruction outlier_fraction",
+     lambda v: tk.simulate_reconstruction(MANIFEST, TRANSFORM, outlier_fraction=v),
+     trajectory.IN_UNIT, "outlier_fraction"),
+    ("RansacParams.max_iterations", lambda v: tk.RansacParams(max_iterations=v),
+     trajectory.AT_LEAST_1, "max_iterations"),
+    ("generate_world count", lambda v: tk.generate_world(0, v, tk.Box((0, 0, 0), (1, 1, 1))),
+     trajectory.AT_LEAST_1, "count"),
+    ("perturb pos_sigma", lambda v: tk.perturb(None, v, 0.0, 0), trajectory.SIGMA, "pos_sigma"),
+    ("perturb yaw_sigma", lambda v: tk.perturb(None, 0.0, v, 0), trajectory.SIGMA, "yaw_sigma"),
+    ("retrace_chunks base_pixel_sigma",
+     lambda v: simworld.retrace_chunks(None, None, None, tk.ConditionSet(), v),
+     trajectory.SIGMA, "base_pixel_sigma"),
+    ("simulate_reconstruction noise_sigma",
+     lambda v: tk.simulate_reconstruction(MANIFEST, TRANSFORM, noise_sigma=v),
+     trajectory.SIGMA, "noise_sigma"),
+]
+
+
+@pytest.mark.parametrize("call, rule, name", [case[1:] for case in RULE_USES],
+                         ids=[case[0] for case in RULE_USES])
+def test_fields_and_arguments_report_through_their_rule(call, rule, name):
+    bad = -1 if rule is trajectory.AT_LEAST_1 else math.nan
+    with pytest.raises(rule.error, match=exactly(rule.wording.format(name=name, value=bad))):
+        call(bad)
+
